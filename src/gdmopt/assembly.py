@@ -6,24 +6,16 @@ import scipy.sparse.linalg as spla
 
 from .analysis import cell_quadrature
 
-# Relative residual accepted from a direct solve, after refinement.
+# Backward error accepted from a direct solve, after refinement:
+# ||b - A x||_inf <= SOLVE_TOL * (||A||_inf ||x||_inf + ||b||_inf).
 SOLVE_TOL = 1e-12
+
+# Iterative refinement steps a checked solve may take.
+REFINE_STEPS = 3
 
 
 class SolverError(RuntimeError):
     """A linear or optimisation solve failed its accuracy contract."""
-
-
-class SparseSystem:
-    """Symmetric system on the free DOFs of a gradient discretisation."""
-
-    def __init__(self, gd, matrix, rhs):
-        self.gd = gd
-        self.matrix = matrix
-        self.rhs = rhs
-
-    def solve(self):
-        return self.gd.expand(solve_spd(self.matrix, self.rhs))
 
 
 def check_symmetry(a, tol=1e-12):
@@ -35,36 +27,62 @@ def check_symmetry(a, tol=1e-12):
         raise SolverError(f"matrix not symmetric: |A - A^T| reaches {worst:.3e}")
 
 
-def solve_spd(a, b, tol=SOLVE_TOL):
-    """Direct solve of a symmetric positive definite sparse system.
+class SPDFactor:
+    """Sparse factorisation of a symmetric positive definite matrix.
 
-    Uses a sparse LU factorisation with one step of iterative refinement;
-    raises SolverError when the factorisation breaks down (singular or
-    badly conditioned input) or the relative residual stays above tol.
+    The LU factors use a minimum-degree ordering of A^T + A with diagonal
+    pivots (SuperLU's symmetric mode), which roughly halves the fill of
+    the default column ordering on stiffness matrices.  Every solve is
+    checked: it refines iteratively until the backward error meets
+    ``tol`` and raises SolverError when it cannot, or when the factors
+    produce non-finite values.
+    """
+
+    def __init__(self, a, tol=SOLVE_TOL):
+        check_symmetry(a)
+        self.matrix = sp.csc_matrix(a)
+        self.tol = tol
+        try:
+            self._lu = spla.splu(
+                self.matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:  # SuperLU signals singularity this way
+            raise SolverError(f"sparse factorisation failed: {exc}") from exc
+        self._norm = np.asarray(abs(self.matrix).sum(axis=1)).max(initial=0.0)
+
+    def solve(self, b):
+        """Solution of A x = b, refined to the backward-error tolerance."""
+        b = np.asarray(b, dtype=float)
+        bnorm = np.abs(b).max(initial=0.0)
+        x = np.zeros_like(b)
+        r = b
+        for _ in range(REFINE_STEPS + 1):
+            x = x + self._lu.solve(r)
+            if not np.all(np.isfinite(x)):
+                raise SolverError("sparse solve produced non-finite values")
+            r = b - self.matrix @ x
+            err = np.abs(r).max(initial=0.0)
+            scale = self._norm * np.abs(x).max(initial=0.0) + bnorm
+            if err <= self.tol * scale:
+                return x
+        raise SolverError(
+            f"backward error {err / scale:.3e} exceeds {self.tol:.1e} "
+            f"after {REFINE_STEPS} refinement steps"
+        )
+
+
+def solve_spd(a, b, tol=SOLVE_TOL):
+    """Checked direct solve of a symmetric positive definite sparse system.
+
+    A zero right-hand side returns zero without factoring; otherwise
+    raises SolverError on asymmetric, singular or badly conditioned
+    input (see SPDFactor).
     """
     b = np.asarray(b, dtype=float)
     if not b.any():
         return np.zeros_like(b)
-    check_symmetry(a)
-    try:
-        lu = spla.splu(sp.csc_matrix(a))
-        x = lu.solve(b)
-    except RuntimeError as exc:  # SuperLU signals singularity this way
-        raise SolverError(f"sparse factorisation failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SolverError("sparse solve produced non-finite values")
-    bnorm = np.linalg.norm(b)
-    for _ in range(2):
-        r = b - a @ x
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x
-        x = x + lu.solve(r)
-    r = b - a @ x
-    if np.linalg.norm(r) > tol * bnorm:
-        raise SolverError(
-            f"relative residual {np.linalg.norm(r) / bnorm:.3e} exceeds {tol:.1e}"
-        )
-    return x
+    return SPDFactor(a, tol).solve(b)
 
 
 def assemble_stiffness(gd, diffusion=None, reaction=0.0):
@@ -118,4 +136,4 @@ def solve_pde(gd, volume_source=None, boundary_source=None, diffusion=None,
     b = assemble_load(gd, volume_source, boundary_source)
     if extra_load is not None:
         b = b + extra_load
-    return SparseSystem(gd, a, gd.restrict(b)).solve()
+    return gd.expand(solve_spd(a, gd.restrict(b)))

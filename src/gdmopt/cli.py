@@ -8,6 +8,7 @@ runs with the same configuration are byte-identical.
 """
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -170,8 +171,8 @@ def main(argv=None):
         parser.error("--shift requires a Cartesian-capable case")
     if args.pdas_max_iter < 1:
         parser.error("--pdas-max-iter must be at least 1")
-    if args.pdas_tol <= 0.0:
-        parser.error("--pdas-tol must be positive")
+    if not (math.isfinite(args.pdas_tol) and args.pdas_tol > 0.0):
+        parser.error("--pdas-tol must be positive and finite")
     try:
         threads = thread_count()
     except ValueError as exc:

@@ -14,10 +14,10 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from .analysis import cell_quadrature, segment_quadrature, triangle_quadrature
+from .assembly import SPDFactor, solve_spd
 
 
 class GradientDiscretisation:
@@ -229,7 +229,7 @@ def _max_generalized_eig(a, b, method, tol):
     if method == "dense" or (method == "auto" and n < 200):
         vals = eigh(a.toarray(), b.toarray(), eigvals_only=True)
         return float(vals[-1])
-    solve = spla.splu(b.tocsc()).solve
+    solve = SPDFactor(b).solve
     # Deterministic start vector with a ramp so it is never orthogonal
     # to the leading eigenvector by symmetry.
     x = 1.0 + 0.01 * np.arange(n) / n
@@ -328,12 +328,12 @@ def compute_wd(gd, flux):
         j1 = np.bincount(faces, wts * fn, len(ids))
         j2 = np.bincount(faces, wts * fn * arc, len(ids))
         r -= gd.trace_mid.T @ j1 + gd.trace_slope.T @ j2
-        norm_mat = (gd.gradient_gram() + gd.mass_matrix()).tocsc()
+        norm_mat = gd.gradient_gram() + gd.mass_matrix()
         rr = r
     else:
         norm_mat = gd.restrict_matrix(gd.gradient_gram())
         rr = gd.restrict(r)
-    z = spla.splu(norm_mat.tocsc()).solve(rr)
+    z = solve_spd(norm_mat, rr)
     return math.sqrt(max(float(rr @ z), 0.0))
 
 
@@ -371,7 +371,7 @@ def compute_sd_upper(gd, fn, grad_fn):
         a = a + gd.trace_gram()
         b = b + gd.boundary_load(fn)
 
-    z = gd.expand(spla.splu(gd.restrict_matrix(a)).solve(gd.restrict(b)))
+    z = gd.expand(solve_spd(gd.restrict_matrix(a), gd.restrict(b)))
 
     # Misfit norms by direct quadrature of the reconstructions; this
     # avoids the cancellation a quadratic-form expansion would suffer

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from gdmopt.assembly import (
+    SOLVE_TOL,
     SolverError,
     assemble_load,
     assemble_stiffness,
@@ -13,6 +14,7 @@ from gdmopt.assembly import (
     solve_pde,
     solve_spd,
 )
+from gdmopt.cases import get_case
 from gdmopt.gd_core import compute_cd
 from gdmopt.mesh import (
     PolytopalMesh,
@@ -137,8 +139,9 @@ def test_solve_spd_contract():
     x = rng.standard_normal(n)
     b = a @ x
     np.testing.assert_allclose(solve_spd(a, b), x, rtol=1e-9)
-    # Zero right-hand side short-circuits.
+    # Zero right-hand side short-circuits, also on an empty system.
     assert np.all(solve_spd(a, np.zeros(n)) == 0.0)
+    assert solve_spd(sp.csc_matrix((0, 0)), np.zeros(0)).shape == (0,)
     # Asymmetric input is rejected.
     bad = sp.csc_matrix(q + 10 * np.eye(n))
     with pytest.raises(SolverError):
@@ -147,6 +150,19 @@ def test_solve_spd_contract():
     sing = sp.csc_matrix((n, n))
     with pytest.raises(SolverError):
         solve_spd(sing, b)
+
+
+def test_solve_pde_meets_backward_error_on_neumann_level6():
+    # The relative residual of this system stalls near 4e-12 however it
+    # is refined; the solve is accepted on its backward error instead.
+    case = get_case("example3-neumann")
+    gd = build_scheme("ncp1", case.build_mesh("ncp1", 64), case.bc)
+    x = gd.restrict(solve_pde(gd, volume_source=case.f, reaction=case.reaction))
+    a = assemble_stiffness(gd, reaction=case.reaction)
+    b = gd.restrict(assemble_load(gd, case.f))
+    a_norm = abs(a).sum(axis=1).max()
+    backward = np.abs(b - a @ x).max() / (a_norm * np.abs(x).max() + np.abs(b).max())
+    assert backward <= SOLVE_TOL
 
 
 def test_boundary_source_rejected_under_dirichlet():

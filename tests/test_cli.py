@@ -65,6 +65,8 @@ def test_single_level_argument(tmp_path):
     ["--case", "example2-lshape", "--scheme", "hmm", "--shift", "0.2"],
     ["--case", "example1", "--scheme", "p1", "--pdas-max-iter", "0"],
     ["--case", "example1", "--scheme", "p1", "--pdas-tol", "0"],
+    ["--case", "example1", "--scheme", "p1", "--pdas-tol", "nan"],
+    ["--case", "example1", "--scheme", "p1", "--pdas-tol", "inf"],
 ])
 def test_usage_errors_exit_2(args):
     with pytest.raises(SystemExit) as exc:

@@ -3,11 +3,15 @@ projection/variational-inequality identities of the optimality system."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdmopt.assembly import SolverError
 from gdmopt.cases import get_case
 from gdmopt.control import (
     OptimalControlProblem,
+    _pcg,
     postprocess,
     project_box,
     project_onto_cells,
@@ -199,6 +203,75 @@ def test_pdas_iteration_cap_raises():
     problem = case_problem("example1", "p1", 4)
     with pytest.raises(SolverError):
         solve_kkt_pdas(problem, max_iter=1)
+
+
+def test_pdas_factors_stiffness_once(monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    problem = case_problem("example2-lshape", "p1", 16)
+    sol = solve_kkt_pdas(problem)
+    assert sol.iterations >= 3
+    assert len(calls) == 1
+    # The factor is cached with the problem's assembly.
+    solve_kkt_pdas(problem)
+    assert len(calls) == 1
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    case_name=st.sampled_from(["example1", "example3-neumann"]),
+    scheme=st.sampled_from(["p1", "ncp1", "hmm"]),
+    log_alpha=st.floats(-2.0, 0.0),
+    cuts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    sides=st.sampled_from(["both", "lower", "upper"]),
+)
+def test_pdas_matches_reference_on_random_boxes(case_name, scheme, log_alpha, cuts, sides):
+    # The box cuts the range of the unconstrained control, so it binds.
+    case = get_case(case_name)
+    gd = build_scheme(scheme, case.build_mesh(scheme, 4), case.bc)
+
+    def problem(bounds):
+        return OptimalControlProblem(
+            gd, alpha=10.0 ** log_alpha, bounds=bounds, y_target=case.y_d,
+            volume_source=case.f, control_target=case.u_d, reaction=case.reaction,
+            boundary_source=case.f_b if case.bc == "neumann" else None,
+        )
+
+    free = solve_kkt_pdas(problem((-np.inf, np.inf))).u
+    lower, upper = free.min() + np.sort(cuts) * np.ptp(free)
+    bounds = (lower if sides != "upper" else -np.inf,
+              upper if sides != "lower" else np.inf)
+    constrained = problem(bounds)
+    sol = compare_solvers(constrained)
+    assert projection_identity_gap(constrained, sol) <= 1e-10
+
+
+def test_pdas_without_free_dofs():
+    # The m=1 triangulation has no interior vertex: the state vanishes
+    # and the control is the projected control target.
+    gd = build_scheme("p1", build_unit_square_triangulation(1), "dirichlet")
+    problem = synthetic_problem(gd, bounds=(0.2, 0.5))
+    sol = solve_kkt_pdas(problem)
+    assert gd.n_free == 0 and not sol.y.any()
+    np.testing.assert_allclose(sol.u, np.clip(problem.assembled().control_target_cells, 0.2, 0.5))
+
+
+def test_pcg_cap_raises_with_reached_residual():
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal((20, 20))
+    a = q @ q.T + np.eye(20)
+    rhs = rng.standard_normal(20)
+    weight = np.ones(20)
+    x = _pcg(lambda v: a @ v, rhs, np.zeros(20), weight, 1e-12, max_iter=200)
+    assert np.linalg.norm(a @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+    with pytest.raises(SolverError, match="relative residual .* in 2 steps"):
+        _pcg(lambda v: a @ v, rhs, np.zeros(20), weight, 1e-12, max_iter=2)
 
 
 def test_reference_rejects_large_meshes():
