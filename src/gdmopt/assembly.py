@@ -118,13 +118,6 @@ def cell_source_load(gd, cell_values):
     return gd.cell_coupling() @ np.asarray(cell_values, dtype=float)
 
 
-def face_source_load(gd, face_values):
-    """Exact load of a piecewise-constant boundary source (Neumann)."""
-    if gd.bc == "dirichlet":
-        raise ValueError("boundary source supplied under Dirichlet conditions")
-    return gd.boundary_coupling() @ np.asarray(face_values, dtype=float)
-
-
 def solve_pde(gd, volume_source=None, boundary_source=None, diffusion=None,
               reaction=0.0, extra_load=None):
     """Solve one elliptic problem; returns the full DOF vector.

@@ -8,6 +8,9 @@ its data are unbounded near the re-entrant corner; quadrature nodes
 never coincide with the corner, which is always a mesh vertex.
 """
 
+from dataclasses import dataclass
+from typing import Callable, Optional
+
 import numpy as np
 
 from .control import OptimalControlProblem, project_box
@@ -20,26 +23,25 @@ from .mesh import (
 CASE_NAMES = ("example1", "example2-lshape", "example3-neumann")
 
 
+@dataclass
 class TestCase:
     """Closures of one benchmark; all callables take (n, 2) point arrays."""
 
-    def __init__(self, name, bc, domain, alpha, bounds, reaction,
-                 y, grad_y, p, grad_p, u, f, y_d, u_d=None, f_b=None):
-        self.name = name
-        self.bc = bc
-        self.domain = domain
-        self.alpha = alpha
-        self.bounds = bounds
-        self.reaction = reaction
-        self.y = y
-        self.grad_y = grad_y
-        self.p = p
-        self.grad_p = grad_p
-        self.u = u
-        self.f = f
-        self.y_d = y_d
-        self.u_d = u_d
-        self.f_b = f_b
+    name: str
+    bc: str
+    domain: str
+    alpha: float
+    bounds: tuple
+    reaction: float
+    y: Callable
+    grad_y: Callable
+    p: Callable
+    grad_p: Callable
+    u: Callable
+    f: Callable
+    y_d: Callable
+    u_d: Optional[Callable] = None
+    f_b: Optional[Callable] = None
 
     def build_mesh(self, scheme, m, shift=0.0):
         """Mesh family used by a scheme on this case's domain."""
@@ -108,21 +110,25 @@ def _corner_singular_parts(pts):
     x-axis and runs through [0, 3*pi/2] across the domain; g vanishes at
     both edges meeting the re-entrant corner.  Values at the corner
     itself are returned as zero.
+
+    g and its derivatives are trigonometric polynomials in theta, so
+    they are evaluated from cos(theta) = x/r and sin(theta) = y/r; the
+    powers of r all derive from one cube root.
     """
     x, y = pts[:, 0], pts[:, 1]
     r = np.hypot(x, y)
-    t = np.arctan2(y, x)
-    t = np.where(t < 0.0, t + 2.0 * np.pi, t)
-    g = (1.0 - np.cos(t)) * (1.0 + np.sin(t))
-    dg = np.sin(t) + np.cos(t) - np.cos(2.0 * t)
-    ddg = np.cos(t) - np.sin(t) + 2.0 * np.sin(2.0 * t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r13 = np.where(r > 0.0, r ** (-1.0 / 3.0), 0.0)
-        r43 = np.where(r > 0.0, r ** (-4.0 / 3.0), 0.0)
-    val = r ** (2.0 / 3.0) * g
+    corner = r == 0.0
+    r = np.where(corner, 1.0, r)
+    c, s = x / r, y / r
+    g = (1.0 - c) * (1.0 + s)
+    dg = s + c - (c * c - s * s)
+    ddg = c - s + 4.0 * s * c
+    r13 = np.where(corner, 0.0, 1.0 / np.cbrt(r))  # r^(-1/3)
+    r43 = (r13 * r13) ** 2  # r^(-4/3)
+    val = r * r13 * g  # r^(2/3) g
     two3 = 2.0 / 3.0
-    sx = r13 * (two3 * g * np.cos(t) - dg * np.sin(t))
-    sy = r13 * (two3 * g * np.sin(t) + dg * np.cos(t))
+    sx = r13 * (two3 * g * c - dg * s)
+    sy = r13 * (two3 * g * s + dg * c)
     lap = r43 * (ddg + (4.0 / 9.0) * g)
     return val, sx, sy, lap
 
@@ -156,8 +162,8 @@ def lshape_singular_case():
         return project_box(-y(pts) / alpha, lower, upper)
 
     def f(pts):
-        lap = parts(pts)[3]
-        return -lap - u(pts)
+        val, _, _, lap = parts(pts)
+        return -lap - project_box(-val / alpha, lower, upper)
 
     def y_d(pts):
         val, _, _, lap = parts(pts)

@@ -22,6 +22,10 @@ from .schemes import SCHEMES, build_scheme
 
 DEFAULT_LEVELS = (2, 6)
 
+# Highest study level accepted: the L-shape mesh at level 10 has 6.3M
+# cells, and each further level quadruples that.
+MAX_LEVEL = 10
+
 
 class LevelFailure(Exception):
     """Solver breakdown at one study level; carries the mesh size."""
@@ -134,6 +138,8 @@ def _levels_arg(text):
         raise argparse.ArgumentTypeError("levels must be nonnegative")
     if hi < lo:
         raise argparse.ArgumentTypeError("level range must satisfy A <= B")
+    if hi > MAX_LEVEL:
+        raise argparse.ArgumentTypeError(f"levels above {MAX_LEVEL} are not supported")
     return lo, hi
 
 

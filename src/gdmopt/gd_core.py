@@ -80,6 +80,7 @@ class GradientDiscretisation:
         self._mass = None
         self._grad_gram = None
         self._trace_gram = None
+        self._misfit_factor = None
 
     # -- reconstruction operators ------------------------------------
 
@@ -146,6 +147,16 @@ class GradientDiscretisation:
             t += self.trace_slope.T @ sp.diags(ell ** 3 / 12.0) @ self.trace_slope
             self._trace_gram = t.tocsr()
         return self._trace_gram
+
+    def misfit_factor(self):
+        """Factor of the misfit Gram matrix on free DOFs: mass plus
+        gradient Gram, plus trace Gram under Neumann conditions."""
+        if self._misfit_factor is None:
+            a = self.mass_matrix() + self.gradient_gram()
+            if self.bc == "neumann":
+                a = a + self.trace_gram()
+            self._misfit_factor = SPDFactor(self.restrict_matrix(a))
+        return self._misfit_factor
 
     def stiffness(self, diffusion=None, reaction=0.0):
         """Diffusion form of the gradient reconstruction, plus an optional
@@ -350,9 +361,6 @@ def compute_sd_upper(gd, fn, grad_fn):
     if gd.n_free == 0:
         raise ValueError("no free DOFs: consistency defect undefined")
     mesh = gd.mesh
-    m = gd.mass_matrix()
-    g = gd.gradient_gram()
-
     cells, pts, wts = cell_quadrature(mesh, "gauss7")
     fvals = np.asarray(fn(pts), dtype=float)
     b_val = gd.value_load(cells, pts, wts, fvals)
@@ -365,13 +373,13 @@ def compute_sd_upper(gd, fn, grad_fn):
     iy = np.bincount(pieces, pwts * gvals[:, 1], len(gd.piece_area))
     b_grad = gd.grad_x.T @ ix + gd.grad_y.T @ iy
 
-    a = m + g
     b = b_val + b_grad
     if gd.bc == "neumann":
-        a = a + gd.trace_gram()
         b = b + gd.boundary_load(fn)
 
-    z = gd.expand(solve_spd(gd.restrict_matrix(a), gd.restrict(b)))
+    # The factor is cached on gd, so the state and adjoint rows of a
+    # diagnostics table share it.
+    z = gd.expand(gd.misfit_factor().solve(gd.restrict(b)))
 
     # Misfit norms by direct quadrature of the reconstructions; this
     # avoids the cancellation a quadratic-form expansion would suffer

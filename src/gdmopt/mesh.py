@@ -7,11 +7,9 @@ for the unit square and an L-shaped domain, a shifted Cartesian grid,
 uniform red refinement and shape-quality measures.
 """
 
-import numpy as np
+from dataclasses import dataclass
 
-# Vertices closer than this are considered identical when meshes are
-# glued together from patches.
-MERGE_TOL = 1e-12
+import numpy as np
 
 
 class PolytopalMesh:
@@ -29,10 +27,14 @@ class PolytopalMesh:
 
     Notes
     -----
-    Faces are stored once and oriented by their first incident cell: the
-    unit normal ``face_normal[f]`` points out of ``face_cells[f, 0]``.
-    The outward normal seen from any incident cell is recovered through
-    ``cell_face_sign``.
+    Faces are stored once and numbered by first appearance: scanning the
+    cells in order and each cell's edges in loop order, a new face gets
+    the next number.  Each face is oriented by that first incident cell:
+    ``faces[f]`` follows its counter-clockwise loop, and the unit normal
+    ``face_normal[f]`` points out of ``face_cells[f, 0]``.  The outward
+    normal seen from any incident cell is recovered through
+    ``cell_face_sign``.  The DOF order of face-based schemes follows
+    this numbering.
     """
 
     def __init__(self, vertices, cells, cell_points=None):
@@ -71,34 +73,29 @@ class PolytopalMesh:
         diffs = loops[:, :, None, :] - loops[:, None, :, :]
         self.cell_diameter = np.sqrt((diffs ** 2).sum(-1)).max(axis=(1, 2))
 
-        # Face table: one entry per undirected edge of the cell loops.
-        face_of = {}
-        faces = []
-        face_cells = []
-        cell_faces = np.empty((self.n_cells, k), dtype=int)
-        cell_face_sign = np.empty((self.n_cells, k), dtype=int)
-        for c in range(self.n_cells):
-            loop = self.cells[c]
-            for i in range(k):
-                a, b = int(loop[i]), int(loop[(i + 1) % k])
-                key = (a, b) if a < b else (b, a)
-                f = face_of.get(key)
-                if f is None:
-                    f = len(faces)
-                    face_of[key] = f
-                    faces.append((a, b))
-                    face_cells.append([c, -1])
-                    cell_face_sign[c, i] = 1
-                else:
-                    if face_cells[f][1] != -1:
-                        raise ValueError("face shared by more than two cells")
-                    face_cells[f][1] = c
-                    cell_face_sign[c, i] = -1
-                cell_faces[c, i] = f
-        self.faces = np.array(faces, dtype=int)
-        self.face_cells = np.array(face_cells, dtype=int)
-        self.cell_faces = cell_faces
-        self.cell_face_sign = cell_face_sign
+        # Face table: one entry per undirected edge of the cell loops,
+        # numbered by first appearance in (cell, local edge) order.
+        a = self.cells.ravel()
+        b = np.roll(self.cells, -1, axis=1).ravel()
+        keys = np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
+        _, first, inverse, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
+        if np.any(counts > 2):
+            raise ValueError("face shared by more than two cells")
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        edge_face = rank[inverse]
+        is_first = np.zeros(len(keys), dtype=bool)
+        is_first[first] = True
+        first = first[order]
+        second = np.flatnonzero(~is_first)
+        self.faces = np.column_stack([a[first], b[first]])
+        self.face_cells = np.column_stack([first // k, np.full(len(first), -1)])
+        self.face_cells[edge_face[second], 1] = second // k
+        self.cell_faces = edge_face.reshape(self.n_cells, k)
+        self.cell_face_sign = np.where(is_first, 1, -1).reshape(self.n_cells, k)
         self.n_faces = self.faces.shape[0]
 
         fa = self.vertices[self.faces[:, 0]]
@@ -139,15 +136,12 @@ class PolytopalMesh:
         return np.sum(d * n, axis=2)
 
 
+@dataclass
 class MeshQuality:
     """Shape-regularity (eta) and quasi-uniformity (chi) of a mesh."""
 
-    def __init__(self, eta, chi):
-        self.eta = eta
-        self.chi = chi
-
-    def __repr__(self):
-        return f"MeshQuality(eta={self.eta:.6g}, chi={self.chi:.6g})"
+    eta: float
+    chi: float
 
 
 def quality(mesh):
@@ -238,13 +232,7 @@ def build_lshape_triangulation(m):
     def keep(centers):
         return ~((centers[:, 0] > 0.0) & (centers[:, 1] < 0.0))
 
-    mesh = _grid_triangulation(nodes, nodes, keep=keep)
-    # The grid construction cannot create duplicates, but patched domains
-    # are expected to be merged within MERGE_TOL; verify that here.
-    rounded = np.round(mesh.vertices / MERGE_TOL) * MERGE_TOL
-    if len(np.unique(rounded, axis=0)) != mesh.n_vertices:
-        raise RuntimeError("duplicate vertices after merge")
-    return mesh
+    return _grid_triangulation(nodes, nodes, keep=keep)
 
 
 def build_cartesian_mesh(m, shift=0.0):
@@ -296,44 +284,28 @@ def uniform_refine(mesh):
     child centroid plus half the parent's centroid-to-point offset, so
     shifted Cartesian grids refine into their own finer versions.
     """
-    k = mesh.cells.shape[1]
-    mid_off = mesh.n_vertices
-    midpoints = mesh.face_center
-    offset = mesh.cell_point - mesh.cell_centroid
-
-    if k == 3:
-        vertices = np.vstack([mesh.vertices, midpoints])
-        cells = np.empty((4 * mesh.n_cells, 3), dtype=int)
-        children = np.empty(4 * mesh.n_cells, dtype=int)
-        for c in range(mesh.n_cells):
-            a, b, d = mesh.cells[c]
-            # Local faces: 0 joins (a,b), 1 joins (b,d), 2 joins (d,a).
-            mab = mid_off + mesh.cell_faces[c, 0]
-            mbd = mid_off + mesh.cell_faces[c, 1]
-            mda = mid_off + mesh.cell_faces[c, 2]
-            cells[4 * c + 0] = (a, mab, mda)
-            cells[4 * c + 1] = (mab, b, mbd)
-            cells[4 * c + 2] = (mda, mbd, d)
-            cells[4 * c + 3] = (mab, mbd, mda)
-            children[4 * c : 4 * c + 4] = c
+    v = mesh.cells
+    mid = mesh.n_vertices + mesh.cell_faces
+    if v.shape[1] == 3:
+        # Local faces: 0 joins (v0,v1), 1 joins (v1,v2), 2 joins (v2,v0).
+        vertices = np.vstack([mesh.vertices, mesh.face_center])
+        children = [
+            [v[:, 0], mid[:, 0], mid[:, 2]],
+            [mid[:, 0], v[:, 1], mid[:, 1]],
+            [mid[:, 2], mid[:, 1], v[:, 2]],
+            [mid[:, 0], mid[:, 1], mid[:, 2]],
+        ]
     else:
-        center_off = mid_off + mesh.n_faces
-        vertices = np.vstack([mesh.vertices, midpoints, mesh.cell_centroid])
-        cells = np.empty((4 * mesh.n_cells, 4), dtype=int)
-        children = np.empty(4 * mesh.n_cells, dtype=int)
-        for c in range(mesh.n_cells):
-            v0, v1, v2, v3 = mesh.cells[c]
-            m01 = mid_off + mesh.cell_faces[c, 0]
-            m12 = mid_off + mesh.cell_faces[c, 1]
-            m23 = mid_off + mesh.cell_faces[c, 2]
-            m30 = mid_off + mesh.cell_faces[c, 3]
-            ctr = center_off + c
-            cells[4 * c + 0] = (v0, m01, ctr, m30)
-            cells[4 * c + 1] = (m01, v1, m12, ctr)
-            cells[4 * c + 2] = (ctr, m12, v2, m23)
-            cells[4 * c + 3] = (m30, ctr, m23, v3)
-            children[4 * c : 4 * c + 4] = c
-
-    refined = PolytopalMesh(vertices, cells)
-    points = refined.cell_centroid + 0.5 * offset[children]
+        vertices = np.vstack([mesh.vertices, mesh.face_center, mesh.cell_centroid])
+        ctr = mesh.n_vertices + mesh.n_faces + np.arange(mesh.n_cells)
+        children = [
+            [v[:, 0], mid[:, 0], ctr, mid[:, 3]],
+            [mid[:, 0], v[:, 1], mid[:, 1], ctr],
+            [ctr, mid[:, 1], v[:, 2], mid[:, 2]],
+            [mid[:, 3], ctr, mid[:, 2], v[:, 3]],
+        ]
+    # Children 4c..4c+3 of cell c, in the order listed above.
+    cells = np.array(children).transpose(2, 0, 1).reshape(-1, v.shape[1])
+    offset = np.repeat(mesh.cell_point - mesh.cell_centroid, 4, axis=0)
+    points = vertices[cells].mean(axis=1) + 0.5 * offset
     return PolytopalMesh(vertices, cells, cell_points=points)

@@ -4,7 +4,7 @@ of the optimality systems, boundary behaviour, projection structure."""
 import numpy as np
 import pytest
 
-from gdmopt.cases import CASE_NAMES, get_case
+from gdmopt.cases import CASE_NAMES, _corner_singular_parts, get_case
 from gdmopt.control import project_box
 
 
@@ -174,3 +174,37 @@ def test_problem_wiring():
     gd1 = build_scheme("p1", case1.build_mesh("p1", 2), case1.bc)
     p1 = case1.build_problem(gd1)
     assert p1.alpha == 1.0 and np.isinf(p1.upper)
+
+
+def polar_corner_parts(pts):
+    """r^(2/3) g(theta) and its derivatives through the polar angle."""
+    x, y = pts[:, 0], pts[:, 1]
+    r = np.hypot(x, y)
+    t = np.arctan2(y, x)
+    t = np.where(t < 0.0, t + 2.0 * np.pi, t)
+    g = (1.0 - np.cos(t)) * (1.0 + np.sin(t))
+    dg = np.sin(t) + np.cos(t) - np.cos(2.0 * t)
+    ddg = np.cos(t) - np.sin(t) + 2.0 * np.sin(2.0 * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r13 = np.where(r > 0.0, r ** (-1.0 / 3.0), 0.0)
+        r43 = np.where(r > 0.0, r ** (-4.0 / 3.0), 0.0)
+    val = r ** (2.0 / 3.0) * g
+    sx = r13 * (2.0 / 3.0 * g * np.cos(t) - dg * np.sin(t))
+    sy = r13 * (2.0 / 3.0 * g * np.sin(t) + dg * np.cos(t))
+    lap = r43 * (ddg + (4.0 / 9.0) * g)
+    return val, sx, sy, lap
+
+
+def test_corner_singular_parts_match_polar_form():
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1.0, 1.0, (4000, 2))
+    near = rng.uniform(-1e-9, 1e-9, (400, 2))
+    t = np.linspace(0.0, 1.0, 50)
+    z = np.zeros(50)
+    edges = [np.column_stack([t, z]), np.column_stack([z, -t]), np.zeros((1, 2))]
+    pts = np.vstack([pts, near] + edges)
+    pts = pts[~((pts[:, 0] > 0.0) & (pts[:, 1] < 0.0))]
+    for got, want in zip(_corner_singular_parts(pts), polar_corner_parts(pts)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # The corner itself evaluates to zero in every field.
+    assert all(part[-1] == 0.0 for part in _corner_singular_parts(np.zeros((1, 2))))

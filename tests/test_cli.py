@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gdmopt.cli import main, run_study
+from gdmopt.cli import MAX_LEVEL, build_parser, main, run_study
 
 HEADER = (
     "level,h,dofs,err_y,err_grad_y,err_p,err_grad_p,err_u,err_u_tilde,"
@@ -67,11 +67,21 @@ def test_single_level_argument(tmp_path):
     ["--case", "example1", "--scheme", "p1", "--pdas-tol", "0"],
     ["--case", "example1", "--scheme", "p1", "--pdas-tol", "nan"],
     ["--case", "example1", "--scheme", "p1", "--pdas-tol", "inf"],
+    ["--case", "example1", "--scheme", "p1", "--levels", "2..11"],
+    ["--case", "example1", "--scheme", "p1", "--levels", "11"],
 ])
 def test_usage_errors_exit_2(args):
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
+
+
+def test_level_cap_checked_while_parsing():
+    parser = build_parser()
+    base = ["--case", "example1", "--scheme", "p1", "--levels"]
+    assert parser.parse_args(base + [f"0..{MAX_LEVEL}"]).levels == (0, MAX_LEVEL)
+    with pytest.raises(SystemExit):
+        parser.parse_args(base + [str(MAX_LEVEL + 1)])
 
 
 def test_deterministic_output(tmp_path):

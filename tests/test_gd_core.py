@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from gdmopt.analysis import cell_quadrature
 from gdmopt.gd_core import compute_cd, compute_sd_upper, compute_wd
@@ -187,6 +188,25 @@ def test_sd_neumann_includes_trace():
     assert val > 0.0
     finer = compute_sd_upper(make_gd("p1", 8, "neumann"), smooth, smooth_grad)
     assert 0.35 <= finer / val <= 0.65
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_sd_calls_share_one_factor(monkeypatch, bc):
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    gd = make_gd("ncp1", 4, bc)
+    first = compute_sd_upper(gd, smooth, smooth_grad)
+    compute_sd_upper(gd, lambda pts: 2.0 * smooth(pts), lambda pts: 2.0 * smooth_grad(pts))
+    assert len(calls) == 1
+    # A fresh discretisation factors anew and reproduces the first value.
+    assert compute_sd_upper(make_gd("ncp1", 4, bc), smooth, smooth_grad) == first
+    assert len(calls) == 2
 
 
 def test_expand_restrict_roundtrip():

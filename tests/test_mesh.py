@@ -180,3 +180,52 @@ def test_face_point_distance_cartesian():
     mesh = build_cartesian_mesh(2)
     # Centroid points: distance h/2 to each face line.
     np.testing.assert_allclose(mesh.face_point_distances(), 0.25, atol=1e-14)
+
+
+def loop_face_table(cells):
+    """Face table by a plain scan: faces numbered by first appearance in
+    (cell, local edge) order, oriented by their first cell."""
+    face_of, faces, face_cells = {}, [], []
+    n_cells, k = cells.shape
+    cell_faces = np.empty((n_cells, k), dtype=int)
+    cell_face_sign = np.empty((n_cells, k), dtype=int)
+    for c in range(n_cells):
+        for i in range(k):
+            a, b = int(cells[c, i]), int(cells[c, (i + 1) % k])
+            key = (min(a, b), max(a, b))
+            if key not in face_of:
+                face_of[key] = len(faces)
+                faces.append((a, b))
+                face_cells.append([c, -1])
+                cell_face_sign[c, i] = 1
+            else:
+                face_cells[face_of[key]][1] = c
+                cell_face_sign[c, i] = -1
+            cell_faces[c, i] = face_of[key]
+    return np.array(faces), np.array(face_cells), cell_faces, cell_face_sign
+
+
+def test_face_table_matches_loop_oracle():
+    meshes = []
+    for mesh in (
+        build_unit_square_triangulation(3),
+        build_lshape_triangulation(2),
+        build_cartesian_mesh(4, shift=0.3),
+    ):
+        meshes += [mesh, uniform_refine(mesh)]
+    perm = np.random.default_rng(3).permutation(meshes[2].n_cells)
+    meshes.append(PolytopalMesh(meshes[2].vertices, meshes[2].cells[perm]))
+    for mesh in meshes:
+        expected = loop_face_table(mesh.cells)
+        actual = (mesh.faces, mesh.face_cells, mesh.cell_faces, mesh.cell_face_sign)
+        for got, want in zip(actual, expected):
+            np.testing.assert_array_equal(got, want)
+        assert mesh.n_faces == len(expected[0])
+
+
+def test_face_shared_by_three_cells_rejected():
+    # Three triangles fanned around the edge (0, 1).
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, 3.0]])
+    cells = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+    with pytest.raises(ValueError, match="more than two cells"):
+        PolytopalMesh(vertices, cells)
