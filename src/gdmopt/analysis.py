@@ -11,6 +11,7 @@ Relative errors are reported; numerator and denominator share a rule.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,23 +175,22 @@ def segment_quadrature(a, b, npoints=3):
     return pts.reshape(-1, 2), wts.reshape(-1), arc.reshape(-1)
 
 
+@dataclass
 class ErrorReport:
     """Relative errors of one optimal-control solve on one mesh."""
 
     FIELDS = ("err_y", "err_grad_y", "err_p", "err_grad_p", "err_u", "err_u_tilde")
 
-    def __init__(self, level, h, dofs, err_y, err_grad_y, err_p, err_grad_p,
-                 err_u, err_u_tilde, pdas_iters):
-        self.level = level
-        self.h = h
-        self.dofs = dofs
-        self.err_y = err_y
-        self.err_grad_y = err_grad_y
-        self.err_p = err_p
-        self.err_grad_p = err_grad_p
-        self.err_u = err_u
-        self.err_u_tilde = err_u_tilde
-        self.pdas_iters = pdas_iters
+    level: int
+    h: float
+    dofs: int
+    err_y: float
+    err_grad_y: float
+    err_p: float
+    err_grad_p: float
+    err_u: float
+    err_u_tilde: float
+    pdas_iters: int
 
     def errors(self):
         return [getattr(self, f) for f in self.FIELDS]

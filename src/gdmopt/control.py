@@ -10,11 +10,14 @@ discrete elliptic state equation.  Two independent solvers are provided:
 a primal-dual active-set iteration that factors the stiffness matrix
 once and, per active-set guess, solves the reduced Hessian on the
 inactive controls by preconditioned conjugate gradients; and a dense
-projected-gradient reference used to cross-check it on small meshes.
+accelerated projected-gradient reference (FISTA with adaptive restart)
+used to cross-check it on small meshes.
 """
 
 import functools
 import math
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.linalg as la
@@ -170,17 +173,17 @@ class _Assembly:
         return SPDFactor(self.stiffness)
 
 
+@dataclass(eq=False)
 class KKTSolution:
     """State/adjoint DOF vectors and cellwise (facewise) controls."""
 
-    def __init__(self, y, p, u, u_b, iterations, active_lower, active_upper):
-        self.y = y
-        self.p = p
-        self.u = u
-        self.u_b = u_b
-        self.iterations = iterations
-        self.active_lower = active_lower
-        self.active_upper = active_upper
+    y: np.ndarray
+    p: np.ndarray
+    u: Optional[np.ndarray]
+    u_b: Optional[np.ndarray]
+    iterations: int
+    active_lower: Optional[np.ndarray]
+    active_upper: Optional[np.ndarray]
 
 
 def cell_adjoint_averages(problem, p_full):
@@ -241,8 +244,9 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
     preconditioned residual of tol / 100.  State and adjoint are then
     recomputed from u with two factor solves, and the active sets are
     refreshed from the unclamped candidate control; termination is
-    reached when they repeat.  The returned control satisfies the
-    discrete projection identity by construction.
+    reached when they repeat.  A return to any earlier pair is a cycle
+    and raises SolverError with the |A-|/|A+| history.  The returned
+    control satisfies the discrete projection identity by construction.
     """
     gd = problem.gd
     asm = problem.assembled()
@@ -263,7 +267,14 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
     u = np.zeros(len(w))
     lo = np.zeros(len(w), dtype=bool)
     hi = np.zeros(len(w), dtype=bool)
+    # Iteration that used each active-set pair, keyed by its packed bits,
+    # and the |A-|/|A+| history for the cycle report.
+    key = lambda lo, hi: np.packbits(lo).tobytes() + np.packbits(hi).tobytes()
+    seen = {}
+    sizes = []
     for it in range(1, max_iter + 1):
+        seen[key(lo, hi)] = it
+        sizes.append(f"{lo.sum()}/{hi.sum()}")
         inactive = ~(lo | hi)
         pinned = np.where(lo, lower, np.where(hi, upper, 0.0))
         if inactive.any():
@@ -285,6 +296,13 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
         new_lo = candidate < lower
         new_hi = candidate > upper
         done = bool(np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi))
+        if not done and key(new_lo, new_hi) in seen:
+            sizes.append(f"{new_lo.sum()}/{new_hi.sum()}")
+            raise SolverError(
+                f"active sets cycle: iteration {it + 1} would repeat those of "
+                f"iteration {seen[key(new_lo, new_hi)]}; "
+                f"|A-|/|A+| by iteration: {', '.join(sizes)}"
+            )
         lo, hi = new_lo, new_hi
         if done:
             u = project_box(candidate, lower, upper)
@@ -300,12 +318,19 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
 
 
 def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
-    """Projected-gradient reference solve of the same optimality system.
+    """Accelerated projected-gradient reference solve of the same
+    optimality system.
 
-    Assembles the control-to-state map densely (only sensible on meshes
-    with a few hundred DOFs) and runs a fixed-step projected gradient in
-    the control-cost metric to stationarity ``tol``.  Shares no code path
-    with the active-set solver beyond problem assembly.
+    Assembles the control-to-state map S = K^-1 B densely (only sensible
+    on meshes with a few hundred DOFs), and with it the reduced Hessian
+    S^T M S and the shift S^T (M y0 - target load), so that B^T p(u) is
+    one dense matrix-vector product.  FISTA with gradient-based adaptive
+    restart (momentum reset whenever it points against the projected
+    gradient step) runs in the control-cost metric with the step
+    1 / (1 + largest eigenvalue), until the natural residual
+    max|u - P(u_d - W^-1 B^T p)| is at most ``tol`` * max(1, max|u|).
+    Shares no code path with the active-set solver beyond problem
+    assembly.
     """
     gd = problem.gd
     if gd.n_dofs > 500:
@@ -322,19 +347,33 @@ def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
     y0 = la.cho_solve(cho, asm.source_load)
     state_map = la.cho_solve(cho, b_all)
     hess = state_map.T @ (m @ state_map)
+    # K is symmetric, so B^T p(u) = B^T K^-1 (M (y0 + S u) - target load)
+    # = hess @ u + shift.
+    shift = state_map.T @ (m @ y0 - asm.target_load)
     lam = la.eigh(hess, np.diag(w_all), eigvals_only=True)[-1]
     step = 1.0 / (1.0 + lam)
 
+    # u is the projected iterate, z the extrapolated point the gradient
+    # step starts from; their Hessian products are carried along, so
+    # an iteration costs the single product hess @ u.
     u = project_box(u_target, lower, upper)
+    hu = hess @ u
+    z, hz = u, hu
+    t = 1.0
     for it in range(1, max_iter + 1):
-        y = y0 + state_map @ u
-        p = la.cho_solve(cho, m @ y - asm.target_load)
-        grad = (b_all.T @ p) / w_all + (u - u_target)
-        candidate = project_box(u_target - (b_all.T @ p) / w_all, lower, upper)
+        candidate = project_box(u_target - (hu + shift) / w_all, lower, upper)
         if np.max(np.abs(u - candidate)) <= tol * max(1.0, np.max(np.abs(u))):
             u = candidate
             break
-        u = project_box(u - step * grad, lower, upper)
+        u_new = project_box(z - step * ((hz + shift) / w_all + (z - u_target)), lower, upper)
+        hu_new = hess @ u_new
+        if (z - u_new) @ (w_all * (u_new - u)) > 0.0:
+            t = 1.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_new
+        z = u_new + beta * (u_new - u)
+        hz = hu_new + beta * (hu_new - hu)
+        u, hu, t = u_new, hu_new, t_new
     else:
         raise SolverError("projected gradient did not reach stationarity")
 
@@ -350,6 +389,7 @@ def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
     )
 
 
+@dataclass(eq=False)
 class PostprocessedControls:
     """Post-processed control pair; cellwise arrays or pointwise closures.
 
@@ -357,10 +397,9 @@ class PostprocessedControls:
     kind == "pointwise": both are callables (cells, points) -> values.
     """
 
-    def __init__(self, kind, tilde_u, tilde_u_h):
-        self.kind = kind
-        self.tilde_u = tilde_u
-        self.tilde_u_h = tilde_u_h
+    kind: str
+    tilde_u: Union[np.ndarray, Callable]
+    tilde_u_h: Union[np.ndarray, Callable]
 
 
 def postprocess(problem, solution, adjoint):

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from .analysis import cell_quadrature, segment_quadrature, triangle_quadrature
-from .assembly import SPDFactor, solve_spd
+from .assembly import SPDFactor
 
 
 class GradientDiscretisation:
@@ -80,7 +80,8 @@ class GradientDiscretisation:
         self._mass = None
         self._grad_gram = None
         self._trace_gram = None
-        self._misfit_factor = None
+        self._factor_kind = None
+        self._factor = None
 
     # -- reconstruction operators ------------------------------------
 
@@ -148,15 +149,39 @@ class GradientDiscretisation:
             self._trace_gram = t.tocsr()
         return self._trace_gram
 
+    def _cached_factor(self, kind, gram):
+        """SPDFactor of gram(), kept until a factor of another kind is
+        asked for.  A diagnostics row asks for the norm factor (C_D, W_D)
+        and then the misfit factor (S_D of state and adjoint), so one
+        slot factors each once and holds one factor at a time."""
+        if self._factor_kind != kind:
+            self._factor = self._factor_kind = None  # free the old factor first
+            self._factor = SPDFactor(gram())
+            self._factor_kind = kind
+        return self._factor
+
     def misfit_factor(self):
         """Factor of the misfit Gram matrix on free DOFs: mass plus
         gradient Gram, plus trace Gram under Neumann conditions."""
-        if self._misfit_factor is None:
+        def gram():
             a = self.mass_matrix() + self.gradient_gram()
             if self.bc == "neumann":
                 a = a + self.trace_gram()
-            self._misfit_factor = SPDFactor(self.restrict_matrix(a))
-        return self._misfit_factor
+            return self.restrict_matrix(a)
+
+        return self._cached_factor("misfit", gram)
+
+    def norm_gram(self):
+        """Discretisation-norm Gram matrix on free DOFs: gradient Gram,
+        plus mass under Neumann conditions (a quadratic surrogate)."""
+        a = self.gradient_gram()
+        if self.bc == "neumann":
+            a = a + self.mass_matrix()
+        return self.restrict_matrix(a)
+
+    def norm_factor(self):
+        """Factor of norm_gram(), shared by the C_D pencils and W_D."""
+        return self._cached_factor("norm", self.norm_gram)
 
     def stiffness(self, diffusion=None, reaction=0.0):
         """Diffusion form of the gradient reconstruction, plus an optional
@@ -234,13 +259,15 @@ class GradientDiscretisation:
         return math.sqrt(float(vec @ (self.mass_matrix() @ vec)))
 
 
-def _max_generalized_eig(a, b, method, tol):
-    """Largest eigenvalue of a x = lambda b x with b SPD."""
+def _max_generalized_eig(a, gd, method, tol):
+    """Largest eigenvalue of a x = lambda b x, with b the SPD norm Gram
+    matrix of gd on free DOFs (see GradientDiscretisation.norm_factor)."""
     n = a.shape[0]
     if method == "dense" or (method == "auto" and n < 200):
-        vals = eigh(a.toarray(), b.toarray(), eigvals_only=True)
+        vals = eigh(a.toarray(), gd.norm_gram().toarray(), eigvals_only=True)
         return float(vals[-1])
-    solve = SPDFactor(b).solve
+    factor = gd.norm_factor()
+    b, solve = factor.matrix, factor.solve
     # Deterministic start vector with a ramp so it is never orthogonal
     # to the leading eigenvector by symmetry.
     x = 1.0 + 0.01 * np.arange(n) / n
@@ -267,17 +294,16 @@ def compute_cd(gd, method="auto", tol=1e-8):
     the discretisation norm (equivalent to it within a factor sqrt(2)).
 
     Meshes below 200 free DOFs use a dense eigensolve; larger ones use a
-    power iteration converged to ``tol`` in the eigenvalue.
+    power iteration converged to ``tol`` in the eigenvalue, with the
+    norm Gram matrix factored once per discretisation (norm_factor).
     """
     if gd.n_free == 0:
         raise ValueError("no free DOFs: coercivity constant undefined")
     if gd.bc == "dirichlet":
         m = gd.restrict_matrix(gd.mass_matrix())
-        g = gd.restrict_matrix(gd.gradient_gram())
-        return math.sqrt(_max_generalized_eig(m, g, method, tol))
-    b = (gd.gradient_gram() + gd.mass_matrix()).tocsc()
-    lam_trace = _max_generalized_eig(gd.trace_gram().tocsc(), b, method, tol)
-    lam_value = _max_generalized_eig(gd.mass_matrix().tocsc(), b, method, tol)
+        return math.sqrt(_max_generalized_eig(m, gd, method, tol))
+    lam_trace = _max_generalized_eig(gd.trace_gram().tocsc(), gd, method, tol)
+    lam_value = _max_generalized_eig(gd.mass_matrix().tocsc(), gd, method, tol)
     return math.sqrt(max(lam_trace, lam_value))
 
 
@@ -339,12 +365,8 @@ def compute_wd(gd, flux):
         j1 = np.bincount(faces, wts * fn, len(ids))
         j2 = np.bincount(faces, wts * fn * arc, len(ids))
         r -= gd.trace_mid.T @ j1 + gd.trace_slope.T @ j2
-        norm_mat = gd.gradient_gram() + gd.mass_matrix()
-        rr = r
-    else:
-        norm_mat = gd.restrict_matrix(gd.gradient_gram())
-        rr = gd.restrict(r)
-    z = solve_spd(norm_mat, rr)
+    rr = gd.restrict(r)
+    z = gd.norm_factor().solve(rr)
     return math.sqrt(max(float(rr @ z), 0.0))
 
 

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdmopt import control
 from gdmopt.assembly import SolverError
 from gdmopt.cases import get_case
 from gdmopt.control import (
@@ -205,6 +206,28 @@ def test_pdas_iteration_cap_raises():
         solve_kkt_pdas(problem, max_iter=1)
 
 
+def test_pdas_cycle_raises_with_history(monkeypatch):
+    # Adjoint averages that alternate between "far above" and "far below"
+    # make the active sets flip between all-lower and all-upper for ever.
+    calls = []
+
+    def alternating(problem, p_full):
+        calls.append(None)
+        sign = 1.0 if len(calls) % 2 else -1.0
+        return np.full(problem.gd.mesh.n_cells, sign * 1e6)
+
+    monkeypatch.setattr(control, "cell_adjoint_averages", alternating)
+    gd = build_scheme("p1", build_unit_square_triangulation(4), "dirichlet")
+    problem = synthetic_problem(gd, bounds=(0.0, 1.0))
+    n = gd.mesh.n_cells
+    with pytest.raises(SolverError) as err:
+        solve_kkt_pdas(problem, max_iter=50)
+    assert len(calls) == 3
+    message = str(err.value)
+    assert "iteration 4 would repeat those of iteration 2" in message
+    assert f"0/0, {n}/0, 0/{n}, {n}/0" in message
+
+
 def test_pdas_factors_stiffness_once(monkeypatch):
     calls = []
     splu = spla.splu
@@ -272,6 +295,33 @@ def test_pcg_cap_raises_with_reached_residual():
     assert np.linalg.norm(a @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
     with pytest.raises(SolverError, match="relative residual .* in 2 steps"):
         _pcg(lambda v: a @ v, rhs, np.zeros(20), weight, 1e-12, max_iter=2)
+
+
+def test_reference_iteration_cap_raises():
+    problem = case_problem("example3-neumann", "p1", 4)
+    with pytest.raises(SolverError):
+        solve_kkt_reference(problem, max_iter=10)
+
+
+def test_reference_converges_fast_on_small_alpha():
+    # alpha = 1e-3 makes the problem ill-conditioned in the control-cost
+    # metric (largest eigenvalue ~1e3), where a fixed-step projected
+    # gradient needs over 20000 iterations.
+    problem = case_problem("example3-neumann", "p1", 4)
+    assert problem.alpha == 1e-3
+    sol = solve_kkt_reference(problem)
+    assert sol.iterations <= 2000
+
+
+@pytest.mark.parametrize("case_name", ["example1", "example3-neumann"])
+def test_reference_projection_identity(case_name):
+    # The identity holds to round-off on the scale of the control: on the
+    # Neumann case |u| reaches about 600, and B^T p / W carries about 1e-9
+    # of absolute round-off.
+    problem = case_problem(case_name, "p1", 4)
+    sol = solve_kkt_reference(problem)
+    scale = max(1.0, float(np.max(np.abs(sol.u))))
+    assert projection_identity_gap(problem, sol) <= 1e-10 * scale
 
 
 def test_reference_rejects_large_meshes():

@@ -209,6 +209,34 @@ def test_sd_calls_share_one_factor(monkeypatch, bc):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_cd_and_wd_share_one_factor(monkeypatch, bc):
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    gd = make_gd("ncp1", 16, bc)
+    assert gd.n_free >= 200  # the power-iteration route
+    # Neumann runs two pencils (trace and value) against the same norm.
+    cd = compute_cd(gd)
+    wd = compute_wd(gd, smooth_grad)
+    assert len(calls) == 1
+    # One factor is held at a time: the misfit factor replaces it.
+    compute_sd_upper(gd, smooth, smooth_grad)
+    assert len(calls) == 2
+    compute_cd(gd)
+    assert len(calls) == 3
+    # A fresh discretisation factors anew and reproduces both values.
+    fresh = make_gd("ncp1", 16, bc)
+    assert compute_wd(fresh, smooth_grad) == wd
+    assert compute_cd(fresh) == cd
+    assert len(calls) == 4
+
+
 def test_expand_restrict_roundtrip():
     gd = make_gd("p1", 4, "dirichlet")
     rng = np.random.default_rng(9)
