@@ -128,12 +128,19 @@ def triangle_quadrature(tris, rule):
 def cell_quadrature(mesh, rule):
     """Quadrature points of a named rule on every cell of a mesh.
 
+    The arrays are built once per (mesh, rule), kept in
+    ``mesh.quadrature_cache`` and marked read-only, so repeated calls
+    return the same objects and exact closures can recognise them.
+
     Returns
     -------
     cells : (N,) int
         Owning cell of each point.
     points : (N, 2), weights : (N,)
     """
+    cached = mesh.quadrature_cache.get(rule)
+    if cached is not None:
+        return cached
     k = mesh.cells.shape[1]
     loops = mesh.vertices[mesh.cells]
     if k == 3:
@@ -153,7 +160,10 @@ def cell_quadrature(mesh, rule):
         pts, wts = pts.reshape(-1, 2), wts.reshape(-1)
         q = len(wref)
     cells = np.repeat(np.arange(mesh.n_cells), q)
-    return cells, pts, wts
+    for a in (cells, pts, wts):
+        a.setflags(write=False)
+    # setdefault: concurrent first calls all return the stored arrays.
+    return mesh.quadrature_cache.setdefault(rule, (cells, pts, wts))
 
 
 def segment_quadrature(a, b, npoints=3):
@@ -341,23 +351,21 @@ def render_diagnostics_csv(rows):
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(reports, out, failure=None):
-    """Write the study CSV to a path or file handle; returns the text."""
-    text = render_csv(reports, failure=failure)
+def _write(text, out):
+    """Write text to a path or file handle; returns the text."""
     if hasattr(out, "write"):
         out.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
+
+
+def emit_csv(reports, out, failure=None):
+    """Write the study CSV to a path or file handle; returns the text."""
+    return _write(render_csv(reports, failure=failure), out)
 
 
 def emit_diagnostics_csv(rows, out):
     """Write the diagnostics CSV to a path or file handle; returns the text."""
-    text = render_diagnostics_csv(rows)
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return _write(render_diagnostics_csv(rows), out)

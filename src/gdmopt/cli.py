@@ -8,6 +8,7 @@ runs with the same configuration are byte-identical.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -72,38 +73,21 @@ def run_study(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0,
     or one at a time.
     """
     case = get_case(case_name)
-    ids = list(range(levels[0], levels[1] + 1))
-    outcomes = {}
-    if threads > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                level: pool.submit(
-                    run_level, case, scheme, level, shift, pdas_max_iter, pdas_tol
-                )
-                for level in ids
-            }
-            for level in ids:
-                try:
-                    outcomes[level] = futures[level].result()
-                except LevelFailure as exc:
-                    outcomes[level] = exc
-    else:
-        for level in ids:
-            try:
-                outcomes[level] = run_level(
-                    case, scheme, level, shift, pdas_max_iter, pdas_tol
-                )
-            except LevelFailure as exc:
-                outcomes[level] = exc
-                break
+    run = functools.partial(
+        run_level, case, scheme, shift=shift,
+        pdas_max_iter=pdas_max_iter, pdas_tol=pdas_tol,
+    )
+    ids = range(levels[0], levels[1] + 1)
     reports = []
-    for level in ids:
-        outcome = outcomes.get(level)
-        if isinstance(outcome, LevelFailure):
-            return reports, outcome
-        if outcome is None:
-            break
-        reports.append(outcome)
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        # One thread runs the levels lazily in the calling thread, so no
+        # level after a failed one starts.
+        results = map(run, ids) if threads <= 1 else pool.map(run, ids)
+        try:
+            for report in results:
+                reports.append(report)
+        except LevelFailure as exc:
+            return reports, exc
     return reports, None
 
 

@@ -317,6 +317,14 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
     raise SolverError(f"active-set iteration did not settle in {max_iter} steps")
 
 
+def _largest_weighted_eig(hess, weight):
+    """Largest eigenvalue of hess x = lambda diag(weight) x, for a dense
+    symmetric hess and positive weights; only that one is computed."""
+    n = len(weight)
+    return la.eigh(hess, np.diag(weight), eigvals_only=True,
+                   subset_by_index=[n - 1, n - 1])[0]
+
+
 def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
     """Accelerated projected-gradient reference solve of the same
     optimality system.
@@ -350,8 +358,7 @@ def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
     # K is symmetric, so B^T p(u) = B^T K^-1 (M (y0 + S u) - target load)
     # = hess @ u + shift.
     shift = state_map.T @ (m @ y0 - asm.target_load)
-    lam = la.eigh(hess, np.diag(w_all), eigvals_only=True)[-1]
-    step = 1.0 / (1.0 + lam)
+    step = 1.0 / (1.0 + _largest_weighted_eig(hess, w_all))
 
     # u is the projected iterate, z the extrapolated point the gradient
     # step starts from; their Hessian products are carried along, so

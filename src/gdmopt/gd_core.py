@@ -77,6 +77,8 @@ class GradientDiscretisation:
         if np.any(self.piece_area <= 0.0):
             raise ValueError("degenerate gradient piece")
         self.piece_center = piece_tri.mean(axis=1)
+        self.piece_center.setflags(write=False)
+        self._piece_quadrature = None
         self._mass = None
         self._grad_gram = None
         self._trace_gram = None
@@ -113,6 +115,21 @@ class GradientDiscretisation:
         fids = self.boundary_face_ids[bfaces]
         arc = np.sum((pts - mesh.face_center[fids]) * mesh.face_tangent[fids], axis=1)
         return (self.trace_mid @ vec)[bfaces] + arc * (self.trace_slope @ vec)[bfaces]
+
+    def piece_quadrature(self):
+        """Degree-5 rule on every gradient piece, built once and read-only.
+
+        Returns (pieces, points, weights): the owning piece of each point,
+        the points and their weights.
+        """
+        if self._piece_quadrature is None:
+            pts, wts = triangle_quadrature(self.piece_tri, "gauss7")
+            q = len(wts) // len(self.piece_area)
+            pieces = np.repeat(np.arange(len(self.piece_area)), q)
+            for a in (pieces, pts, wts):
+                a.setflags(write=False)
+            self._piece_quadrature = pieces, pts, wts
+        return self._piece_quadrature
 
     # -- exact Gram matrices and couplings ----------------------------
 
@@ -342,9 +359,7 @@ def compute_wd(gd, flux):
     r = gd.halfface_mid.T @ (hf_sign * i1[hf_face])
     r += gd.halfface_slope.T @ (hf_sign * i2[hf_face])
     if not gd.grad_matches_value_slope:
-        pts, wts = triangle_quadrature(gd.piece_tri, "gauss7")
-        q = len(wts) // len(gd.piece_area)
-        pieces = np.repeat(np.arange(len(gd.piece_area)), q)
+        pieces, pts, wts = gd.piece_quadrature()
         vals = np.asarray(flux(pts), dtype=float)
         ix = np.bincount(pieces, wts * vals[:, 0], len(gd.piece_area))
         iy = np.bincount(pieces, wts * vals[:, 1], len(gd.piece_area))
@@ -387,9 +402,7 @@ def compute_sd_upper(gd, fn, grad_fn):
     fvals = np.asarray(fn(pts), dtype=float)
     b_val = gd.value_load(cells, pts, wts, fvals)
 
-    ppts, pwts = triangle_quadrature(gd.piece_tri, "gauss7")
-    q = len(pwts) // len(gd.piece_area)
-    pieces = np.repeat(np.arange(len(gd.piece_area)), q)
+    pieces, ppts, pwts = gd.piece_quadrature()
     gvals = np.asarray(grad_fn(ppts), dtype=float)
     ix = np.bincount(pieces, pwts * gvals[:, 0], len(gd.piece_area))
     iy = np.bincount(pieces, pwts * gvals[:, 1], len(gd.piece_area))

@@ -113,6 +113,10 @@ class PolytopalMesh:
         self.boundary_vertices = np.zeros(self.n_vertices, dtype=bool)
         self.boundary_vertices[self.faces[self.boundary_faces].ravel()] = True
 
+        # Read-only (cells, points, weights) per quadrature rule name,
+        # filled by analysis.cell_quadrature.
+        self.quadrature_cache = {}
+
     @property
     def h(self):
         """Largest cell diameter."""

@@ -12,6 +12,7 @@ from gdmopt.analysis import (
     cell_quadrature,
     compute_eoc,
     eoc_slope,
+    get_rule,
     render_csv,
     render_diagnostics_csv,
     segment_quadrature,
@@ -84,6 +85,32 @@ def test_cell_quadrature_squares():
     val = np.sum(wts * pts[:, 0] ** 5 * pts[:, 1] ** 5)
     assert val == pytest.approx(1.0 / 36.0, rel=1e-13)
     assert np.all(cells == np.repeat(np.arange(4), 9))
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "gauss3", "gauss7", "degree10"])
+def test_cell_quadrature_cached_read_only(rule):
+    # Repeat calls return the very same read-only arrays, bit-identical
+    # to the reference rule mapped onto the cells afresh.
+    for mesh in (build_unit_square_triangulation(3), build_cartesian_mesh(3, shift=0.2)):
+        first = cell_quadrature(mesh, rule)
+        second = cell_quadrature(mesh, rule)
+        assert all(a is b for a, b in zip(first, second))
+        for a in first:
+            with pytest.raises(ValueError):
+                a[0] = 0
+        loops = mesh.vertices[mesh.cells]
+        if mesh.cells.shape[1] == 3:
+            pts, wts = triangle_quadrature(loops, rule)
+        else:
+            ref, wref = get_rule(rule).square
+            e1 = loops[:, 1] - loops[:, 0]
+            e2 = loops[:, 3] - loops[:, 0]
+            pts = (loops[:, None, 0, :] + ref[None, :, 0, None] * e1[:, None, :]
+                   + ref[None, :, 1, None] * e2[:, None, :]).reshape(-1, 2)
+            wts = np.outer(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0], wref).ravel()
+        cells = np.repeat(np.arange(mesh.n_cells), len(wts) // mesh.n_cells)
+        for cached, fresh in zip(first, (cells, pts, wts)):
+            assert np.array_equal(cached, fresh)
 
 
 def test_segment_quadrature():

@@ -208,3 +208,33 @@ def test_corner_singular_parts_match_polar_form():
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     # The corner itself evaluates to zero in every field.
     assert all(part[-1] == 0.0 for part in _corner_singular_parts(np.zeros((1, 2))))
+
+
+def test_lshape_level_samples_corner_parts_three_times(monkeypatch):
+    # One study level samples the exact solution on three point sets:
+    # the gauss7 and gauss3 points and the gradient piece centres.
+    from gdmopt import cases, cli
+
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return real(pts)
+
+    real = cases._corner_singular_parts
+    monkeypatch.setattr(cases, "_corner_singular_parts", counted)
+    cli.run_level(get_case("example2-lshape"), "p1", 3)
+    assert 0 < len(calls) <= 3
+
+
+def test_lshape_memo_reevaluates_writeable_points():
+    case = get_case("example2-lshape")
+    pts = interior_points(case, np.random.default_rng(7))
+    first = case.y(pts).copy()
+    pts[:, 0] *= 0.5
+    fresh = case.y(pts)
+    assert not np.array_equal(first, fresh)
+    np.testing.assert_array_equal(fresh, get_case("example2-lshape").y(pts.copy()))
+    # A read-only array is evaluated once and its result reused.
+    pts.setflags(write=False)
+    assert case.y(pts) is case.y(pts)

@@ -100,6 +100,15 @@ def test_threaded_run_matches_serial(tmp_path, monkeypatch):
     assert serial == threaded
 
 
+def test_threaded_lshape_run_matches_serial(tmp_path, monkeypatch):
+    # Concurrent levels share the case's closure memo.
+    args = ["--case", "example2-lshape", "--scheme", "p1", "--levels", "2..4"]
+    _, serial = run_cli(tmp_path, args, "serial.csv")
+    monkeypatch.setenv("GDMOPT_THREADS", "3")
+    _, threaded = run_cli(tmp_path, args, "threaded.csv")
+    assert serial == threaded
+
+
 def test_bad_thread_env_exits_2(monkeypatch):
     monkeypatch.setenv("GDMOPT_THREADS", "lots")
     with pytest.raises(SystemExit) as exc:

@@ -12,6 +12,7 @@ from gdmopt.assembly import SolverError
 from gdmopt.cases import get_case
 from gdmopt.control import (
     OptimalControlProblem,
+    _largest_weighted_eig,
     _pcg,
     postprocess,
     project_box,
@@ -328,6 +329,21 @@ def test_reference_rejects_large_meshes():
     problem = case_problem("example1", "p1", 32)
     with pytest.raises(ValueError):
         solve_kkt_reference(problem)
+
+
+def test_reference_step_eigenvalue_matches_full_eigh():
+    # A criterion-07 pair: example1 p1 at level 3 (128 controls).  Only
+    # the largest eigenvalue of the reduced Hessian is computed; it must
+    # be the last one of the full generalized eigensolve.
+    import scipy.linalg as la
+
+    problem = case_problem("example1", "p1", 8)
+    asm = problem.assembled()
+    state_map = np.linalg.solve(asm.stiffness.toarray(), asm.control_coupling.toarray())
+    hess = state_map.T @ (asm.mass.toarray() @ state_map)
+    w = asm.control_weight
+    full = la.eigh(hess, np.diag(w), eigvals_only=True)[-1]
+    assert _largest_weighted_eig(hess, w) == pytest.approx(full, rel=1e-12)
 
 
 def test_problem_validations():

@@ -96,6 +96,18 @@ def test_value_load_matches_cell_coupling():
         np.testing.assert_allclose(load, exact, atol=1e-13)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_piece_quadrature_cached_read_only(scheme):
+    gd = make_gd(scheme, 3)
+    first = gd.piece_quadrature()
+    assert all(a is b for a, b in zip(first, gd.piece_quadrature()))
+    pieces, pts, wts = first
+    np.testing.assert_allclose(np.bincount(pieces, wts), gd.piece_area, rtol=1e-13)
+    for a in (*first, gd.piece_center):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 def test_cd_dense_vs_power():
     # The two eigenvalue routes are independent; they must agree.
     for scheme, m in (("p1", 6), ("ncp1", 4), ("hmm", 4)):
