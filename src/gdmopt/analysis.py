@@ -8,6 +8,8 @@ rule for cell-centred schemes (whose reconstructions are piecewise
 constant), gradient errors always use one centroid point per region of
 constant discrete gradient, and control errors use a degree-2 rule.
 Relative errors are reported; numerator and denominator share a rule.
+``sample_level`` evaluates a case's exact fields once on each point set
+this protocol reads on a level.
 """
 
 import math
@@ -130,7 +132,7 @@ def cell_quadrature(mesh, rule):
 
     The arrays are built once per (mesh, rule), kept in
     ``mesh.quadrature_cache`` and marked read-only, so repeated calls
-    return the same objects and exact closures can recognise them.
+    return the same objects and no caller can alter the cache.
 
     Returns
     -------
@@ -162,7 +164,6 @@ def cell_quadrature(mesh, rule):
     cells = np.repeat(np.arange(mesh.n_cells), q)
     for a in (cells, pts, wts):
         a.setflags(write=False)
-    # setdefault: concurrent first calls all return the stored arrays.
     return mesh.quadrature_cache.setdefault(rule, (cells, pts, wts))
 
 
@@ -212,58 +213,90 @@ def _relative(num_sq, den_sq):
     return math.sqrt(num_sq / den_sq)
 
 
-def function_error(gd, vec, exact):
-    """Relative L2 distance between the reconstructed function and a target.
+def function_rule(gd):
+    """Rule of function loads and errors: degree 5 for nodal schemes, the
+    centroid rule (one point per cell) for cell-centred ones."""
+    return "gauss7" if gd.sample_policy == "identity" else "midpoint"
 
-    Nodal schemes compare against the target itself under the degree-5
-    rule; cell-centred schemes compare cell values against the target
-    sampled at the cell points, under the centroid rule.
+
+@dataclass(frozen=True)
+class LevelSamples:
+    """A case's exact fields on one level, each entry at one point set:
+    load at the points of ``function_rule(gd)``, value for the function
+    errors, post for the post-processed control, control at the gauss3
+    points and gradient at the gradient piece centres.  Nodal schemes
+    share one sample for load, value and post; cell-centred schemes take
+    value at the cell points and post at the centroids.
     """
+
+    load: tuple
+    value: tuple
+    post: tuple
+    control: tuple
+    gradient: tuple
+
+
+def sample_level(gd, fields):
+    """Sample fields(pts) once on each distinct point set of a level."""
+    mesh = gd.mesh
+    load = fields(cell_quadrature(mesh, function_rule(gd))[1])
     if gd.sample_policy == "identity":
-        cells, pts, wts = cell_quadrature(gd.mesh, "gauss7")
-        target = exact(pts)
+        value = post = load
     else:
-        cells, pts, wts = cell_quadrature(gd.mesh, "midpoint")
-        target = exact(gd.mesh.cell_point[cells])
+        value, post = fields(mesh.cell_point), fields(mesh.cell_centroid)
+    return LevelSamples(
+        load, value, post,
+        control=fields(cell_quadrature(mesh, "gauss3")[1]),
+        gradient=fields(gd.piece_center),
+    )
+
+
+def function_error(gd, vec, target):
+    """Relative L2 distance between the reconstructed function and target
+    values at the points of ``function_rule(gd)``.
+
+    Nodal schemes sample the target at the rule's points themselves;
+    cell-centred schemes sample it at the cell points.
+    """
+    cells, pts, wts = cell_quadrature(gd.mesh, function_rule(gd))
     approx = gd.value_at(vec, cells, pts)
     return _relative(wts @ (approx - target) ** 2, wts @ target ** 2)
 
 
-def gradient_error(gd, vec, exact_grad):
-    """Relative L2 distance between the reconstructed gradient and a target.
-
-    One centroid point per region of constant discrete gradient.
+def gradient_error(gd, vec, target):
+    """Relative L2 distance between the reconstructed gradient and target
+    values at the piece centres: one centroid point per region of
+    constant discrete gradient.
     """
     g = gd.gradient_table(vec)
-    target = exact_grad(gd.piece_center)
     w = gd.piece_area
     num = float(w @ ((g - target) ** 2).sum(1))
     den = float(w @ (target ** 2).sum(1))
     return _relative(num, den)
 
 
-def control_error(mesh, u_cells, exact_u):
-    """Relative L2 distance of a piecewise-constant control, degree-2 rule."""
-    cells, pts, wts = cell_quadrature(mesh, "gauss3")
-    target = exact_u(pts)
+def control_error(mesh, u_cells, target):
+    """Relative L2 distance of a piecewise-constant control from target
+    values at the gauss3 points (degree-2 rule)."""
+    cells, _, wts = cell_quadrature(mesh, "gauss3")
     num = wts @ (u_cells[cells] - target) ** 2
     return _relative(float(num), float(wts @ target ** 2))
 
 
-def postprocessed_error(gd, post, exact_u):
+def postprocessed_error(gd, post, at):
     """Relative L2 distance between the two post-processed controls.
 
-    The denominator is the norm of the exact control under the same rule.
+    ``at`` holds the exact fields at the post-processing points; the
+    exact control is the clamp of its adjoint, and the denominator is the
+    norm of the exact control under the same rule.
     """
     if post.kind == "cellwise":
-        mesh = gd.mesh
-        num = float(mesh.cell_area @ (post.tilde_u_h - post.tilde_u) ** 2)
-        den = float(mesh.cell_area @ exact_u(mesh.cell_centroid) ** 2)
-        return _relative(num, den)
-    cells, pts, wts = cell_quadrature(gd.mesh, "gauss7")
-    diff = post.tilde_u_h(cells, pts) - post.tilde_u(cells, pts)
-    den = float(wts @ exact_u(pts) ** 2)
-    return _relative(float(wts @ diff ** 2), den)
+        w = gd.mesh.cell_area
+        diff = post.tilde_u_h - post.clamp(at.p)
+    else:
+        cells, pts, w = cell_quadrature(gd.mesh, function_rule(gd))
+        diff = post.tilde_u_h(cells, pts) - post.clamp(at.p, cells)
+    return _relative(float(w @ diff ** 2), float(w @ at.u ** 2))
 
 
 def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, level=0, pdas_iters=0):
@@ -272,7 +305,7 @@ def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, level=0, pdas_iters=0
     Parameters
     ----------
     gd : gradient discretisation used for the solve
-    exact : object with callables y, grad_y, p, grad_p, u on (n, 2) arrays
+    exact : LevelSamples of the exact fields on this level (sample_level)
     y_vec, p_vec : DOF vectors of state and adjoint
     u_cells : (n_cells,) control values
     post : PostprocessedControls
@@ -281,12 +314,12 @@ def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, level=0, pdas_iters=0
         level=level,
         h=gd.mesh.h,
         dofs=gd.n_free,
-        err_y=function_error(gd, y_vec, exact.y),
-        err_grad_y=gradient_error(gd, y_vec, exact.grad_y),
-        err_p=function_error(gd, p_vec, exact.p),
-        err_grad_p=gradient_error(gd, p_vec, exact.grad_p),
-        err_u=control_error(gd.mesh, u_cells, exact.u),
-        err_u_tilde=postprocessed_error(gd, post, exact.u),
+        err_y=function_error(gd, y_vec, exact.value.y),
+        err_grad_y=gradient_error(gd, y_vec, exact.gradient.grad_y),
+        err_p=function_error(gd, p_vec, exact.value.p),
+        err_grad_p=gradient_error(gd, p_vec, exact.gradient.grad_p),
+        err_u=control_error(gd.mesh, u_cells, exact.control.u),
+        err_u_tilde=postprocessed_error(gd, post, exact.post),
         pdas_iters=pdas_iters,
     )
 

@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .analysis import cell_quadrature
+from .analysis import cell_quadrature, function_rule
 
 # Backward error accepted from a direct solve, after refinement:
 # ||b - A x||_inf <= SOLVE_TOL * (||A||_inf ||x||_inf + ||b||_inf).
@@ -91,22 +91,23 @@ def assemble_stiffness(gd, diffusion=None, reaction=0.0):
     return gd.restrict_matrix(full)
 
 
-def assemble_load(gd, volume_source=None, boundary_source=None, rule=None):
+def assemble_load(gd, volume_source=None, boundary_source=None):
     """Load vector on all DOFs for function sources.
 
-    The volume rule defaults to the degree-5 rule for nodal schemes and
-    the centroid rule for cell-centred ones, matching the error
-    measurement protocol; boundary sources (Neumann only) are integrated
-    with a 3-point Gauss rule per boundary face.
+    Volume sources use the rule ``analysis.function_rule(gd)`` of the
+    error measurement protocol; a volume source is a callable or its
+    values at that rule's points.  Boundary sources (Neumann only) are
+    integrated with a 3-point Gauss rule per boundary face.
     """
     if boundary_source is not None and gd.bc == "dirichlet":
         raise ValueError("boundary source supplied under Dirichlet conditions")
     out = np.zeros(gd.n_dofs)
     if volume_source is not None:
-        if rule is None:
-            rule = "gauss7" if gd.sample_policy == "identity" else "midpoint"
-        cells, pts, wts = cell_quadrature(gd.mesh, rule)
-        vals = np.asarray(volume_source(pts), dtype=float)
+        cells, pts, wts = cell_quadrature(gd.mesh, function_rule(gd))
+        vals = volume_source(pts) if callable(volume_source) else volume_source
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != (len(pts),):
+            raise ValueError(f"volume source has shape {vals.shape}, not ({len(pts)},)")
         out += gd.value_load(cells, pts, wts, vals)
     if boundary_source is not None:
         out += gd.boundary_load(boundary_source)

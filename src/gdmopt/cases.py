@@ -10,7 +10,7 @@ never coincide with the corner, which is always a mesh vertex.
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,15 +23,32 @@ from .mesh import (
 
 CASE_NAMES = ("example1", "example2-lshape", "example3-neumann")
 
-# Point sets an identity memo keeps: one study level samples the exact
-# solution on the points of two quadrature rules and on the gradient
-# piece centres.
-MEMO_SIZE = 3
+
+class Fields(NamedTuple):
+    """Exact fields of a case at one (n, 2) point array."""
+
+    y: np.ndarray
+    grad_y: np.ndarray
+    p: np.ndarray
+    grad_p: np.ndarray
+    u: np.ndarray
+    f: np.ndarray
+    y_d: np.ndarray
+
+
+def _entry(fields, name, pts):
+    return getattr(fields(pts), name)
 
 
 @dataclass
 class TestCase:
-    """Closures of one benchmark; all callables take (n, 2) point arrays."""
+    """Closures of one benchmark; all callables take (n, 2) point arrays.
+
+    ``fields(pts)`` returns every exact field at once (a ``Fields``).  A
+    single-field closure (y, grad_y, p, grad_p, u, f, y_d) that is not
+    given reads its entry of ``fields``; one that is given must agree
+    with that entry bit for bit.
+    """
 
     name: str
     bc: str
@@ -39,15 +56,21 @@ class TestCase:
     alpha: float
     bounds: tuple
     reaction: float
-    y: Callable
-    grad_y: Callable
-    p: Callable
-    grad_p: Callable
-    u: Callable
-    f: Callable
-    y_d: Callable
+    fields: Callable
+    y: Optional[Callable] = None
+    grad_y: Optional[Callable] = None
+    p: Optional[Callable] = None
+    grad_p: Optional[Callable] = None
+    u: Optional[Callable] = None
+    f: Optional[Callable] = None
+    y_d: Optional[Callable] = None
     u_d: Optional[Callable] = None
     f_b: Optional[Callable] = None
+
+    def __post_init__(self):
+        for name in Fields._fields:
+            if getattr(self, name) is None:
+                setattr(self, name, functools.partial(_entry, self.fields, name))
 
     def build_mesh(self, scheme, m, shift=0.0):
         """Mesh family used by a scheme on this case's domain."""
@@ -61,13 +84,19 @@ class TestCase:
             raise ValueError("cell-point shift only applies to Cartesian meshes")
         return build_unit_square_triangulation(m)
 
-    def build_problem(self, gd):
+    def build_problem(self, gd, source=None, target=None):
+        """Control problem of this case on a discretisation.
+
+        source and target, if given, are the values of f and y_d at the
+        points of the load rule (``analysis.function_rule``); otherwise
+        the closures are evaluated there.
+        """
         return OptimalControlProblem(
             gd,
             alpha=self.alpha,
             bounds=self.bounds,
-            y_target=self.y_d,
-            volume_source=self.f,
+            y_target=self.y_d if target is None else target,
+            volume_source=self.f if source is None else source,
             control_target=self.u_d,
             reaction=self.reaction,
             boundary_source=self.f_b if gd.bc == "neumann" else None,
@@ -94,48 +123,16 @@ def smooth_dirichlet_case():
             - np.sin(0.5 * np.pi * pts[:, 1])
         )
 
-    def u(pts):
-        return project_box(u_d(pts) - y(pts) / alpha, lower, upper)
+    def fields(pts):
+        yv, gv = y(pts), grad_y(pts)
+        u = project_box(u_d(pts) - yv / alpha, lower, upper)
+        return Fields(yv, gv, yv, gv, u, 2.0 * np.pi ** 2 * yv - u,
+                      (1.0 - 2.0 * np.pi ** 2) * yv)
 
-    def f(pts):
-        return 2.0 * np.pi ** 2 * y(pts) - u(pts)
-
-    def y_d(pts):
-        return (1.0 - 2.0 * np.pi ** 2) * y(pts)
-
-    return TestCase(
-        "example1", "dirichlet", "unit-square", alpha, (lower, upper), 0.0,
-        y, grad_y, y, grad_y, u, f, y_d, u_d=u_d,
-    )
-
-
-def _memo_by_identity(fn):
-    """fn(pts) -> tuple of arrays, memoised on the identity of pts.
-
-    Only read-only point arrays are remembered (the last MEMO_SIZE of
-    them), so a result is reused only for the very same unchangeable
-    array; a writeable input is always evaluated afresh.  The memo is a
-    tuple of immutable (points, result) pairs that a call replaces as a
-    whole, so threads sharing it may miss but never get another array's
-    result.  Remembered result arrays are marked read-only.
-    """
-    memo = ()
-
-    @functools.wraps(fn)
-    def memoised(pts):
-        nonlocal memo
-        if pts.flags.writeable:
-            return fn(pts)
-        for key, result in memo:
-            if key is pts:
-                return result
-        result = fn(pts)
-        for a in result:
-            a.setflags(write=False)
-        memo = ((pts, result),) + memo[: MEMO_SIZE - 1]
-        return result
-
-    return memoised
+    # The adjoint is the state.  y and grad_y stay direct closures, since
+    # the diagnostics sample them alone on large point sets.
+    return TestCase("example1", "dirichlet", "unit-square", alpha, (lower, upper), 0.0,
+                    fields, y=y, grad_y=grad_y, p=y, grad_p=grad_y, u_d=u_d)
 
 
 def _corner_singular_parts(pts):
@@ -169,12 +166,15 @@ def _corner_singular_parts(pts):
 
 
 def lshape_singular_case():
-    """Distributed control on the L-shape with a corner-singular state."""
+    """Distributed control on the L-shape with a corner-singular state.
+
+    Every closure evaluates all fields; a level samples them once per
+    point set through ``fields``.
+    """
     alpha = 1e-3
     lower, upper = -600.0, -50.0
 
-    @_memo_by_identity
-    def parts(pts):
+    def fields(pts):
         x, yy = pts[:, 0], pts[:, 1]
         b = (x ** 2 - 1.0) * (yy ** 2 - 1.0)
         bx = 2.0 * x * (yy ** 2 - 1.0)
@@ -182,32 +182,13 @@ def lshape_singular_case():
         lap_b = 2.0 * (x ** 2 - 1.0) + 2.0 * (yy ** 2 - 1.0)
         s, sx, sy, lap_s = _corner_singular_parts(pts)
         val = b * s
-        gx = bx * s + b * sx
-        gy = by * s + b * sy
+        grad = np.column_stack([bx * s + b * sx, by * s + b * sy])
         lap = lap_b * s + 2.0 * (bx * sx + by * sy) + b * lap_s
-        return val, gx, gy, lap
-
-    def y(pts):
-        return parts(pts)[0]
-
-    def grad_y(pts):
-        _, gx, gy, _ = parts(pts)
-        return np.column_stack([gx, gy])
-
-    def u(pts):
-        return project_box(-y(pts) / alpha, lower, upper)
-
-    def f(pts):
-        val, _, _, lap = parts(pts)
-        return -lap - project_box(-val / alpha, lower, upper)
-
-    def y_d(pts):
-        val, _, _, lap = parts(pts)
-        return val + lap
+        u = project_box(-val / alpha, lower, upper)
+        return Fields(val, grad, val, grad, u, -lap - u, val + lap)
 
     return TestCase(
-        "example2-lshape", "dirichlet", "lshape", alpha, (lower, upper), 0.0,
-        y, grad_y, y, grad_y, u, f, y_d,
+        "example2-lshape", "dirichlet", "lshape", alpha, (lower, upper), 0.0, fields
     )
 
 
@@ -228,20 +209,15 @@ def smooth_neumann_case():
             [np.sin(np.pi * pts[:, 0]), np.sin(np.pi * pts[:, 1])]
         )
 
-    def u(pts):
-        return project_box(-y(pts) / alpha, lower, upper)
+    def fields(pts):
+        yv, gv = y(pts), grad_y(pts)
+        u = project_box(-yv / alpha, lower, upper)
+        # f = -lap(y) + y - u with lap(y) = -pi^2 y
+        return Fields(yv, gv, yv, gv, u, (np.pi ** 2 + 1.0) * yv - u, -np.pi ** 2 * yv)
 
-    def f(pts):
-        # -lap(y) + y - u with lap(y) = -pi^2 y
-        return (np.pi ** 2 + 1.0) * y(pts) - u(pts)
-
-    def y_d(pts):
-        return -np.pi ** 2 * y(pts)
-
-    return TestCase(
-        "example3-neumann", "neumann", "unit-square", alpha, (lower, upper), 1.0,
-        y, grad_y, y, grad_y, u, f, y_d,
-    )
+    # As in example1, the adjoint is the state and y, grad_y stay direct.
+    return TestCase("example3-neumann", "neumann", "unit-square", alpha, (lower, upper),
+                    1.0, fields, y=y, grad_y=grad_y, p=y, grad_p=grad_y)
 
 
 def get_case(name):

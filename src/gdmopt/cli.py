@@ -8,13 +8,10 @@ runs with the same configuration are byte-identical.
 """
 
 import argparse
-import functools
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .analysis import compute_errors, emit_csv, emit_diagnostics_csv
+from .analysis import compute_errors, emit_csv, emit_diagnostics_csv, sample_level
 from .assembly import SolverError
 from .cases import CASE_NAMES, get_case
 from .control import postprocess, solve_kkt_pdas
@@ -37,55 +34,41 @@ class LevelFailure(Exception):
         self.h = h
 
 
-def thread_count():
-    """Worker cap from GDMOPT_THREADS; defaults to serial execution."""
-    raw = os.environ.get("GDMOPT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"GDMOPT_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
-
-
 def run_level(case, scheme, level, shift=0.0, pdas_max_iter=100, pdas_tol=1e-10):
-    """Solve one study level and return its error report."""
+    """Solve one study level and return its error report.
+
+    The exact fields are sampled once per point set of the level and
+    serve both the loads and the error report.
+    """
     mesh = case.build_mesh(scheme, 2 ** level, shift=shift)
     gd = build_scheme(scheme, mesh, case.bc)
-    problem = case.build_problem(gd)
+    exact = sample_level(gd, case.fields)
+    problem = case.build_problem(gd, source=exact.load.f, target=exact.load.y_d)
     try:
         solution = solve_kkt_pdas(problem, max_iter=pdas_max_iter, tol=pdas_tol)
     except SolverError as exc:
         raise LevelFailure(level, mesh.h, exc) from exc
-    post = postprocess(problem, solution, case.p)
+    post = postprocess(problem, solution)
     return compute_errors(
-        gd, case, solution.y, solution.p, solution.u, post,
+        gd, exact, solution.y, solution.p, solution.u, post,
         level=level, pdas_iters=solution.iterations,
     )
 
 
 def run_study(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0,
-              pdas_max_iter=100, pdas_tol=1e-10, threads=1):
-    """Run all levels of a study; reports stop at the first failed level.
+              pdas_max_iter=100, pdas_tol=1e-10):
+    """Run the levels of a study in order, up to the first failed one.
 
     Returns (reports, failure) where failure is None or the LevelFailure
-    of the first level (in order) whose solve broke down.  Levels run
-    independently, so rows are identical whether levels are run together
-    or one at a time.
+    of the level whose solve broke down.  Levels run independently, so
+    rows are identical whether levels are run together or one at a time.
     """
     case = get_case(case_name)
-    run = functools.partial(
-        run_level, case, scheme, shift=shift,
-        pdas_max_iter=pdas_max_iter, pdas_tol=pdas_tol,
-    )
-    ids = range(levels[0], levels[1] + 1)
     reports = []
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        # One thread runs the levels lazily in the calling thread, so no
-        # level after a failed one starts.
-        results = map(run, ids) if threads <= 1 else pool.map(run, ids)
+    for level in range(levels[0], levels[1] + 1):
         try:
-            for report in results:
-                reports.append(report)
+            reports.append(run_level(case, scheme, level, shift=shift,
+                                     pdas_max_iter=pdas_max_iter, pdas_tol=pdas_tol))
         except LevelFailure as exc:
             return reports, exc
     return reports, None
@@ -98,14 +81,11 @@ def run_diagnostics(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0):
     for level in range(levels[0], levels[1] + 1):
         mesh = case.build_mesh(scheme, 2 ** level, shift=shift)
         gd = build_scheme(scheme, mesh, case.bc)
-        rows.append((
-            level,
-            mesh.h,
-            compute_cd(gd),
-            compute_wd(gd, case.grad_y),
-            compute_sd_upper(gd, case.y, case.grad_y),
-            compute_sd_upper(gd, case.p, case.grad_p),
-        ))
+        cd, wd = compute_cd(gd), compute_wd(gd, case.grad_y)
+        # The adjoint of every case equals its state, so the state's S_D
+        # serves both columns.
+        sd = compute_sd_upper(gd, case.y, case.grad_y)
+        rows.append((level, mesh.h, cd, wd, sd, sd))
     return rows
 
 
@@ -163,10 +143,6 @@ def main(argv=None):
         parser.error("--pdas-max-iter must be at least 1")
     if not (math.isfinite(args.pdas_tol) and args.pdas_tol > 0.0):
         parser.error("--pdas-tol must be positive and finite")
-    try:
-        threads = thread_count()
-    except ValueError as exc:
-        parser.error(str(exc))
 
     out = args.out if args.out is not None else sys.stdout
     if args.diagnostics:
@@ -177,7 +153,6 @@ def main(argv=None):
     reports, failure = run_study(
         args.case, args.scheme, args.levels, shift=args.shift,
         pdas_max_iter=args.pdas_max_iter, pdas_tol=args.pdas_tol,
-        threads=threads,
     )
     marker = None if failure is None else (failure.level, failure.h)
     emit_csv(reports, out, failure=marker)

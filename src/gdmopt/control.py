@@ -23,8 +23,9 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .analysis import cell_quadrature, segment_quadrature
-from .assembly import SolverError, SPDFactor, assemble_load, check_symmetry
+from .analysis import cell_quadrature
+from .assembly import (SolverError, SPDFactor, assemble_load, assemble_stiffness,
+                       check_symmetry)
 
 DEFAULT_PDAS_MAX_ITER = 100
 DEFAULT_PDAS_TOL = 1e-10
@@ -51,18 +52,6 @@ def project_onto_cells(mesh, fn, rule="gauss7"):
     return sums / np.bincount(cells, wts, mesh.n_cells)
 
 
-def project_onto_faces(mesh, fn, face_ids, npoints=3):
-    """Averages of a function along the given faces."""
-    a = mesh.vertices[mesh.faces[face_ids, 0]]
-    b = mesh.vertices[mesh.faces[face_ids, 1]]
-    pts, wts, _ = segment_quadrature(a, b, npoints)
-    faces = np.repeat(np.arange(len(face_ids)), npoints)
-    vals = np.asarray(fn(pts), dtype=float)
-    return np.bincount(faces, wts * vals, len(face_ids)) / np.bincount(
-        faces, wts, len(face_ids)
-    )
-
-
 class OptimalControlProblem:
     """Data of one discrete control problem on a gradient discretisation.
 
@@ -73,10 +62,12 @@ class OptimalControlProblem:
         Distributed control cost weight, positive.
     bounds : (float, float)
         Box constraints; infinite entries disable a side.
-    y_target : callable
-        Desired state, evaluated at quadrature points.
-    volume_source, boundary_source : callables or None
-        Fixed sources of the state equation (boundary only for Neumann).
+    y_target : callable or array
+        Desired state, evaluated at quadrature points (see assemble_load).
+    volume_source : callable, array or None
+        Fixed source of the state equation (see assemble_load).
+    boundary_source : callable or None
+        Fixed boundary source of the state equation (Neumann only).
     control_target : callable or None
         Distributed control shift u_d (defaults to zero).
     diffusion : callable or None
@@ -134,9 +125,7 @@ class _Assembly:
 
     def __init__(self, problem):
         gd = problem.gd
-        self.stiffness = gd.restrict_matrix(
-            gd.stiffness(diffusion=problem.diffusion, reaction=problem.reaction)
-        )
+        self.stiffness = assemble_stiffness(gd, problem.diffusion, problem.reaction)
         check_symmetry(self.stiffness)
         self.mass = gd.restrict_matrix(gd.mass_matrix())
         self.cell_weight = gd.mesh.cell_area
@@ -402,44 +391,48 @@ class PostprocessedControls:
 
     kind == "cellwise": tilde_u and tilde_u_h are per-cell arrays.
     kind == "pointwise": both are callables (cells, points) -> values.
+    tilde_u is None when no exact adjoint closure was given.
+    clamp(values, cells=all cells) is the projection formula
+    clamp(cell_avg(u_d) - values / alpha) that both are built with.
     """
 
     kind: str
-    tilde_u: Union[np.ndarray, Callable]
+    tilde_u: Union[np.ndarray, Callable, None]
     tilde_u_h: Union[np.ndarray, Callable]
+    clamp: Callable
 
 
-def postprocess(problem, solution, adjoint):
+def postprocess(problem, solution, adjoint=None):
     """Projection-formula controls from the exact and discrete adjoints.
 
-    ``adjoint`` is the exact adjoint closure.  Nodal schemes yield
-    pointwise closures clamp(cell_avg(u_d) - adjoint/alpha); cell-centred
-    schemes yield cellwise values with the exact adjoint sampled at cell
-    centroids, and their discrete post-processed control coincides with
-    the optimal control itself.
+    ``adjoint`` is the exact adjoint closure, if any.  Nodal schemes
+    yield pointwise closures clamp(cell_avg(u_d) - adjoint/alpha);
+    cell-centred schemes yield cellwise values with the exact adjoint
+    sampled at cell centroids, and their discrete post-processed control
+    coincides with the optimal control itself.
     """
     gd = problem.gd
     asm = problem.assembled()
     alpha, lower, upper = problem.alpha, problem.lower, problem.upper
     ud = asm.control_target_cells
+
+    def clamp(values, cells=slice(None)):
+        return project_box(ud[cells] - values / alpha, lower, upper)
+
     if gd.sample_policy == "cell_point":
-        exact_vals = np.asarray(adjoint(gd.mesh.cell_centroid), dtype=float)
-        tilde_u = project_box(ud - exact_vals / alpha, lower, upper)
-        p_cells = cell_adjoint_averages(problem, solution.p)
-        tilde_u_h = project_box(ud - p_cells / alpha, lower, upper)
-        return PostprocessedControls("cellwise", tilde_u, tilde_u_h)
+        tilde_u = None if adjoint is None else clamp(adjoint(gd.mesh.cell_centroid))
+        tilde_u_h = clamp(cell_adjoint_averages(problem, solution.p))
+        return PostprocessedControls("cellwise", tilde_u, tilde_u_h, clamp)
 
     def tilde_u(cells, pts):
-        return project_box(
-            ud[cells] - np.asarray(adjoint(pts), dtype=float) / alpha, lower, upper
-        )
+        return clamp(adjoint(pts), cells)
 
     def tilde_u_h(cells, pts):
-        return project_box(
-            ud[cells] - gd.value_at(solution.p, cells, pts) / alpha, lower, upper
-        )
+        return clamp(gd.value_at(solution.p, cells, pts), cells)
 
-    return PostprocessedControls("pointwise", tilde_u, tilde_u_h)
+    return PostprocessedControls(
+        "pointwise", None if adjoint is None else tilde_u, tilde_u_h, clamp
+    )
 
 
 def variational_inequality_gap(problem, solution, trial_cells, trial_faces=None):

@@ -118,6 +118,20 @@ def test_constant_load_p1():
     assert total == pytest.approx(1.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("scheme", ["p1", "hmm"])
+def test_load_from_sampled_values(scheme):
+    # Values at the load rule's points give the very same load as the
+    # callable; a wrong number of values is refused.
+    from gdmopt.analysis import cell_quadrature, function_rule
+
+    gd = make_gd(scheme, 3)
+    fn = lambda pts: np.sin(3.0 * pts[:, 0]) + pts[:, 1] ** 2
+    _, pts, _ = cell_quadrature(gd.mesh, function_rule(gd))
+    assert np.array_equal(assemble_load(gd, fn(pts)), assemble_load(gd, fn))
+    with pytest.raises(ValueError):
+        assemble_load(gd, fn(pts)[:-1])
+
+
 def test_cell_source_load_matches_quadrature():
     gd = make_gd("ncp1", 3)
     rng = np.random.default_rng(8)

@@ -4,7 +4,7 @@ of the optimality systems, boundary behaviour, projection structure."""
 import numpy as np
 import pytest
 
-from gdmopt.cases import CASE_NAMES, _corner_singular_parts, get_case
+from gdmopt.cases import CASE_NAMES, Fields, _corner_singular_parts, get_case
 from gdmopt.control import project_box
 
 
@@ -235,6 +235,38 @@ def test_lshape_memo_reevaluates_writeable_points():
     fresh = case.y(pts)
     assert not np.array_equal(first, fresh)
     np.testing.assert_array_equal(fresh, get_case("example2-lshape").y(pts.copy()))
-    # A read-only array is evaluated once and its result reused.
-    pts.setflags(write=False)
-    assert case.y(pts) is case.y(pts)
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_single_closures_match_fields(name):
+    case = get_case(name)
+    pts = interior_points(case, np.random.default_rng(12), n=200)
+    sample = case.fields(pts)
+    for field in Fields._fields:
+        assert np.array_equal(getattr(case, field)(pts), getattr(sample, field))
+
+
+@pytest.mark.parametrize("name,scheme,calls", [
+    ("example2-lshape", "p1", 3),
+    ("example1", "p1", 3),
+    ("example1", "ncp1", 3),
+    ("example1", "hmm", 5),
+])
+def test_level_samples_each_point_set_once(monkeypatch, name, scheme, calls):
+    # Nodal schemes read the gauss7 and gauss3 points and the gradient
+    # piece centres; the cell-centred scheme reads the centroid-rule
+    # points, the cell points and the centroids on top.
+    from gdmopt import cli
+
+    case = get_case(name)
+    seen = []
+
+    def counted(pts):
+        seen.append(pts)
+        return real(pts)
+
+    real = case.fields
+    monkeypatch.setattr(case, "fields", counted)
+    cli.run_level(case, scheme, 3)
+    assert len(seen) == calls
+    assert len({id(pts) for pts in seen}) == calls

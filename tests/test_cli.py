@@ -92,30 +92,6 @@ def test_deterministic_output(tmp_path):
     assert a == b
 
 
-def test_threaded_run_matches_serial(tmp_path, monkeypatch):
-    args = ["--case", "example1", "--scheme", "p1", "--levels", "2..4"]
-    _, serial = run_cli(tmp_path, args, "serial.csv")
-    monkeypatch.setenv("GDMOPT_THREADS", "3")
-    _, threaded = run_cli(tmp_path, args, "threaded.csv")
-    assert serial == threaded
-
-
-def test_threaded_lshape_run_matches_serial(tmp_path, monkeypatch):
-    # Concurrent levels share the case's closure memo.
-    args = ["--case", "example2-lshape", "--scheme", "p1", "--levels", "2..4"]
-    _, serial = run_cli(tmp_path, args, "serial.csv")
-    monkeypatch.setenv("GDMOPT_THREADS", "3")
-    _, threaded = run_cli(tmp_path, args, "threaded.csv")
-    assert serial == threaded
-
-
-def test_bad_thread_env_exits_2(monkeypatch):
-    monkeypatch.setenv("GDMOPT_THREADS", "lots")
-    with pytest.raises(SystemExit) as exc:
-        main(["--case", "example1", "--scheme", "p1", "--levels", "2..2"])
-    assert exc.value.code == 2
-
-
 def test_rows_independent_of_level_range(tmp_path):
     # Level-local columns must not change when a level is run alone.
     args = ["--case", "example1", "--scheme", "ncp1"]

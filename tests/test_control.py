@@ -17,7 +17,6 @@ from gdmopt.control import (
     postprocess,
     project_box,
     project_onto_cells,
-    project_onto_faces,
     projection_identity_gap,
     solve_kkt_pdas,
     solve_kkt_reference,
@@ -77,13 +76,6 @@ def test_project_onto_cells_rule_agreement():
     a = project_onto_cells(mesh, fn, rule="gauss7")
     b = project_onto_cells(mesh, fn, rule="degree10")
     np.testing.assert_allclose(a, b, atol=1e-15)
-
-
-def test_project_onto_faces_linear_oracle():
-    mesh = build_unit_square_triangulation(2)
-    ids = np.flatnonzero(mesh.boundary_faces)
-    avg = project_onto_faces(mesh, lambda pts: pts[:, 0] + 3.0, ids)
-    np.testing.assert_allclose(avg, mesh.face_center[ids, 0] + 3.0, atol=1e-14)
 
 
 def test_unconstrained_box_single_iteration():
@@ -184,6 +176,23 @@ def test_postprocess_pointwise_clamps():
         vals = fn(cells, pts)
         assert np.all(vals >= problem.lower - 1e-15)
         assert vals.shape == (gd.mesh.n_cells,)
+
+
+@pytest.mark.parametrize("scheme", ["p1", "hmm"])
+def test_postprocess_clamp_is_projection_formula(scheme):
+    # clamp(values, cells) = P(cell_avg(u_d) - values / alpha) on those
+    # cells; without an adjoint closure the exact side is left unset.
+    case = get_case("example1")
+    gd = build_scheme(scheme, case.build_mesh(scheme, 3), case.bc)
+    problem = case.build_problem(gd)
+    post = postprocess(problem, solve_kkt_pdas(problem))
+    assert post.tilde_u is None
+    cells = np.arange(0, gd.mesh.n_cells, 3)
+    p = case.p(gd.mesh.cell_centroid[cells])
+    ud = problem.assembled().control_target_cells[cells]
+    want = project_box(ud - p / problem.alpha, problem.lower, problem.upper)
+    assert np.array_equal(post.clamp(p, cells), want)
+    assert (want == problem.lower).any() and (want > problem.lower).any()
 
 
 def test_unbounded_solution_is_linear_in_data():
