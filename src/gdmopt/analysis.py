@@ -12,8 +12,10 @@ Relative errors are reported; numerator and denominator share a rule.
 this protocol reads on a level.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,26 +78,29 @@ def _square_rule(name):
     return pts, np.outer(wu, wu).ravel()
 
 
-class QuadratureRule:
-    """Named rule with reference tables for triangles and squares.
+@functools.cache
+def get_rule(name):
+    """Named rule with reference tables ``.triangle`` and ``.square``,
+    each a (points, weights) pair, built once per name.
 
     midpoint is exact to degree 1, gauss3 to degree 2, gauss7 to degree 5
     and degree10 to (at least) degree 10, on both reference cells.
     """
-
-    def __init__(self, name):
-        self.name = name
-        self.triangle = _triangle_rule(name)
-        self.square = _square_rule(name)
+    return SimpleNamespace(triangle=_triangle_rule(name), square=_square_rule(name))
 
 
-_RULES = {}
-
-
-def get_rule(name):
-    if name not in _RULES:
-        _RULES[name] = QuadratureRule(name)
-    return _RULES[name]
+def _affine_map(origin, e1, e2, ref, wref):
+    """Reference points and weights mapped by x = origin + ref . (e1, e2),
+    flattened to (n * q, 2) points and (n * q,) weights; the weights are
+    scaled by the Jacobian determinant of the map."""
+    jac = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    pts = (
+        origin[:, None, :]
+        + ref[None, :, 0, None] * e1[:, None, :]
+        + ref[None, :, 1, None] * e2[:, None, :]
+    )
+    wts = jac[:, None] * wref[None, :]
+    return pts.reshape(-1, 2), wts.reshape(-1)
 
 
 def triangle_quadrature(tris, rule):
@@ -114,17 +119,8 @@ def triangle_quadrature(tris, rule):
         of each triangle sum to its area.
     """
     tris = np.asarray(tris, dtype=float)
-    ref, wref = get_rule(rule).triangle
-    e1 = tris[:, 1] - tris[:, 0]
-    e2 = tris[:, 2] - tris[:, 0]
-    jac = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    pts = (
-        tris[:, None, 0, :]
-        + ref[None, :, 0, None] * e1[:, None, :]
-        + ref[None, :, 1, None] * e2[:, None, :]
-    )
-    wts = jac[:, None] * wref[None, :]
-    return pts.reshape(-1, 2), wts.reshape(-1)
+    return _affine_map(tris[:, 0], tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0],
+                       *get_rule(rule).triangle)
 
 
 def cell_quadrature(mesh, rule):
@@ -143,25 +139,13 @@ def cell_quadrature(mesh, rule):
     cached = mesh.quadrature_cache.get(rule)
     if cached is not None:
         return cached
-    k = mesh.cells.shape[1]
     loops = mesh.vertices[mesh.cells]
-    if k == 3:
+    if mesh.cells.shape[1] == 3:
         pts, wts = triangle_quadrature(loops, rule)
-        q = len(get_rule(rule).triangle[1])
     else:
-        ref, wref = get_rule(rule).square
-        e1 = loops[:, 1] - loops[:, 0]
-        e2 = loops[:, 3] - loops[:, 0]
-        jac = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        pts = (
-            loops[:, None, 0, :]
-            + ref[None, :, 0, None] * e1[:, None, :]
-            + ref[None, :, 1, None] * e2[:, None, :]
-        )
-        wts = jac[:, None] * wref[None, :]
-        pts, wts = pts.reshape(-1, 2), wts.reshape(-1)
-        q = len(wref)
-    cells = np.repeat(np.arange(mesh.n_cells), q)
+        pts, wts = _affine_map(loops[:, 0], loops[:, 1] - loops[:, 0],
+                               loops[:, 3] - loops[:, 0], *get_rule(rule).square)
+    cells = np.repeat(np.arange(mesh.n_cells), len(wts) // mesh.n_cells)
     for a in (cells, pts, wts):
         a.setflags(write=False)
     return mesh.quadrature_cache.setdefault(rule, (cells, pts, wts))
@@ -216,38 +200,47 @@ def _relative(num_sq, den_sq):
 def function_rule(gd):
     """Rule of function loads and errors: degree 5 for nodal schemes, the
     centroid rule (one point per cell) for cell-centred ones."""
-    return "gauss7" if gd.sample_policy == "identity" else "midpoint"
+    return "midpoint" if gd.cell_centred else "gauss7"
 
 
 @dataclass(frozen=True)
 class LevelSamples:
-    """A case's exact fields on one level, each entry at one point set:
-    load at the points of ``function_rule(gd)``, value for the function
-    errors, post for the post-processed control, control at the gauss3
-    points and gradient at the gradient piece centres.  Nodal schemes
-    share one sample for load, value and post; cell-centred schemes take
-    value at the cell points and post at the centroids.
+    """The exact fields of a case that one level reads, each at the point
+    set its consumer reads: source f and target y_d at the points of
+    ``function_rule(gd)`` (the loads), y and p for the function errors,
+    grad_y and grad_p at the gradient piece centres, u at the gauss3
+    points (the control error), and post_p, post_u for the
+    post-processed control.  Nodal schemes take y, p, post_p and post_u
+    at the load points; cell-centred schemes take y and p at the cell
+    points and post_p, post_u at the centroids.
     """
 
-    load: tuple
-    value: tuple
-    post: tuple
-    control: tuple
-    gradient: tuple
+    source: np.ndarray
+    target: np.ndarray
+    y: np.ndarray
+    p: np.ndarray
+    grad_y: np.ndarray
+    grad_p: np.ndarray
+    u: np.ndarray
+    post_p: np.ndarray
+    post_u: np.ndarray
 
 
 def sample_level(gd, fields):
-    """Sample fields(pts) once on each distinct point set of a level."""
+    """Sample fields(pts) once on each distinct point set of a level and
+    keep only the arrays LevelSamples holds."""
     mesh = gd.mesh
     load = fields(cell_quadrature(mesh, function_rule(gd))[1])
-    if gd.sample_policy == "identity":
-        value = post = load
-    else:
+    if gd.cell_centred:
         value, post = fields(mesh.cell_point), fields(mesh.cell_centroid)
+    else:
+        value = post = load
+    gradient = fields(gd.piece_center)
+    u = fields(cell_quadrature(mesh, "gauss3")[1]).u
     return LevelSamples(
-        load, value, post,
-        control=fields(cell_quadrature(mesh, "gauss3")[1]),
-        gradient=fields(gd.piece_center),
+        source=load.f, target=load.y_d, y=value.y, p=value.p,
+        grad_y=gradient.grad_y, grad_p=gradient.grad_p, u=u,
+        post_p=post.p, post_u=post.u,
     )
 
 
@@ -283,20 +276,20 @@ def control_error(mesh, u_cells, target):
     return _relative(float(num), float(wts @ target ** 2))
 
 
-def postprocessed_error(gd, post, at):
+def postprocessed_error(gd, post, p, u):
     """Relative L2 distance between the two post-processed controls.
 
-    ``at`` holds the exact fields at the post-processing points; the
-    exact control is the clamp of its adjoint, and the denominator is the
-    norm of the exact control under the same rule.
+    p and u are the exact adjoint and control at the post-processing
+    points; the exact post-processed control is the clamp of p, and the
+    denominator is the norm of u under the same rule.
     """
     if post.kind == "cellwise":
         w = gd.mesh.cell_area
-        diff = post.tilde_u_h - post.clamp(at.p)
+        diff = post.tilde_u_h - post.clamp(p)
     else:
         cells, pts, w = cell_quadrature(gd.mesh, function_rule(gd))
-        diff = post.tilde_u_h(cells, pts) - post.clamp(at.p, cells)
-    return _relative(float(w @ diff ** 2), float(w @ at.u ** 2))
+        diff = post.tilde_u_h(cells, pts) - post.clamp(p, cells)
+    return _relative(float(w @ diff ** 2), float(w @ u ** 2))
 
 
 def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, level=0, pdas_iters=0):
@@ -314,12 +307,12 @@ def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, level=0, pdas_iters=0
         level=level,
         h=gd.mesh.h,
         dofs=gd.n_free,
-        err_y=function_error(gd, y_vec, exact.value.y),
-        err_grad_y=gradient_error(gd, y_vec, exact.gradient.grad_y),
-        err_p=function_error(gd, p_vec, exact.value.p),
-        err_grad_p=gradient_error(gd, p_vec, exact.gradient.grad_p),
-        err_u=control_error(gd.mesh, u_cells, exact.control.u),
-        err_u_tilde=postprocessed_error(gd, post, exact.post),
+        err_y=function_error(gd, y_vec, exact.y),
+        err_grad_y=gradient_error(gd, y_vec, exact.grad_y),
+        err_p=function_error(gd, p_vec, exact.p),
+        err_grad_p=gradient_error(gd, p_vec, exact.grad_p),
+        err_u=control_error(gd.mesh, u_cells, exact.u),
+        err_u_tilde=postprocessed_error(gd, post, exact.post_p, exact.post_u),
         pdas_iters=pdas_iters,
     )
 

@@ -43,7 +43,7 @@ def run_level(case, scheme, level, shift=0.0, pdas_max_iter=100, pdas_tol=1e-10)
     mesh = case.build_mesh(scheme, 2 ** level, shift=shift)
     gd = build_scheme(scheme, mesh, case.bc)
     exact = sample_level(gd, case.fields)
-    problem = case.build_problem(gd, source=exact.load.f, target=exact.load.y_d)
+    problem = case.build_problem(gd, source=exact.source, target=exact.target)
     try:
         solution = solve_kkt_pdas(problem, max_iter=pdas_max_iter, tol=pdas_tol)
     except SolverError as exc:

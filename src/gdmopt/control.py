@@ -17,7 +17,7 @@ used to cross-check it on small meshes.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 import scipy.linalg as la
@@ -52,6 +52,7 @@ def project_onto_cells(mesh, fn, rule="gauss7"):
     return sums / np.bincount(cells, wts, mesh.n_cells)
 
 
+@dataclass(eq=False)
 class OptimalControlProblem:
     """Data of one discrete control problem on a gradient discretisation.
 
@@ -61,13 +62,12 @@ class OptimalControlProblem:
     alpha : float
         Distributed control cost weight, positive.
     bounds : (float, float)
-        Box constraints; infinite entries disable a side.
+        Box constraints; infinite entries disable a side.  They are also
+        available as ``lower`` and ``upper``.
     y_target : callable or array
         Desired state, evaluated at quadrature points (see assemble_load).
     volume_source : callable, array or None
         Fixed source of the state equation (see assemble_load).
-    boundary_source : callable or None
-        Fixed boundary source of the state equation (Neumann only).
     control_target : callable or None
         Distributed control shift u_d (defaults to zero).
     diffusion : callable or None
@@ -80,38 +80,40 @@ class OptimalControlProblem:
         Enable a piecewise-constant control on boundary faces (Neumann).
     beta : float
         Boundary control cost weight, positive when boundary_control.
+    boundary_source : callable or None
+        Fixed boundary source of the state equation (Neumann only).
     """
 
-    def __init__(self, gd, alpha, bounds, y_target, volume_source=None,
-                 control_target=None, diffusion=None, reaction=0.0,
-                 distributed=True, boundary_control=False, beta=1.0,
-                 boundary_source=None):
-        lower, upper = float(bounds[0]), float(bounds[1])
-        if not alpha > 0.0:
+    gd: Any
+    alpha: float
+    bounds: tuple
+    y_target: Any
+    volume_source: Any = None
+    control_target: Optional[Callable] = None
+    diffusion: Optional[Callable] = None
+    reaction: float = 0.0
+    distributed: bool = True
+    boundary_control: bool = False
+    beta: float = 1.0
+    boundary_source: Optional[Callable] = None
+
+    def __post_init__(self):
+        self.lower, self.upper = float(self.bounds[0]), float(self.bounds[1])
+        if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
-        if lower > upper:
+        if self.lower > self.upper:
             raise ValueError("empty box: lower bound exceeds upper bound")
-        if gd.bc == "neumann" and not reaction > 0.0:
+        if self.gd.bc == "neumann" and not self.reaction > 0.0:
             raise ValueError("Neumann problems need a positive reaction coefficient")
-        if gd.bc == "dirichlet" and (boundary_control or boundary_source is not None):
+        if self.gd.bc == "dirichlet" and (self.boundary_control
+                                          or self.boundary_source is not None):
             raise ValueError("boundary data supplied under Dirichlet conditions")
-        if boundary_control and not beta > 0.0:
+        if self.boundary_control and not self.beta > 0.0:
             raise ValueError("beta must be positive with boundary control")
-        if not (distributed or boundary_control):
+        if not (self.distributed or self.boundary_control):
             raise ValueError("at least one control family must be enabled")
-        self.distributed = distributed
-        self.gd = gd
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.lower = lower
-        self.upper = upper
-        self.y_target = y_target
-        self.volume_source = volume_source
-        self.control_target = control_target
-        self.diffusion = diffusion
-        self.reaction = float(reaction)
-        self.boundary_control = boundary_control
-        self.boundary_source = boundary_source
+        self.alpha, self.beta = float(self.alpha), float(self.beta)
+        self.reaction = float(self.reaction)
         self._asm = None
 
     def assembled(self):
@@ -121,14 +123,22 @@ class OptimalControlProblem:
 
 
 class _Assembly:
-    """Matrices and vectors of a control problem, restricted to free DOFs."""
+    """Matrices and vectors of a control problem, restricted to free DOFs.
+
+    The controls form one stacked vector: the cells first (distributed
+    control), then the boundary faces (boundary control).  Per control it
+    holds the adjoint average operator (the cell mean of the function
+    reconstruction, the face mean of the trace), the cost (alpha or
+    beta), the measure (cell area or face length), the weight
+    W = cost * measure, the coupling B = average^T diag(measure) on the
+    free DOFs and the control target u_d.
+    """
 
     def __init__(self, problem):
         gd = problem.gd
         self.stiffness = assemble_stiffness(gd, problem.diffusion, problem.reaction)
         check_symmetry(self.stiffness)
         self.mass = gd.restrict_matrix(gd.mass_matrix())
-        self.cell_weight = gd.mesh.cell_area
         self.source_load = gd.restrict(
             assemble_load(gd, problem.volume_source,
                           problem.boundary_source if gd.bc == "neumann" else None)
@@ -140,26 +150,49 @@ class _Assembly:
             self.control_target_cells = project_onto_cells(
                 gd.mesh, problem.control_target
             )
-        self.face_weight = None
-        # Stacked control vector: cells (distributed) first, then boundary
-        # faces, with its coupling to the free DOFs and its cost weights.
-        couplings, weights, targets = [], [], []
+        self.n_cells = gd.mesh.n_cells if problem.distributed else 0
+        self.boundary_control = problem.boundary_control
+        averages, costs, measures, targets = [], [], [], []
         if problem.distributed:
-            couplings.append(gd.cell_coupling()[gd.free])
-            weights.append(problem.alpha * self.cell_weight)
+            averages.append(gd.value_center)
+            costs.append(np.full(self.n_cells, problem.alpha))
+            measures.append(gd.mesh.cell_area)
             targets.append(self.control_target_cells)
         if problem.boundary_control:
-            self.face_weight = gd.mesh.face_length[gd.boundary_face_ids]
-            couplings.append(gd.boundary_coupling()[gd.free])
-            weights.append(problem.beta * self.face_weight)
-            targets.append(np.zeros(len(self.face_weight)))
-        self.control_coupling = sp.hstack(couplings, format="csr")
-        self.control_weight = np.concatenate(weights)
+            ell = gd.mesh.face_length[gd.boundary_face_ids]
+            averages.append(gd.trace_mid)
+            costs.append(np.full(len(ell), problem.beta))
+            measures.append(ell)
+            targets.append(np.zeros(len(ell)))
+        # A single family shares the operator of gd instead of copying it.
+        self.control_average = (averages[0] if len(averages) == 1
+                                else sp.vstack(averages, format="csr"))
+        self.control_cost = np.concatenate(costs)
+        measure = np.concatenate(measures)
+        self.control_weight = self.control_cost * measure
+        self.control_coupling = (self.control_average.T @ sp.diags(measure)).tocsr()[gd.free]
         self.control_target = np.concatenate(targets)
 
     @functools.cached_property
     def stiffness_factor(self):
         return SPDFactor(self.stiffness)
+
+    def candidate(self, p):
+        """Unclamped control u_d - (average of p) / cost, for an adjoint
+        DOF vector p (zero on masked DOFs); its box projection is the
+        optimal control."""
+        return self.control_target - (self.control_average @ p) / self.control_cost
+
+    def split(self, v):
+        """(cell part, face part) of a stacked control vector; None stands
+        for a disabled family."""
+        return (v[:self.n_cells] if self.n_cells else None,
+                v[self.n_cells:] if self.boundary_control else None)
+
+    def stack(self, cells, faces):
+        """Stacked control vector of a cell part and a face part."""
+        return np.concatenate([v for v, on in ((cells, self.n_cells),
+                                               (faces, self.boundary_control)) if on])
 
 
 @dataclass(eq=False)
@@ -173,16 +206,6 @@ class KKTSolution:
     iterations: int
     active_lower: Optional[np.ndarray]
     active_upper: Optional[np.ndarray]
-
-
-def cell_adjoint_averages(problem, p_full):
-    """Exact cell averages of the reconstructed adjoint."""
-    return problem.gd.value_center @ p_full
-
-
-def face_adjoint_averages(problem, p_full):
-    """Exact boundary-face averages of the adjoint trace."""
-    return problem.gd.trace_mid @ p_full
 
 
 def _pcg(apply, rhs, x, inv_weight, tol, max_iter=PCG_MAX_ITER):
@@ -242,7 +265,6 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
     lower, upper = problem.lower, problem.upper
     factor = asm.stiffness_factor
     b_mat, w = asm.control_coupling, asm.control_weight
-    n_cells = gd.mesh.n_cells if problem.distributed else 0
 
     def state_adjoint(u):
         y = factor.solve(asm.source_load + b_mat @ u)
@@ -273,15 +295,8 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
                                     1.0 / w[inactive], 1e-2 * tol)
         u = pinned
         y, p = state_adjoint(u)
-
         p_full = gd.expand(p)
-        parts = []
-        if problem.distributed:
-            parts.append(asm.control_target_cells
-                         - cell_adjoint_averages(problem, p_full) / problem.alpha)
-        if problem.boundary_control:
-            parts.append(-face_adjoint_averages(problem, p_full) / problem.beta)
-        candidate = np.concatenate(parts)
+        candidate = asm.candidate(p_full)
         new_lo = candidate < lower
         new_hi = candidate > upper
         done = bool(np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi))
@@ -294,15 +309,9 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
             )
         lo, hi = new_lo, new_hi
         if done:
-            u = project_box(candidate, lower, upper)
-            return KKTSolution(
-                gd.expand(y), p_full,
-                u[:n_cells] if problem.distributed else None,
-                u[n_cells:] if problem.boundary_control else None,
-                it,
-                lo[:n_cells] if problem.distributed else None,
-                hi[:n_cells] if problem.distributed else None,
-            )
+            u_cells, u_b = asm.split(project_box(candidate, lower, upper))
+            return KKTSolution(gd.expand(y), p_full, u_cells, u_b, it,
+                               asm.split(lo)[0], asm.split(hi)[0])
     raise SolverError(f"active-set iteration did not settle in {max_iter} steps")
 
 
@@ -373,16 +382,11 @@ def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
     else:
         raise SolverError("projected gradient did not reach stationarity")
 
-    n_cells = gd.mesh.n_cells if problem.distributed else 0
-    u_cells = u[:n_cells] if problem.distributed else None
-    u_b = u[n_cells:] if problem.boundary_control else None
+    u_cells, u_b = asm.split(u)
     y = y0 + state_map @ u
     p = la.cho_solve(cho, m @ y - asm.target_load)
-    return KKTSolution(
-        gd.expand(y), gd.expand(p), u_cells, u_b, it,
-        u_cells <= lower if problem.distributed else None,
-        u_cells >= upper if problem.distributed else None,
-    )
+    return KKTSolution(gd.expand(y), gd.expand(p), u_cells, u_b, it,
+                       asm.split(u <= lower)[0], asm.split(u >= upper)[0])
 
 
 @dataclass(eq=False)
@@ -419,9 +423,9 @@ def postprocess(problem, solution, adjoint=None):
     def clamp(values, cells=slice(None)):
         return project_box(ud[cells] - values / alpha, lower, upper)
 
-    if gd.sample_policy == "cell_point":
+    if gd.cell_centred:
         tilde_u = None if adjoint is None else clamp(adjoint(gd.mesh.cell_centroid))
-        tilde_u_h = clamp(cell_adjoint_averages(problem, solution.p))
+        tilde_u_h = clamp(gd.value_center @ solution.p)
         return PostprocessedControls("cellwise", tilde_u, tilde_u_h, clamp)
 
     def tilde_u(cells, pts):
@@ -440,38 +444,18 @@ def variational_inequality_gap(problem, solution, trial_cells, trial_faces=None)
 
     Nonnegative (up to solver tolerance) for every admissible trial
     control exactly when the discrete variational inequality holds.
+    Without trial_faces the boundary control is its own trial.
     """
     asm = problem.assembled()
-    gap = 0.0
-    if problem.distributed:
-        d = cell_adjoint_averages(problem, solution.p)
-        w = asm.cell_weight
-        gap += float(
-            w @ (
-                (d + problem.alpha * (solution.u - asm.control_target_cells))
-                * (trial_cells - solution.u)
-            )
-        )
-    if problem.boundary_control and trial_faces is not None:
-        t = face_adjoint_averages(problem, solution.p)
-        gap += float(
-            asm.face_weight @ ((t + problem.beta * solution.u_b) * (trial_faces - solution.u_b))
-        )
-    return gap
+    u = asm.stack(solution.u, solution.u_b)
+    trial = asm.stack(trial_cells, solution.u_b if trial_faces is None else trial_faces)
+    residual = asm.control_weight * (u - asm.candidate(solution.p))
+    return float(residual @ (trial - u))
 
 
 def projection_identity_gap(problem, solution):
     """Max-norm residual of the discrete projection identity."""
     asm = problem.assembled()
-    gap = 0.0
-    if problem.distributed:
-        d = cell_adjoint_averages(problem, solution.p)
-        candidate = project_box(
-            asm.control_target_cells - d / problem.alpha, problem.lower, problem.upper
-        )
-        gap = float(np.max(np.abs(solution.u - candidate)))
-    if problem.boundary_control:
-        t = face_adjoint_averages(problem, solution.p)
-        b_candidate = project_box(-t / problem.beta, problem.lower, problem.upper)
-        gap = max(gap, float(np.max(np.abs(solution.u_b - b_candidate))))
-    return gap
+    candidate = project_box(asm.candidate(solution.p),
+                            problem.lower, problem.upper)
+    return float(np.max(np.abs(asm.stack(solution.u, solution.u_b) - candidate)))

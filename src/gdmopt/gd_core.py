@@ -11,6 +11,8 @@ piecewise polynomials.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,6 +22,7 @@ from .analysis import cell_quadrature, segment_quadrature, triangle_quadrature
 from .assembly import SPDFactor
 
 
+@dataclass(eq=False, kw_only=True)
 class GradientDiscretisation:
     """Reconstruction operators of one scheme on one mesh.
 
@@ -38,45 +41,51 @@ class GradientDiscretisation:
     trace_mid, trace_slope : (n_boundary_faces, n_dofs)
         Boundary trace reconstruction, affine along each boundary face
         (rows follow boundary_face_ids).
+
+    Derived on construction: n_dofs, the free DOFs (free, n_free), the
+    boundary_face_ids, piece_area, piece_center and ``cell_centred``,
+    true when the function reconstruction is piecewise constant (its
+    value slopes store no entries).  A reconstruction that is not
+    piecewise constant must be affine with its gradient equal to its
+    slope on every cell, which compute_wd's face-only formula relies on.
     """
 
-    def __init__(self, mesh, scheme, bc, n_dofs, dof_points, dirichlet_mask,
-                 value_center, value_slope_x, value_slope_y,
-                 piece_cell, piece_tri, grad_x, grad_y,
-                 halfface_mid, halfface_slope,
-                 trace_mid, trace_slope,
-                 grad_matches_value_slope, sample_policy):
-        if bc not in ("dirichlet", "neumann"):
-            raise ValueError(f"unknown boundary condition {bc!r}")
-        self.mesh = mesh
-        self.scheme = scheme
-        self.bc = bc
-        self.n_dofs = n_dofs
-        self.dof_points = dof_points
-        self.dirichlet_mask = dirichlet_mask
-        self.free = np.flatnonzero(~dirichlet_mask)
-        self.n_free = len(self.free)
-        self.value_center = value_center
-        self.value_slope_x = value_slope_x
-        self.value_slope_y = value_slope_y
-        self.piece_cell = piece_cell
-        self.piece_tri = piece_tri
-        self.grad_x = grad_x
-        self.grad_y = grad_y
-        self.halfface_mid = halfface_mid
-        self.halfface_slope = halfface_slope
-        self.boundary_face_ids = np.flatnonzero(mesh.boundary_faces)
-        self.trace_mid = trace_mid
-        self.trace_slope = trace_slope
-        self.grad_matches_value_slope = grad_matches_value_slope
-        self.sample_policy = sample_policy
+    mesh: Any
+    scheme: str
+    bc: str
+    dof_points: np.ndarray
+    dirichlet_mask: np.ndarray
+    value_center: sp.csr_matrix
+    value_slope_x: sp.csr_matrix
+    value_slope_y: sp.csr_matrix
+    piece_cell: np.ndarray
+    piece_tri: np.ndarray
+    grad_x: sp.csr_matrix
+    grad_y: sp.csr_matrix
+    halfface_mid: sp.csr_matrix
+    halfface_slope: sp.csr_matrix
+    trace_mid: sp.csr_matrix
+    trace_slope: sp.csr_matrix
 
-        e1 = piece_tri[:, 1] - piece_tri[:, 0]
-        e2 = piece_tri[:, 2] - piece_tri[:, 0]
+    def __post_init__(self):
+        if self.bc not in ("dirichlet", "neumann"):
+            raise ValueError(f"unknown boundary condition {self.bc!r}")
+        self.cell_centred = self.value_slope_x.nnz == 0 and self.value_slope_y.nnz == 0
+        if not self.cell_centred and not all(
+            g is s or (g.shape == s.shape and (g - s).count_nonzero() == 0)
+            for g, s in ((self.grad_x, self.value_slope_x), (self.grad_y, self.value_slope_y))
+        ):
+            raise ValueError("the gradient of an affine reconstruction must be its slope")
+        self.n_dofs = self.value_center.shape[1]
+        self.free = np.flatnonzero(~self.dirichlet_mask)
+        self.n_free = len(self.free)
+        self.boundary_face_ids = np.flatnonzero(self.mesh.boundary_faces)
+        e1 = self.piece_tri[:, 1] - self.piece_tri[:, 0]
+        e2 = self.piece_tri[:, 2] - self.piece_tri[:, 0]
         self.piece_area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         if np.any(self.piece_area <= 0.0):
             raise ValueError("degenerate gradient piece")
-        self.piece_center = piece_tri.mean(axis=1)
+        self.piece_center = self.piece_tri.mean(axis=1)
         self.piece_center.setflags(write=False)
         self._piece_quadrature = None
         self._mass = None
@@ -226,12 +235,6 @@ class GradientDiscretisation:
         """
         return (self.value_center.T @ sp.diags(self.mesh.cell_area)).tocsr()
 
-    def boundary_coupling(self):
-        """Exact integrals of the trace basis per boundary face,
-        shape (n_dofs, n_boundary_faces)."""
-        ell = self.mesh.face_length[self.boundary_face_ids]
-        return (self.trace_mid.T @ sp.diags(ell)).tocsr()
-
     def value_load(self, cells, pts, wts, vals):
         """Load vector sum(w * vals * basis) for point values on cells."""
         mesh = self.mesh
@@ -344,11 +347,12 @@ def compute_wd(gd, flux):
     satisfying integration by parts against ``flux``: the divergence
     theorem is applied cell by cell, so the residual is assembled from
     face integrals of flux . n (plus volume integrals of flux itself for
-    schemes whose gradient is not the broken slope of the function
-    reconstruction) and no derivative of ``flux`` is ever evaluated.  The
-    result is the norm of the residual functional, i.e. the largest
-    residual over DOF vectors of unit gradient norm (Dirichlet) or unit
-    discretisation norm (Neumann, quadratic surrogate).
+    cell-centred schemes, whose gradient is not the broken slope of the
+    function reconstruction) and no derivative of ``flux`` is ever
+    evaluated.  The result is the norm of the residual functional, i.e.
+    the largest residual over DOF vectors of unit gradient norm
+    (Dirichlet) or unit discretisation norm (Neumann, quadratic
+    surrogate).
     """
     if gd.n_free == 0:
         raise ValueError("no free DOFs: conformity defect undefined")
@@ -358,28 +362,15 @@ def compute_wd(gd, flux):
     hf_sign = mesh.cell_face_sign.ravel().astype(float)
     r = gd.halfface_mid.T @ (hf_sign * i1[hf_face])
     r += gd.halfface_slope.T @ (hf_sign * i2[hf_face])
-    if not gd.grad_matches_value_slope:
+    if gd.cell_centred:
         pieces, pts, wts = gd.piece_quadrature()
         vals = np.asarray(flux(pts), dtype=float)
         ix = np.bincount(pieces, wts * vals[:, 0], len(gd.piece_area))
         iy = np.bincount(pieces, wts * vals[:, 1], len(gd.piece_area))
         r += gd.grad_x.T @ ix + gd.grad_y.T @ iy
-        cells, pts, wts = cell_quadrature(mesh, "gauss7")
-        vals = np.asarray(flux(pts), dtype=float)
-        icx = np.bincount(cells, wts * vals[:, 0], mesh.n_cells)
-        icy = np.bincount(cells, wts * vals[:, 1], mesh.n_cells)
-        r -= gd.value_slope_x.T @ icx + gd.value_slope_y.T @ icy
     if gd.bc == "neumann":
         ids = gd.boundary_face_ids
-        a = mesh.vertices[mesh.faces[ids, 0]]
-        b = mesh.vertices[mesh.faces[ids, 1]]
-        pts, wts, arc = segment_quadrature(a, b, 3)
-        faces = np.repeat(np.arange(len(ids)), 3)
-        vals = np.asarray(flux(pts), dtype=float)
-        fn = (vals * mesh.face_normal[ids][faces]).sum(1)
-        j1 = np.bincount(faces, wts * fn, len(ids))
-        j2 = np.bincount(faces, wts * fn * arc, len(ids))
-        r -= gd.trace_mid.T @ j1 + gd.trace_slope.T @ j2
+        r -= gd.trace_mid.T @ i1[ids] + gd.trace_slope.T @ i2[ids]
     rr = gd.restrict(r)
     z = gd.norm_factor().solve(rr)
     return math.sqrt(max(float(rr @ z), 0.0))

@@ -53,28 +53,39 @@ def _csr(rows, cols, vals, shape):
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
-def _first_owner_halffaces(mesh):
-    """Index of the first-owner halfface of every face."""
-    hf_face = mesh.cell_faces.ravel()
-    first = mesh.cell_face_sign.ravel() == 1
-    out = np.empty(mesh.n_faces, dtype=int)
-    out[hf_face[first]] = np.flatnonzero(first)
-    return out
+def _affine_scheme(mesh, scheme, bc, dof_points, boundary_dofs, cell_dofs, basis_grad,
+                   hf_mid, hf_slope):
+    """Scheme whose function reconstruction on each triangle is the affine
+    combination of its three local basis functions (DOFs cell_dofs, mean
+    1/3 each, gradients basis_grad); the gradient is its slope.  The
+    boundary trace is the first-owner halfface trace of each boundary
+    face.
+    """
+    rows = np.repeat(np.arange(mesh.n_cells), 3)
+    cols = cell_dofs.ravel()
+    shape = (mesh.n_cells, len(dof_points))
+    slope_x = _csr(rows, cols, basis_grad[:, :, 0].ravel(), shape)
+    slope_y = _csr(rows, cols, basis_grad[:, :, 1].ravel(), shape)
+    first_owner = np.empty(mesh.n_faces, dtype=int)
+    is_first = mesh.cell_face_sign.ravel() == 1
+    first_owner[mesh.cell_faces.ravel()[is_first]] = np.flatnonzero(is_first)
+    first = first_owner[mesh.boundary_faces]
+    return GradientDiscretisation(
+        mesh=mesh, scheme=scheme, bc=bc, dof_points=dof_points,
+        dirichlet_mask=boundary_dofs & (bc == "dirichlet"),
+        value_center=_csr(rows, cols, np.full(3 * mesh.n_cells, 1.0 / 3.0), shape),
+        value_slope_x=slope_x, value_slope_y=slope_y,
+        piece_cell=np.arange(mesh.n_cells), piece_tri=mesh.vertices[mesh.cells],
+        grad_x=slope_x, grad_y=slope_y,
+        halfface_mid=hf_mid, halfface_slope=hf_slope,
+        trace_mid=hf_mid[first], trace_slope=hf_slope[first],
+    )
 
 
 def make_conforming_p1(mesh, bc="dirichlet"):
     """Conforming piecewise-affine scheme with vertex DOFs."""
     _require_triangles(mesh, "conforming p1")
     n_dofs = mesh.n_vertices
-    grads = _barycentric_gradients(mesh)
-
-    rows = np.repeat(np.arange(mesh.n_cells), 3)
-    cols = mesh.cells.ravel()
-    shape = (mesh.n_cells, n_dofs)
-    value_center = _csr(rows, cols, np.full(3 * mesh.n_cells, 1.0 / 3.0), shape)
-    slope_x = _csr(rows, cols, grads[:, :, 0].ravel(), shape)
-    slope_y = _csr(rows, cols, grads[:, :, 1].ravel(), shape)
-
     n_hf = 3 * mesh.n_cells
     hf_face = mesh.cell_faces.ravel()
     ends = mesh.faces[hf_face]  # (n_hf, 2) vertex ids in stored face order
@@ -84,35 +95,17 @@ def make_conforming_p1(mesh, bc="dirichlet"):
     hf_mid = _csr(hrows, hcols, np.full(2 * n_hf, 0.5), (n_hf, n_dofs))
     slope_vals = np.column_stack([-inv_len, inv_len]).ravel()
     hf_slope = _csr(hrows, hcols, slope_vals, (n_hf, n_dofs))
-
-    first = _first_owner_halffaces(mesh)[mesh.boundary_faces]
-    mask = np.zeros(n_dofs, dtype=bool)
-    if bc == "dirichlet":
-        mask = mesh.boundary_vertices.copy()
-    return GradientDiscretisation(
-        mesh, "p1", bc, n_dofs, mesh.vertices.copy(), mask,
-        value_center, slope_x, slope_y,
-        np.arange(mesh.n_cells), mesh.vertices[mesh.cells], slope_x, slope_y,
-        hf_mid, hf_slope, hf_mid[first], hf_slope[first],
-        grad_matches_value_slope=True, sample_policy="identity",
-    )
+    return _affine_scheme(mesh, "p1", bc, mesh.vertices.copy(), mesh.boundary_vertices,
+                          mesh.cells, _barycentric_gradients(mesh), hf_mid, hf_slope)
 
 
 def make_ncp1(mesh, bc="dirichlet"):
     """Non-conforming piecewise-affine scheme with face-midpoint DOFs."""
     _require_triangles(mesh, "non-conforming p1")
     n_dofs = mesh.n_faces
-    grads = _barycentric_gradients(mesh)
     # Basis attached to local face i (joining vertices i, i+1) is
     # 1 - 2 * lambda_{i+2}; its gradient is -2 grad(lambda_{i+2}).
-    basis_grad = -2.0 * grads[:, [2, 0, 1], :]
-
-    rows = np.repeat(np.arange(mesh.n_cells), 3)
-    cols = mesh.cell_faces.ravel()
-    shape = (mesh.n_cells, n_dofs)
-    value_center = _csr(rows, cols, np.full(3 * mesh.n_cells, 1.0 / 3.0), shape)
-    slope_x = _csr(rows, cols, basis_grad[:, :, 0].ravel(), shape)
-    slope_y = _csr(rows, cols, basis_grad[:, :, 1].ravel(), shape)
+    basis_grad = -2.0 * _barycentric_gradients(mesh)[:, [2, 0, 1], :]
 
     n_hf = 3 * mesh.n_cells
     hf_face = mesh.cell_faces.ravel()
@@ -124,18 +117,8 @@ def make_ncp1(mesh, bc="dirichlet"):
     hrows = np.repeat(np.arange(n_hf), 3)
     hcols = np.tile(mesh.cell_faces[:, None, :], (1, 3, 1)).ravel()
     hf_slope = _csr(hrows, hcols, svals.ravel(), (n_hf, n_dofs))
-
-    first = _first_owner_halffaces(mesh)[mesh.boundary_faces]
-    mask = np.zeros(n_dofs, dtype=bool)
-    if bc == "dirichlet":
-        mask = mesh.boundary_faces.copy()
-    return GradientDiscretisation(
-        mesh, "ncp1", bc, n_dofs, mesh.face_center.copy(), mask,
-        value_center, slope_x, slope_y,
-        np.arange(mesh.n_cells), mesh.vertices[mesh.cells], slope_x, slope_y,
-        hf_mid, hf_slope, hf_mid[first], hf_slope[first],
-        grad_matches_value_slope=True, sample_policy="identity",
-    )
+    return _affine_scheme(mesh, "ncp1", bc, mesh.face_center.copy(), mesh.boundary_faces,
+                          mesh.cell_faces, basis_grad, hf_mid, hf_slope)
 
 
 def make_hmm(mesh, bc="dirichlet"):
@@ -216,9 +199,9 @@ def make_hmm(mesh, bc="dirichlet"):
     if bc == "dirichlet":
         mask[n_cells + bids] = True
     return GradientDiscretisation(
-        mesh, "hmm", bc, n_dofs, dof_points, mask,
-        value_center, zero_c, zero_c,
-        np.repeat(np.arange(n_cells), k), piece_tri, grad_x, grad_y,
-        hf_mid, hf_slope, trace_mid, trace_slope,
-        grad_matches_value_slope=False, sample_policy="cell_point",
+        mesh=mesh, scheme="hmm", bc=bc, dof_points=dof_points, dirichlet_mask=mask,
+        value_center=value_center, value_slope_x=zero_c, value_slope_y=zero_c,
+        piece_cell=np.repeat(np.arange(n_cells), k), piece_tri=piece_tri,
+        grad_x=grad_x, grad_y=grad_y, halfface_mid=hf_mid, halfface_slope=hf_slope,
+        trace_mid=trace_mid, trace_slope=trace_slope,
     )

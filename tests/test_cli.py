@@ -1,8 +1,14 @@
 """End-to-end CLI behaviour: exit codes, CSV shape, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gdmopt
 from gdmopt.cli import MAX_LEVEL, build_parser, main, run_study
 
 HEADER = (
@@ -143,3 +149,15 @@ def test_run_study_failure_reports():
     reports, failure = run_study("example1", "p1", (2, 3))
     assert failure is None and len(reports) == 2
     assert np.isfinite(reports[0].err_y)
+
+
+def test_module_entry_point(capsys):
+    # python -m gdmopt runs the same main() without any warning.
+    args = ["--case", "example1", "--scheme", "p1", "--levels", "2..2"]
+    env = dict(os.environ, PYTHONPATH=str(Path(gdmopt.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "gdmopt", *args],
+                         capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == 0
+    assert run.stderr == ""
+    assert main(args) == 0
+    assert run.stdout == capsys.readouterr().out

@@ -113,6 +113,22 @@ def test_pdas_matches_reference_boundary_control():
     )
     sol = compare_solvers(problem)
     assert sol.u_b is not None and len(sol.u_b) == len(gd.boundary_face_ids)
+    # The variational inequality holds on the stacked (cell, face)
+    # control, also under a tighter box that binds face controls too.
+    tight = synthetic_problem(
+        gd, bounds=(-0.1, 0.2), reaction=1.0, boundary_control=True, beta=0.05,
+    )
+    tight_sol = solve_kkt_pdas(tight)
+    assert np.isin(tight_sol.u_b, tight.bounds).any()
+    rng = np.random.default_rng(5)
+    for prob, s in ((problem, sol), (tight, tight_sol)):
+        scale = 1e-9 * (1.0 + float(np.max(np.abs(np.concatenate([s.u, s.u_b])))))
+        for _ in range(5):
+            trial_cells = rng.uniform(prob.lower, prob.upper, len(s.u))
+            trial_faces = rng.uniform(prob.lower, prob.upper, len(s.u_b))
+            assert variational_inequality_gap(prob, s, trial_cells, trial_faces) >= -scale
+            # The face part alone.
+            assert variational_inequality_gap(prob, s, s.u, trial_faces) >= -scale
 
 
 def test_pure_boundary_control():
@@ -217,16 +233,17 @@ def test_pdas_iteration_cap_raises():
 
 
 def test_pdas_cycle_raises_with_history(monkeypatch):
-    # Adjoint averages that alternate between "far above" and "far below"
-    # make the active sets flip between all-lower and all-upper for ever.
+    # Candidate controls that alternate between "far below" and "far
+    # above" make the active sets flip between all-lower and all-upper
+    # for ever.
     calls = []
 
-    def alternating(problem, p_full):
+    def alternating(asm, p):
         calls.append(None)
-        sign = 1.0 if len(calls) % 2 else -1.0
-        return np.full(problem.gd.mesh.n_cells, sign * 1e6)
+        sign = -1.0 if len(calls) % 2 else 1.0
+        return np.full(len(asm.control_weight), sign * 1e6)
 
-    monkeypatch.setattr(control, "cell_adjoint_averages", alternating)
+    monkeypatch.setattr(control._Assembly, "candidate", alternating)
     gd = build_scheme("p1", build_unit_square_triangulation(4), "dirichlet")
     problem = synthetic_problem(gd, bounds=(0.0, 1.0))
     n = gd.mesh.n_cells
@@ -283,6 +300,13 @@ def test_pdas_matches_reference_on_random_boxes(case_name, scheme, log_alpha, cu
     constrained = problem(bounds)
     sol = compare_solvers(constrained)
     assert projection_identity_gap(constrained, sol) <= 1e-10
+    # An admissible trial drawn inside the box (clipped to a finite range
+    # around the control where a side is open).
+    lo = bounds[0] if np.isfinite(bounds[0]) else sol.u.min() - 1.0
+    hi = bounds[1] if np.isfinite(bounds[1]) else sol.u.max() + 1.0
+    trial = np.random.default_rng(int(1e6 * cuts[0])).uniform(lo, hi, len(sol.u))
+    scale = 1e-9 * (1.0 + float(np.max(np.abs(sol.u))))
+    assert variational_inequality_gap(constrained, sol, trial) >= -scale
 
 
 def test_pdas_without_free_dofs():

@@ -1,8 +1,11 @@
 """Reconstruction properties of the three gradient discretisations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gdmopt.gd_core import GradientDiscretisation
 from gdmopt.mesh import (
     build_cartesian_mesh,
     build_lshape_triangulation,
@@ -193,3 +196,26 @@ def test_nodal_schemes_require_triangles():
     for scheme in ("p1", "ncp1"):
         with pytest.raises(ValueError):
             build_scheme(scheme, mesh, "dirichlet")
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_cell_centred_only_for_hmm(bc):
+    for scheme in SCHEMES:
+        mesh = (
+            build_cartesian_mesh(2) if scheme == "hmm"
+            else build_unit_square_triangulation(2)
+        )
+        assert build_scheme(scheme, mesh, bc).cell_centred == (scheme == "hmm")
+
+
+def test_discretisation_checks_its_operators():
+    gd = build_scheme("p1", build_unit_square_triangulation(2), "dirichlet")
+    fields = {f.name: getattr(gd, f.name) for f in dataclasses.fields(gd)}
+    with pytest.raises(TypeError):
+        GradientDiscretisation(*fields.values())
+    # An affine reconstruction whose gradient is not its slope breaks the
+    # face-only conformity formula.
+    with pytest.raises(ValueError, match="slope"):
+        dataclasses.replace(gd, grad_x=2.0 * gd.value_slope_x)
+    with pytest.raises(ValueError, match="boundary condition"):
+        dataclasses.replace(gd, bc="robin")
