@@ -31,7 +31,6 @@ from .cli import main, run_diagnostics, run_study
 from .control import (
     KKTSolution,
     OptimalControlProblem,
-    PostprocessedControls,
     postprocess,
     project_box,
     project_onto_cells,
@@ -69,7 +68,6 @@ __all__ = [
     "MeshQuality",
     "OptimalControlProblem",
     "PolytopalMesh",
-    "PostprocessedControls",
     "SCHEMES",
     "SolverError",
     "TestCase",

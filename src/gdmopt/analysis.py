@@ -6,7 +6,8 @@ reference square.  The error measures follow a fixed protocol: function
 errors use a degree-5 rule for nodal schemes and the one-point centroid
 rule for cell-centred schemes (whose reconstructions are piecewise
 constant), gradient errors always use one centroid point per region of
-constant discrete gradient, and control errors use a degree-2 rule.
+constant discrete gradient, control errors use a degree-2 rule, and
+post-processed control errors use the function rule.
 Relative errors are reported; numerator and denominator share a rule.
 ``sample_level`` evaluates a case's exact fields once on each point set
 this protocol reads on a level.
@@ -210,9 +211,9 @@ class LevelSamples:
     ``function_rule(gd)`` (the loads), y and p for the function errors,
     grad_y and grad_p at the gradient piece centres, u at the gauss3
     points (the control error), and post_p, post_u for the
-    post-processed control.  Nodal schemes take y, p, post_p and post_u
-    at the load points; cell-centred schemes take y and p at the cell
-    points and post_p, post_u at the centroids.
+    post-processed control.  post_p and post_u are at the load points
+    for every scheme; nodal schemes take y and p there too, cell-centred
+    schemes take them at the cell points.
     """
 
     source: np.ndarray
@@ -231,16 +232,13 @@ def sample_level(gd, fields):
     keep only the arrays LevelSamples holds."""
     mesh = gd.mesh
     load = fields(cell_quadrature(mesh, function_rule(gd))[1])
-    if gd.cell_centred:
-        value, post = fields(mesh.cell_point), fields(mesh.cell_centroid)
-    else:
-        value = post = load
+    value = fields(mesh.cell_point) if gd.cell_centred else load
     gradient = fields(gd.piece_center)
     u = fields(cell_quadrature(mesh, "gauss3")[1]).u
     return LevelSamples(
         source=load.f, target=load.y_d, y=value.y, p=value.p,
         grad_y=gradient.grad_y, grad_p=gradient.grad_p, u=u,
-        post_p=post.p, post_u=post.u,
+        post_p=load.p, post_u=load.u,
     )
 
 
@@ -276,20 +274,16 @@ def control_error(mesh, u_cells, target):
     return _relative(float(num), float(wts @ target ** 2))
 
 
-def postprocessed_error(gd, post, p, u):
+def postprocessed_error(gd, post, u):
     """Relative L2 distance between the two post-processed controls.
 
-    p and u are the exact adjoint and control at the post-processing
-    points; the exact post-processed control is the clamp of p, and the
-    denominator is the norm of u under the same rule.
+    post is the (discrete, exact) pair of ``control.postprocess``, both at
+    the points of ``function_rule(gd)``; u is the exact control there,
+    whose norm under the same rule is the denominator.
     """
-    if post.kind == "cellwise":
-        w = gd.mesh.cell_area
-        diff = post.tilde_u_h - post.clamp(p)
-    else:
-        cells, pts, w = cell_quadrature(gd.mesh, function_rule(gd))
-        diff = post.tilde_u_h(cells, pts) - post.clamp(p, cells)
-    return _relative(float(w @ diff ** 2), float(w @ u ** 2))
+    w = cell_quadrature(gd.mesh, function_rule(gd))[2]
+    discrete, exact = post
+    return _relative(float(w @ (discrete - exact) ** 2), float(w @ u ** 2))
 
 
 def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, level=0, pdas_iters=0):
@@ -301,7 +295,7 @@ def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, level=0, pdas_iters=0
     exact : LevelSamples of the exact fields on this level (sample_level)
     y_vec, p_vec : DOF vectors of state and adjoint
     u_cells : (n_cells,) control values
-    post : PostprocessedControls
+    post : (discrete, exact) post-processed controls (control.postprocess)
     """
     return ErrorReport(
         level=level,
@@ -312,7 +306,7 @@ def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, level=0, pdas_iters=0
         err_p=function_error(gd, p_vec, exact.p),
         err_grad_p=gradient_error(gd, p_vec, exact.grad_p),
         err_u=control_error(gd.mesh, u_cells, exact.u),
-        err_u_tilde=postprocessed_error(gd, post, exact.post_p, exact.post_u),
+        err_u_tilde=postprocessed_error(gd, post, exact.post_u),
         pdas_iters=pdas_iters,
     )
 

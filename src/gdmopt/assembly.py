@@ -97,7 +97,8 @@ def assemble_load(gd, volume_source=None, boundary_source=None):
     Volume sources use the rule ``analysis.function_rule(gd)`` of the
     error measurement protocol; a volume source is a callable or its
     values at that rule's points.  Boundary sources (Neumann only) are
-    integrated with a 3-point Gauss rule per boundary face.
+    callables, sampled at the points of ``gd.boundary_quadrature()`` (a
+    3-point Gauss rule per boundary face).
     """
     if boundary_source is not None and gd.bc == "dirichlet":
         raise ValueError("boundary source supplied under Dirichlet conditions")
@@ -110,7 +111,8 @@ def assemble_load(gd, volume_source=None, boundary_source=None):
             raise ValueError(f"volume source has shape {vals.shape}, not ({len(pts)},)")
         out += gd.value_load(cells, pts, wts, vals)
     if boundary_source is not None:
-        out += gd.boundary_load(boundary_source)
+        pts = gd.boundary_quadrature()[1]
+        out += gd.boundary_load(np.asarray(boundary_source(pts), dtype=float))
     return out
 
 

@@ -48,7 +48,7 @@ def run_level(case, scheme, level, shift=0.0, pdas_max_iter=100, pdas_tol=1e-10)
         solution = solve_kkt_pdas(problem, max_iter=pdas_max_iter, tol=pdas_tol)
     except SolverError as exc:
         raise LevelFailure(level, mesh.h, exc) from exc
-    post = postprocess(problem, solution)
+    post = postprocess(problem, solution, exact.post_p)
     return compute_errors(
         gd, exact, solution.y, solution.p, solution.u, post,
         level=level, pdas_iters=solution.iterations,

@@ -17,13 +17,13 @@ used to cross-check it on small meshes.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .analysis import cell_quadrature
+from .analysis import cell_quadrature, function_rule
 from .assembly import (SolverError, SPDFactor, assemble_load, assemble_stiffness,
                        check_symmetry)
 
@@ -389,54 +389,20 @@ def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
                        asm.split(u <= lower)[0], asm.split(u >= upper)[0])
 
 
-@dataclass(eq=False)
-class PostprocessedControls:
-    """Post-processed control pair; cellwise arrays or pointwise closures.
+def postprocess(problem, solution, exact_p):
+    """Projection-formula controls P(cell_avg(u_d) - p / alpha) at the
+    points of ``analysis.function_rule(gd)``.
 
-    kind == "cellwise": tilde_u and tilde_u_h are per-cell arrays.
-    kind == "pointwise": both are callables (cells, points) -> values.
-    tilde_u is None when no exact adjoint closure was given.
-    clamp(values, cells=all cells) is the projection formula
-    clamp(cell_avg(u_d) - values / alpha) that both are built with.
-    """
-
-    kind: str
-    tilde_u: Union[np.ndarray, Callable, None]
-    tilde_u_h: Union[np.ndarray, Callable]
-    clamp: Callable
-
-
-def postprocess(problem, solution, adjoint=None):
-    """Projection-formula controls from the exact and discrete adjoints.
-
-    ``adjoint`` is the exact adjoint closure, if any.  Nodal schemes
-    yield pointwise closures clamp(cell_avg(u_d) - adjoint/alpha);
-    cell-centred schemes yield cellwise values with the exact adjoint
-    sampled at cell centroids, and their discrete post-processed control
-    coincides with the optimal control itself.
+    Returns (discrete, exact): the first from the reconstructed discrete
+    adjoint, the second from ``exact_p``, the exact adjoint at those
+    points.  For cell-centred schemes the discrete one coincides with the
+    optimal control itself.
     """
     gd = problem.gd
-    asm = problem.assembled()
-    alpha, lower, upper = problem.alpha, problem.lower, problem.upper
-    ud = asm.control_target_cells
-
-    def clamp(values, cells=slice(None)):
-        return project_box(ud[cells] - values / alpha, lower, upper)
-
-    if gd.cell_centred:
-        tilde_u = None if adjoint is None else clamp(adjoint(gd.mesh.cell_centroid))
-        tilde_u_h = clamp(gd.value_center @ solution.p)
-        return PostprocessedControls("cellwise", tilde_u, tilde_u_h, clamp)
-
-    def tilde_u(cells, pts):
-        return clamp(adjoint(pts), cells)
-
-    def tilde_u_h(cells, pts):
-        return clamp(gd.value_at(solution.p, cells, pts), cells)
-
-    return PostprocessedControls(
-        "pointwise", None if adjoint is None else tilde_u, tilde_u_h, clamp
-    )
+    cells, pts, _ = cell_quadrature(gd.mesh, function_rule(gd))
+    ud = problem.assembled().control_target_cells[cells]
+    return tuple(project_box(ud - p / problem.alpha, problem.lower, problem.upper)
+                 for p in (gd.value_at(solution.p, cells, pts), exact_p))
 
 
 def variational_inequality_gap(problem, solution, trial_cells, trial_faces=None):

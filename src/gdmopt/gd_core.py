@@ -22,6 +22,15 @@ from .analysis import cell_quadrature, segment_quadrature, triangle_quadrature
 from .assembly import SPDFactor
 
 
+def _face_rule(mesh, ids):
+    """3-point Gauss rule on the faces ``ids``: the position in ids of
+    each point's face, the points, their weights and their arclength
+    offsets from the face midpoints."""
+    pts, wts, arc = segment_quadrature(mesh.vertices[mesh.faces[ids, 0]],
+                                       mesh.vertices[mesh.faces[ids, 1]])
+    return np.repeat(np.arange(len(ids)), len(wts) // len(ids)), pts, wts, arc
+
+
 @dataclass(eq=False, kw_only=True)
 class GradientDiscretisation:
     """Reconstruction operators of one scheme on one mesh.
@@ -88,6 +97,7 @@ class GradientDiscretisation:
         self.piece_center = self.piece_tri.mean(axis=1)
         self.piece_center.setflags(write=False)
         self._piece_quadrature = None
+        self._boundary_quadrature = None
         self._mass = None
         self._grad_gram = None
         self._trace_gram = None
@@ -139,6 +149,21 @@ class GradientDiscretisation:
                 a.setflags(write=False)
             self._piece_quadrature = pieces, pts, wts
         return self._piece_quadrature
+
+    def boundary_quadrature(self):
+        """3-point Gauss rule on every boundary face, built once and
+        read-only.
+
+        Returns (bfaces, points, weights, arc): the owning boundary face of
+        each point (an index into boundary_face_ids), the points, their
+        weights and their arclength offsets from the face midpoints.
+        """
+        if self._boundary_quadrature is None:
+            rule = _face_rule(self.mesh, self.boundary_face_ids)
+            for a in rule:
+                a.setflags(write=False)
+            self._boundary_quadrature = rule
+        return self._boundary_quadrature
 
     # -- exact Gram matrices and couplings ----------------------------
 
@@ -245,18 +270,22 @@ class GradientDiscretisation:
         sy = np.bincount(cells, wv * d[:, 1], mesh.n_cells)
         return self.value_center.T @ s0 + self.value_slope_x.T @ sx + self.value_slope_y.T @ sy
 
-    def boundary_load(self, fn, npoints=3):
-        """Load vector of the boundary trace basis against fn on the boundary."""
-        mesh = self.mesh
-        ids = self.boundary_face_ids
-        a = mesh.vertices[mesh.faces[ids, 0]]
-        b = mesh.vertices[mesh.faces[ids, 1]]
-        pts, wts, arc = segment_quadrature(a, b, npoints)
-        faces = np.repeat(np.arange(len(ids)), npoints)
-        wv = wts * np.asarray(fn(pts), dtype=float)
-        s0 = np.bincount(faces, wv, len(ids))
-        s1 = np.bincount(faces, wv * arc, len(ids))
-        return self.trace_mid.T @ s0 + self.trace_slope.T @ s1
+    def gradient_load(self, vals):
+        """Load vector sum(w * vals . gradient basis) for (n, 2) values at
+        the points of piece_quadrature()."""
+        pieces, _, wts = self.piece_quadrature()
+        n = len(self.piece_area)
+        return (self.grad_x.T @ np.bincount(pieces, wts * vals[:, 0], n)
+                + self.grad_y.T @ np.bincount(pieces, wts * vals[:, 1], n))
+
+    def boundary_load(self, vals):
+        """Load vector of the boundary trace basis against values at the
+        points of boundary_quadrature()."""
+        bfaces, _, wts, arc = self.boundary_quadrature()
+        n = len(self.boundary_face_ids)
+        wv = wts * vals
+        return (self.trace_mid.T @ np.bincount(bfaces, wv, n)
+                + self.trace_slope.T @ np.bincount(bfaces, wv * arc, n))
 
     # -- DOF masking ---------------------------------------------------
 
@@ -327,12 +356,9 @@ def compute_cd(gd, method="auto", tol=1e-8):
     return math.sqrt(max(lam_trace, lam_value))
 
 
-def _face_flux_integrals(mesh, flux, npoints=3):
+def _face_flux_integrals(mesh, flux):
     """Per-face integrals of flux . n0 and of its first arclength moment."""
-    a = mesh.vertices[mesh.faces[:, 0]]
-    b = mesh.vertices[mesh.faces[:, 1]]
-    pts, wts, arc = segment_quadrature(a, b, npoints)
-    faces = np.repeat(np.arange(mesh.n_faces), npoints)
+    faces, pts, wts, arc = _face_rule(mesh, np.arange(mesh.n_faces))
     vals = np.asarray(flux(pts), dtype=float)
     fn = (vals * mesh.face_normal[faces]).sum(1)
     i1 = np.bincount(faces, wts * fn, mesh.n_faces)
@@ -363,11 +389,7 @@ def compute_wd(gd, flux):
     r = gd.halfface_mid.T @ (hf_sign * i1[hf_face])
     r += gd.halfface_slope.T @ (hf_sign * i2[hf_face])
     if gd.cell_centred:
-        pieces, pts, wts = gd.piece_quadrature()
-        vals = np.asarray(flux(pts), dtype=float)
-        ix = np.bincount(pieces, wts * vals[:, 0], len(gd.piece_area))
-        iy = np.bincount(pieces, wts * vals[:, 1], len(gd.piece_area))
-        r += gd.grad_x.T @ ix + gd.grad_y.T @ iy
+        r += gd.gradient_load(np.asarray(flux(gd.piece_quadrature()[1]), dtype=float))
     if gd.bc == "neumann":
         ids = gd.boundary_face_ids
         r -= gd.trace_mid.T @ i1[ids] + gd.trace_slope.T @ i2[ids]
@@ -388,20 +410,15 @@ def compute_sd_upper(gd, fn, grad_fn):
     """
     if gd.n_free == 0:
         raise ValueError("no free DOFs: consistency defect undefined")
-    mesh = gd.mesh
-    cells, pts, wts = cell_quadrature(mesh, "gauss7")
+    cells, pts, wts = cell_quadrature(gd.mesh, "gauss7")
     fvals = np.asarray(fn(pts), dtype=float)
-    b_val = gd.value_load(cells, pts, wts, fvals)
-
     pieces, ppts, pwts = gd.piece_quadrature()
     gvals = np.asarray(grad_fn(ppts), dtype=float)
-    ix = np.bincount(pieces, pwts * gvals[:, 0], len(gd.piece_area))
-    iy = np.bincount(pieces, pwts * gvals[:, 1], len(gd.piece_area))
-    b_grad = gd.grad_x.T @ ix + gd.grad_y.T @ iy
-
-    b = b_val + b_grad
+    b = gd.value_load(cells, pts, wts, fvals) + gd.gradient_load(gvals)
     if gd.bc == "neumann":
-        b = b + gd.boundary_load(fn)
+        bfaces, bpts, bwts, _ = gd.boundary_quadrature()
+        bvals = np.asarray(fn(bpts), dtype=float)
+        b = b + gd.boundary_load(bvals)
 
     # The factor is cached on gd, so the state and adjoint rows of a
     # diagnostics table share it.
@@ -415,11 +432,6 @@ def compute_sd_upper(gd, fn, grad_fn):
     dgrad = gd.gradient_table(z)[pieces] - gvals
     total += math.sqrt(float(pwts @ (dgrad ** 2).sum(1)))
     if gd.bc == "neumann":
-        ids = gd.boundary_face_ids
-        fa = mesh.vertices[mesh.faces[ids, 0]]
-        fb = mesh.vertices[mesh.faces[ids, 1]]
-        bpts, bwts, _ = segment_quadrature(fa, fb, 3)
-        faces = np.repeat(np.arange(len(ids)), 3)
-        dtr = gd.trace_at(z, faces, bpts) - np.asarray(fn(bpts), dtype=float)
+        dtr = gd.trace_at(z, bfaces, bpts) - bvals
         total += math.sqrt(float(bwts @ dtr ** 2))
     return total

@@ -166,38 +166,37 @@ def quality(mesh):
     return MeshQuality(eta, chi)
 
 
-def _grid_triangulation(x_nodes, y_nodes, keep=None):
-    """Triangulate a tensor grid; every square is split along the diagonal
-    running from its lower-left to its upper-right corner.
+def _grid_squares(nodes):
+    """Tensor grid on nodes x nodes: its vertices, the ccw corner ids
+    (v00, v10, v11, v01) of each square, row by row from the bottom, and
+    the square centres."""
+    n = len(nodes) - 1
+    xv, yv = np.meshgrid(nodes, nodes, indexing="xy")
+    vertices = np.column_stack([xv.ravel(), yv.ravel()])
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+    ii, jj = ii.ravel(), jj.ravel()
+    v00 = jj * (n + 1) + ii
+    corners = np.column_stack([v00, v00 + 1, v00 + n + 2, v00 + n + 1])
+    centers = np.column_stack(
+        [0.5 * (nodes[ii] + nodes[ii + 1]), 0.5 * (nodes[jj] + nodes[jj + 1])]
+    )
+    return vertices, corners, centers
+
+
+def _grid_triangulation(nodes, keep=None):
+    """Triangulate the tensor grid on nodes x nodes; every square is split
+    along the diagonal running from its lower-left to its upper-right
+    corner.
 
     keep, if given, receives the centroid array of the candidate squares
     and returns a boolean mask of squares to triangulate.
     """
-    nx, ny = len(x_nodes) - 1, len(y_nodes) - 1
-    xv, yv = np.meshgrid(x_nodes, y_nodes, indexing="xy")
-    vertices = np.column_stack([xv.ravel(), yv.ravel()])
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-    ii, jj = ii.ravel(), jj.ravel()
+    vertices, corners, centers = _grid_squares(nodes)
     if keep is not None:
-        centers = np.column_stack(
-            [
-                0.5 * (x_nodes[ii] + x_nodes[ii + 1]),
-                0.5 * (y_nodes[jj] + y_nodes[jj + 1]),
-            ]
-        )
-        mask = keep(centers)
-        ii, jj = ii[mask], jj[mask]
-    v00, v10 = vid(ii, jj), vid(ii + 1, jj)
-    v11, v01 = vid(ii + 1, jj + 1), vid(ii, jj + 1)
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    cells = np.empty((2 * len(ii), 3), dtype=int)
-    cells[0::2] = lower
-    cells[1::2] = upper
+        corners = corners[keep(centers)]
+    cells = np.empty((2 * len(corners), 3), dtype=int)
+    cells[0::2] = corners[:, [0, 1, 2]]
+    cells[1::2] = corners[:, [0, 2, 3]]
 
     # Drop unused vertices, keeping the original ordering.
     used = np.unique(cells)
@@ -218,7 +217,7 @@ def build_unit_square_triangulation(m):
     if m < 1:
         raise ValueError("m must be a positive integer")
     nodes = np.linspace(0.0, 1.0, m + 1)
-    return _grid_triangulation(nodes, nodes)
+    return _grid_triangulation(nodes)
 
 
 def build_lshape_triangulation(m):
@@ -236,7 +235,7 @@ def build_lshape_triangulation(m):
     def keep(centers):
         return ~((centers[:, 0] > 0.0) & (centers[:, 1] < 0.0))
 
-    return _grid_triangulation(nodes, nodes, keep=keep)
+    return _grid_triangulation(nodes, keep=keep)
 
 
 def build_cartesian_mesh(m, shift=0.0):
@@ -255,23 +254,8 @@ def build_cartesian_mesh(m, shift=0.0):
         raise ValueError("m must be a positive integer")
     if not 0.0 <= shift < 0.5:
         raise ValueError("shift must lie in [0, 0.5)")
-    nodes = np.linspace(0.0, 1.0, m + 1)
-    nx = ny = m
-    xv, yv = np.meshgrid(nodes, nodes, indexing="xy")
-    vertices = np.column_stack([xv.ravel(), yv.ravel()])
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-    ii, jj = ii.ravel(), jj.ravel()
-    cells = np.column_stack(
-        [vid(ii, jj), vid(ii + 1, jj), vid(ii + 1, jj + 1), vid(ii, jj + 1)]
-    )
+    vertices, cells, centers = _grid_squares(np.linspace(0.0, 1.0, m + 1))
     h = 1.0 / m
-    centers = np.column_stack(
-        [0.5 * (nodes[ii] + nodes[ii + 1]), 0.5 * (nodes[jj] + nodes[jj + 1])]
-    )
     points = centers + shift * h
     mesh = PolytopalMesh(vertices, cells, cell_points=points)
     if np.any(mesh.face_point_distances() <= 0.0):

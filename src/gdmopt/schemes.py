@@ -160,17 +160,12 @@ def make_hmm(mesh, bc="dirichlet"):
     prow_cell = np.arange(n_pieces)
     pcol_cell = np.repeat(np.arange(n_cells), k)
     shape = (n_pieces, n_dofs)
-    grad_x = _csr(
-        np.concatenate([prow_face, prow_cell]),
-        np.concatenate([pcol_face, pcol_cell]),
-        np.concatenate([face_coef[..., 0].ravel(), cell_coef[..., 0].ravel()]),
-        shape,
-    )
-    grad_y = _csr(
-        np.concatenate([prow_face, prow_cell]),
-        np.concatenate([pcol_face, pcol_cell]),
-        np.concatenate([face_coef[..., 1].ravel(), cell_coef[..., 1].ravel()]),
-        shape,
+    rows = np.concatenate([prow_face, prow_cell])
+    cols = np.concatenate([pcol_face, pcol_cell])
+    grad_x, grad_y = (
+        _csr(rows, cols, np.concatenate([face_coef[..., i].ravel(), cell_coef[..., i].ravel()]),
+             shape)
+        for i in (0, 1)
     )
 
     # Pieces: triangle joining the cell point to each face, oriented ccw.

@@ -1,0 +1,52 @@
+"""The traced benchmark pass runs against the current source.
+
+bench/tracer.py wraps gdmopt entry points by name: ``postprocess``,
+``OptimalControlProblem.assembled``, ``TestCase.build_mesh`` and every
+case closure it lists.  A traced pass of each workload, clipped to level
+4, must exit cleanly and meet every golden, so a rename in the package
+that the benchmark relies on fails here.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+MAX_LEVEL = 4
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_traced_pass_meets_goldens(tmp_path, workload):
+    spans = tmp_path / "s.json"
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "worker.py"), "pass", workload,
+         "--max-level", str(MAX_LEVEL), "--spans", str(spans)],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    golden = workloads.load_golden(workload)
+    failed = {}
+    for table in workloads.plan(workload, MAX_LEVEL):
+        output = result["outputs"].get(table["golden"])
+        bad = workloads.check_table(table, output, golden)
+        if bad:
+            failed[table["golden"]] = (bad, output)
+    assert not failed, failed
+    assert result["layers"] and json.loads(spans.read_text())["spans"]

@@ -250,12 +250,12 @@ def test_single_closures_match_fields(name):
     ("example2-lshape", "p1", 3),
     ("example1", "p1", 3),
     ("example1", "ncp1", 3),
-    ("example1", "hmm", 5),
+    ("example1", "hmm", 4),
 ])
 def test_level_samples_each_point_set_once(monkeypatch, name, scheme, calls):
     # Nodal schemes read the gauss7 and gauss3 points and the gradient
     # piece centres; the cell-centred scheme reads the centroid-rule
-    # points, the cell points and the centroids on top.
+    # points instead of the gauss7 ones, and the cell points on top.
     from gdmopt import cli
 
     case = get_case(name)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdmopt import control
+from gdmopt.analysis import cell_quadrature, function_rule
 from gdmopt.assembly import SolverError
 from gdmopt.cases import get_case
 from gdmopt.control import (
@@ -174,9 +175,9 @@ def test_postprocess_cell_centred_identity():
     gd = build_scheme("hmm", case.build_mesh("hmm", 4), case.bc)
     problem = case.build_problem(gd)
     sol = solve_kkt_pdas(problem)
-    post = postprocess(problem, sol, case.p)
-    assert post.kind == "cellwise"
-    np.testing.assert_array_equal(post.tilde_u_h, sol.u)
+    pts = cell_quadrature(gd.mesh, function_rule(gd))[1]
+    discrete, _ = postprocess(problem, sol, case.p(pts))
+    np.testing.assert_array_equal(discrete, sol.u)
 
 
 def test_postprocess_pointwise_clamps():
@@ -184,30 +185,25 @@ def test_postprocess_pointwise_clamps():
     gd = build_scheme("p1", case.build_mesh("p1", 4), case.bc)
     problem = case.build_problem(gd)
     sol = solve_kkt_pdas(problem)
-    post = postprocess(problem, sol, case.p)
-    assert post.kind == "pointwise"
-    pts = gd.mesh.cell_centroid
-    cells = np.arange(gd.mesh.n_cells)
-    for fn in (post.tilde_u, post.tilde_u_h):
-        vals = fn(cells, pts)
-        assert np.all(vals >= problem.lower - 1e-15)
-        assert vals.shape == (gd.mesh.n_cells,)
+    pts = cell_quadrature(gd.mesh, function_rule(gd))[1]
+    for vals in postprocess(problem, sol, case.p(pts)):
+        assert np.all(vals >= problem.lower) and np.all(vals <= problem.upper)
+        assert vals.shape == (len(pts),)
 
 
 @pytest.mark.parametrize("scheme", ["p1", "hmm"])
 def test_postprocess_clamp_is_projection_formula(scheme):
-    # clamp(values, cells) = P(cell_avg(u_d) - values / alpha) on those
-    # cells; without an adjoint closure the exact side is left unset.
+    # The exact post-processed control is P(cell_avg(u_d) - p / alpha) at
+    # the points of the load rule, with both sides of the box reached.
     case = get_case("example1")
     gd = build_scheme(scheme, case.build_mesh(scheme, 3), case.bc)
     problem = case.build_problem(gd)
-    post = postprocess(problem, solve_kkt_pdas(problem))
-    assert post.tilde_u is None
-    cells = np.arange(0, gd.mesh.n_cells, 3)
-    p = case.p(gd.mesh.cell_centroid[cells])
+    cells, pts, _ = cell_quadrature(gd.mesh, function_rule(gd))
+    p = case.p(pts)
+    _, exact = postprocess(problem, solve_kkt_pdas(problem), p)
     ud = problem.assembled().control_target_cells[cells]
     want = project_box(ud - p / problem.alpha, problem.lower, problem.upper)
-    assert np.array_equal(post.clamp(p, cells), want)
+    assert np.array_equal(exact, want)
     assert (want == problem.lower).any() and (want > problem.lower).any()
 
 

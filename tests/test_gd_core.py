@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from gdmopt.analysis import cell_quadrature
+from gdmopt.cases import get_case
 from gdmopt.gd_core import compute_cd, compute_sd_upper, compute_wd
 from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
 from gdmopt.schemes import SCHEMES, build_scheme
@@ -106,6 +107,50 @@ def test_piece_quadrature_cached_read_only(scheme):
     for a in (*first, gd.piece_center):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_boundary_quadrature_cached_read_only(scheme):
+    gd = make_gd(scheme, 3, "neumann")
+    first = gd.boundary_quadrature()
+    assert all(a is b for a, b in zip(first, gd.boundary_quadrature()))
+    bfaces, pts, wts, arc = first
+    ell = gd.mesh.face_length[gd.boundary_face_ids]
+    np.testing.assert_allclose(np.bincount(bfaces, wts), ell, rtol=1e-13)
+    for a in first:
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_loads_of_reconstructions_match_grams(scheme):
+    # The gradient and the trace reconstructions are polynomials of degree
+    # at most 1 on their pieces and faces, so loading them against their
+    # own values at the rule's points gives the exact Gram matrix products.
+    gd = make_gd(scheme, 3, "neumann")
+    vec = np.random.default_rng(4).standard_normal(gd.n_dofs)
+    pieces = gd.piece_quadrature()[0]
+    grad = gd.gradient_load(gd.gradient_table(vec)[pieces])
+    np.testing.assert_allclose(grad, gd.gradient_gram() @ vec, atol=1e-12)
+    bfaces, pts, _, _ = gd.boundary_quadrature()
+    trace = gd.boundary_load(gd.trace_at(vec, bfaces, pts))
+    np.testing.assert_allclose(trace, gd.trace_gram() @ vec, atol=1e-12)
+
+
+def test_sd_samples_the_target_once_per_point_set():
+    # Under Neumann conditions one boundary rule serves the boundary load
+    # and the trace misfit, so the target is sampled once on the gauss7
+    # points and once on the boundary points.
+    case = get_case("example3-neumann")
+    gd = build_scheme("ncp1", case.build_mesh("ncp1", 16), case.bc)
+    sizes = []
+
+    def counted(pts):
+        sizes.append(len(pts))
+        return case.y(pts)
+
+    compute_sd_upper(gd, counted, case.grad_y)
+    assert sizes == [3584, 192]
 
 
 def test_cd_dense_vs_power():

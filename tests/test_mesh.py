@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdmopt.mesh import (
     PolytopalMesh,
@@ -11,6 +13,7 @@ from gdmopt.mesh import (
     quality,
     uniform_refine,
 )
+from gdmopt.schemes import build_scheme
 
 
 def test_unit_square_m1_counts():
@@ -229,3 +232,46 @@ def test_face_shared_by_three_cells_rejected():
     cells = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
     with pytest.raises(ValueError, match="more than two cells"):
         PolytopalMesh(vertices, cells)
+
+
+GRAD = np.array([1.7, -0.4])
+
+
+def perturbed_triangulation(domain, m, seed):
+    """Triangulation of the unit square or the L-shape with every interior
+    vertex moved by up to 0.2 h per coordinate, h = 1/m the grid step."""
+    build = build_unit_square_triangulation if domain == "square" else build_lshape_triangulation
+    mesh = build(m)
+    move = np.random.default_rng(seed).uniform(-0.2 / m, 0.2 / m, mesh.vertices.shape)
+    move[mesh.boundary_vertices] = 0.0
+    return PolytopalMesh(mesh.vertices + move, mesh.cells)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(domain=st.sampled_from(["square", "lshape"]), m=st.integers(2, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_perturbed_meshes_keep_mesh_and_scheme_identities(domain, m, seed):
+    mesh = perturbed_triangulation(domain, m, seed)
+    assert mesh.cell_area.min() >= 0.1 / m ** 2
+    assert mesh.cell_area.sum() == pytest.approx(1.0 if domain == "square" else 3.0, rel=1e-13)
+    lengths = mesh.face_length[mesh.cell_faces]
+    per_cell = (mesh.outward_normals() * lengths[:, :, None]).sum(axis=1)
+    assert np.max(np.abs(per_cell)) <= 1e-12
+    actual = (mesh.faces, mesh.face_cells, mesh.cell_faces, mesh.cell_face_sign)
+    for got, want in zip(actual, loop_face_table(mesh.cells)):
+        np.testing.assert_array_equal(got, want)
+
+    # Interpolated affine functions keep their gradient on every piece.
+    for scheme in ("p1", "ncp1", "hmm"):
+        gd = build_scheme(scheme, mesh, "neumann")
+        table = gd.gradient_table(gd.interpolate(lambda pts: 0.3 + pts @ GRAD))
+        assert np.max(np.abs(table - GRAD)) <= 1e-12
+
+    # Non-conforming P1 functions are continuous at interior face midpoints.
+    gd = build_scheme("ncp1", mesh, "neumann")
+    vec = np.random.default_rng(seed).standard_normal(gd.n_dofs)
+    interior = np.flatnonzero(~mesh.boundary_faces)
+    mids = mesh.face_center[interior]
+    left = gd.value_at(vec, mesh.face_cells[interior, 0], mids)
+    right = gd.value_at(vec, mesh.face_cells[interior, 1], mids)
+    assert np.max(np.abs(left - right)) <= 1e-12
