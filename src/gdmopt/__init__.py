@@ -22,7 +22,6 @@ from .analysis import (
 from .assembly import (
     SolverError,
     assemble_load,
-    assemble_stiffness,
     solve_pde,
     solve_spd,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "SolverError",
     "TestCase",
     "assemble_load",
-    "assemble_stiffness",
     "build_cartesian_mesh",
     "build_lshape_triangulation",
     "build_scheme",

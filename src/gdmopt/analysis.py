@@ -152,16 +152,17 @@ def cell_quadrature(mesh, rule):
     return mesh.quadrature_cache.setdefault(rule, (cells, pts, wts))
 
 
-def segment_quadrature(a, b, npoints=3):
-    """Gauss rule on a batch of segments from a to b, both (n, 2) arrays.
+def segment_quadrature(a, b):
+    """3-point Gauss rule (exact to degree 5) on a batch of segments from
+    a to b, both (n, 2) arrays.
 
-    Returns flattened points (n * q, 2), weights (n * q,) summing to the
-    segment lengths, and the signed arclength offsets (n * q,) of the
+    Returns flattened points (n * 3, 2), weights (n * 3,) summing to the
+    segment lengths, and the signed arclength offsets (n * 3,) of the
     points from the segment midpoints.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    u, wu = np.polynomial.legendre.leggauss(npoints)
+    u, wu = np.polynomial.legendre.leggauss(3)
     lengths = np.sqrt(((b - a) ** 2).sum(1))
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)

@@ -85,14 +85,8 @@ def solve_spd(a, b, tol=SOLVE_TOL):
     return SPDFactor(a, tol).solve(b)
 
 
-def assemble_stiffness(gd, diffusion=None, reaction=0.0):
-    """Stiffness matrix on the free DOFs (diffusion + reaction terms)."""
-    full = gd.stiffness(diffusion=diffusion, reaction=reaction)
-    return gd.restrict_matrix(full)
-
-
 def assemble_load(gd, volume_source=None, boundary_source=None):
-    """Load vector on all DOFs for function sources.
+    """Load vector on the unknowns of gd for function sources.
 
     Volume sources use the rule ``analysis.function_rule(gd)`` of the
     error measurement protocol; a volume source is a callable or its
@@ -102,7 +96,7 @@ def assemble_load(gd, volume_source=None, boundary_source=None):
     """
     if boundary_source is not None and gd.bc == "dirichlet":
         raise ValueError("boundary source supplied under Dirichlet conditions")
-    out = np.zeros(gd.n_dofs)
+    out = np.zeros(gd.n_free)
     if volume_source is not None:
         cells, pts, wts = cell_quadrature(gd.mesh, function_rule(gd))
         vals = volume_source(pts) if callable(volume_source) else volume_source
@@ -123,13 +117,13 @@ def cell_source_load(gd, cell_values):
 
 def solve_pde(gd, volume_source=None, boundary_source=None, diffusion=None,
               reaction=0.0, extra_load=None):
-    """Solve one elliptic problem; returns the full DOF vector.
+    """Solve one elliptic problem; returns the vector of unknowns.
 
-    extra_load, if given, is added to the assembled load (full DOF
-    indexing); masked DOFs of the result are zero.
+    extra_load, if given, is added to the assembled load; like it, it is
+    indexed by unknown.
     """
-    a = assemble_stiffness(gd, diffusion=diffusion, reaction=reaction)
+    a = gd.stiffness(diffusion=diffusion, reaction=reaction)
     b = assemble_load(gd, volume_source, boundary_source)
     if extra_load is not None:
         b = b + extra_load
-    return gd.expand(solve_spd(a, gd.restrict(b)))
+    return solve_spd(a, b)

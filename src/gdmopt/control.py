@@ -24,8 +24,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .analysis import cell_quadrature, function_rule
-from .assembly import (SolverError, SPDFactor, assemble_load, assemble_stiffness,
-                       check_symmetry)
+from .assembly import SolverError, SPDFactor, assemble_load, check_symmetry
 
 DEFAULT_PDAS_MAX_ITER = 100
 DEFAULT_PDAS_TOL = 1e-10
@@ -123,27 +122,26 @@ class OptimalControlProblem:
 
 
 class _Assembly:
-    """Matrices and vectors of a control problem, restricted to free DOFs.
+    """Matrices and vectors of a control problem, on the unknowns of its
+    discretisation (see GradientDiscretisation).
 
     The controls form one stacked vector: the cells first (distributed
     control), then the boundary faces (boundary control).  Per control it
     holds the adjoint average operator (the cell mean of the function
     reconstruction, the face mean of the trace), the cost (alpha or
     beta), the measure (cell area or face length), the weight
-    W = cost * measure, the coupling B = average^T diag(measure) on the
-    free DOFs and the control target u_d.
+    W = cost * measure, the coupling B = average^T diag(measure) and the
+    control target u_d.
     """
 
     def __init__(self, problem):
         gd = problem.gd
-        self.stiffness = assemble_stiffness(gd, problem.diffusion, problem.reaction)
-        check_symmetry(self.stiffness)
-        self.mass = gd.restrict_matrix(gd.mass_matrix())
-        self.source_load = gd.restrict(
-            assemble_load(gd, problem.volume_source,
-                          problem.boundary_source if gd.bc == "neumann" else None)
-        )
-        self.target_load = gd.restrict(assemble_load(gd, problem.y_target))
+        self.stiffness = gd.stiffness(problem.diffusion, problem.reaction)
+        self.mass = gd.mass_matrix()
+        self.source_load = assemble_load(
+            gd, problem.volume_source,
+            problem.boundary_source if gd.bc == "neumann" else None)
+        self.target_load = assemble_load(gd, problem.y_target)
         if problem.control_target is None:
             self.control_target_cells = np.zeros(gd.mesh.n_cells)
         else:
@@ -170,7 +168,7 @@ class _Assembly:
         self.control_cost = np.concatenate(costs)
         measure = np.concatenate(measures)
         self.control_weight = self.control_cost * measure
-        self.control_coupling = (self.control_average.T @ sp.diags(measure)).tocsr()[gd.free]
+        self.control_coupling = (self.control_average.T @ sp.diags(measure)).tocsr()
         self.control_target = np.concatenate(targets)
 
     @functools.cached_property
@@ -179,8 +177,7 @@ class _Assembly:
 
     def candidate(self, p):
         """Unclamped control u_d - (average of p) / cost, for an adjoint
-        DOF vector p (zero on masked DOFs); its box projection is the
-        optimal control."""
+        vector p; its box projection is the optimal control."""
         return self.control_target - (self.control_average @ p) / self.control_cost
 
     def split(self, v):
@@ -197,7 +194,8 @@ class _Assembly:
 
 @dataclass(eq=False)
 class KKTSolution:
-    """State/adjoint DOF vectors and cellwise (facewise) controls."""
+    """State and adjoint vectors, on the unknowns of the discretisation,
+    and cellwise (facewise) controls."""
 
     y: np.ndarray
     p: np.ndarray
@@ -260,7 +258,6 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
     and raises SolverError with the |A-|/|A+| history.  The returned
     control satisfies the discrete projection identity by construction.
     """
-    gd = problem.gd
     asm = problem.assembled()
     lower, upper = problem.lower, problem.upper
     factor = asm.stiffness_factor
@@ -295,8 +292,7 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
                                     1.0 / w[inactive], 1e-2 * tol)
         u = pinned
         y, p = state_adjoint(u)
-        p_full = gd.expand(p)
-        candidate = asm.candidate(p_full)
+        candidate = asm.candidate(p)
         new_lo = candidate < lower
         new_hi = candidate > upper
         done = bool(np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi))
@@ -310,7 +306,7 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
         lo, hi = new_lo, new_hi
         if done:
             u_cells, u_b = asm.split(project_box(candidate, lower, upper))
-            return KKTSolution(gd.expand(y), p_full, u_cells, u_b, it,
+            return KKTSolution(y, p, u_cells, u_b, it,
                                asm.split(lo)[0], asm.split(hi)[0])
     raise SolverError(f"active-set iteration did not settle in {max_iter} steps")
 
@@ -338,10 +334,11 @@ def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
     Shares no code path with the active-set solver beyond problem
     assembly.
     """
-    gd = problem.gd
-    if gd.n_dofs > 500:
+    if problem.gd.n_dofs > 500:
         raise ValueError("reference solver is restricted to at most 500 DOFs")
     asm = problem.assembled()
+    # cho_factor reads one triangle of K only, so asymmetry would go unseen.
+    check_symmetry(asm.stiffness)
     lower, upper = problem.lower, problem.upper
     k = asm.stiffness.toarray()
     m = asm.mass.toarray()
@@ -385,7 +382,7 @@ def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
     u_cells, u_b = asm.split(u)
     y = y0 + state_map @ u
     p = la.cho_solve(cho, m @ y - asm.target_load)
-    return KKTSolution(gd.expand(y), gd.expand(p), u_cells, u_b, it,
+    return KKTSolution(y, p, u_cells, u_b, it,
                        asm.split(u <= lower)[0], asm.split(u >= upper)[0])
 
 

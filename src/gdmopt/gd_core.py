@@ -5,8 +5,9 @@ three linear reconstruction operators: a function reconstruction that is
 affine on every cell, a gradient reconstruction that is constant on every
 "piece" (a cell, or a sub-triangle of a cell for cell-centred schemes),
 and, for Neumann problems, a boundary trace reconstruction that is affine
-along every boundary face.  Dirichlet conditions are imposed by masking
-DOFs.  All discrete bilinear forms reduce to exact integrals of these
+along every boundary face.  The DOF space is that of the unknowns: a
+Dirichlet condition has eliminated the boundary DOFs before any operator
+is built.  All discrete bilinear forms reduce to exact integrals of these
 piecewise polynomials.
 """
 
@@ -28,42 +29,48 @@ def _face_rule(mesh, ids):
     offsets from the face midpoints."""
     pts, wts, arc = segment_quadrature(mesh.vertices[mesh.faces[ids, 0]],
                                        mesh.vertices[mesh.faces[ids, 1]])
-    return np.repeat(np.arange(len(ids)), len(wts) // len(ids)), pts, wts, arc
+    return np.repeat(np.arange(len(ids)), 3), pts, wts, arc
 
 
 @dataclass(eq=False, kw_only=True)
 class GradientDiscretisation:
-    """Reconstruction operators of one scheme on one mesh.
+    """Reconstruction operators of one scheme on one mesh, on its unknowns:
+    the scheme's DOFs minus those a Dirichlet condition eliminates.
 
-    The sparse matrices below all have one column per DOF.
+    n_dofs counts the scheme's DOFs before elimination and free maps each
+    unknown to its scheme DOF number; every DOF vector has length
+    n_free = len(free).  dof_points has one row per unknown and the
+    sparse matrices below one column per unknown, or construction raises
+    ValueError.
 
-    value_center, value_slope_x, value_slope_y : (n_cells, n_dofs)
+    value_center, value_slope_x, value_slope_y : (n_cells, n_free)
         Function reconstruction on cell K evaluated as
         ``center[K] + slope[K] . (x - centroid_K)``.
-    grad_x, grad_y : (n_pieces, n_dofs)
+    grad_x, grad_y : (n_pieces, n_free)
         Constant gradient reconstruction per piece; the pieces of cell K
         tile K, and piece_tri stores their vertex triangles.
-    halfface_mid, halfface_slope : (n_cells * k, n_dofs)
+    halfface_mid, halfface_slope : (n_cells * k, n_free)
         Trace of the cell-side function reconstruction on each (cell,
         local face) incidence, affine in the arclength offset from the
         face midpoint; rows are aligned with mesh.cell_faces.ravel().
-    trace_mid, trace_slope : (n_boundary_faces, n_dofs)
+    trace_mid, trace_slope : (n_boundary_faces, n_free)
         Boundary trace reconstruction, affine along each boundary face
         (rows follow boundary_face_ids).
 
-    Derived on construction: n_dofs, the free DOFs (free, n_free), the
-    boundary_face_ids, piece_area, piece_center and ``cell_centred``,
-    true when the function reconstruction is piecewise constant (its
-    value slopes store no entries).  A reconstruction that is not
-    piecewise constant must be affine with its gradient equal to its
-    slope on every cell, which compute_wd's face-only formula relies on.
+    Derived on construction: n_free, the boundary_face_ids, piece_area,
+    piece_center and ``cell_centred``, true when the function
+    reconstruction is piecewise constant (its value slopes store no
+    entries).  A reconstruction that is not piecewise constant must be
+    affine with its gradient equal to its slope on every cell, which
+    compute_wd's face-only formula relies on.
     """
 
     mesh: Any
     scheme: str
     bc: str
+    n_dofs: int
+    free: np.ndarray
     dof_points: np.ndarray
-    dirichlet_mask: np.ndarray
     value_center: sp.csr_matrix
     value_slope_x: sp.csr_matrix
     value_slope_y: sp.csr_matrix
@@ -85,9 +92,10 @@ class GradientDiscretisation:
             for g, s in ((self.grad_x, self.value_slope_x), (self.grad_y, self.value_slope_y))
         ):
             raise ValueError("the gradient of an affine reconstruction must be its slope")
-        self.n_dofs = self.value_center.shape[1]
-        self.free = np.flatnonzero(~self.dirichlet_mask)
         self.n_free = len(self.free)
+        if len(self.dof_points) != self.n_free or any(
+                a.shape[1] != self.n_free for a in vars(self).values() if sp.issparse(a)):
+            raise ValueError("operators need one column and dof_points one row per unknown")
         self.boundary_face_ids = np.flatnonzero(self.mesh.boundary_faces)
         e1 = self.piece_tri[:, 1] - self.piece_tri[:, 0]
         e2 = self.piece_tri[:, 2] - self.piece_tri[:, 0]
@@ -107,11 +115,8 @@ class GradientDiscretisation:
     # -- reconstruction operators ------------------------------------
 
     def interpolate(self, fn):
-        """DOF vector sampling fn at the DOF points (zero on masked DOFs)."""
-        vec = np.asarray(fn(self.dof_points), dtype=float)
-        vec = vec.copy()
-        vec[self.dirichlet_mask] = 0.0
-        return vec
+        """DOF vector sampling fn at the points of the unknowns."""
+        return np.asarray(fn(self.dof_points), dtype=float)
 
     def value_at(self, vec, cells, pts):
         """Function reconstruction of a DOF vector at points inside cells."""
@@ -212,23 +217,23 @@ class GradientDiscretisation:
         return self._factor
 
     def misfit_factor(self):
-        """Factor of the misfit Gram matrix on free DOFs: mass plus
-        gradient Gram, plus trace Gram under Neumann conditions."""
+        """Factor of the misfit Gram matrix: mass plus gradient Gram, plus
+        trace Gram under Neumann conditions."""
         def gram():
             a = self.mass_matrix() + self.gradient_gram()
             if self.bc == "neumann":
                 a = a + self.trace_gram()
-            return self.restrict_matrix(a)
+            return a
 
         return self._cached_factor("misfit", gram)
 
     def norm_gram(self):
-        """Discretisation-norm Gram matrix on free DOFs: gradient Gram,
-        plus mass under Neumann conditions (a quadratic surrogate)."""
+        """Discretisation-norm Gram matrix: gradient Gram, plus mass under
+        Neumann conditions (a quadratic surrogate)."""
         a = self.gradient_gram()
         if self.bc == "neumann":
             a = a + self.mass_matrix()
-        return self.restrict_matrix(a)
+        return a
 
     def norm_factor(self):
         """Factor of norm_gram(), shared by the C_D pencils and W_D."""
@@ -238,6 +243,7 @@ class GradientDiscretisation:
         """Diffusion form of the gradient reconstruction, plus an optional
         reaction multiple of the mass matrix.  Exact for constant
         coefficients; variable coefficients are sampled at piece centers.
+        The matrix is in CSC format, which SPDFactor factors without a copy.
         """
         w = self.piece_area
         gx, gy = self.grad_x, self.grad_y
@@ -251,11 +257,11 @@ class GradientDiscretisation:
             a += gy.T @ sp.diags(w * tensor[:, 1, 1]) @ gy
         if reaction:
             a = a + reaction * self.mass_matrix()
-        return a.tocsr()
+        return a.tocsc()
 
     def cell_coupling(self):
         """Exact integrals of the function reconstruction basis per cell,
-        shape (n_dofs, n_cells); column K holds the load of the indicator
+        shape (n_free, n_cells); column K holds the load of the indicator
         of K.  Exact because the reconstruction is affine per cell.
         """
         return (self.value_center.T @ sp.diags(self.mesh.cell_area)).tocsr()
@@ -287,19 +293,6 @@ class GradientDiscretisation:
         return (self.trace_mid.T @ np.bincount(bfaces, wv, n)
                 + self.trace_slope.T @ np.bincount(bfaces, wv * arc, n))
 
-    # -- DOF masking ---------------------------------------------------
-
-    def restrict_matrix(self, a):
-        return a[self.free][:, self.free].tocsc()
-
-    def restrict(self, vec):
-        return vec[self.free]
-
-    def expand(self, vec_free):
-        out = np.zeros(self.n_dofs)
-        out[self.free] = vec_free
-        return out
-
     def gradient_norm(self, vec):
         g = self.gradient_table(vec)
         return math.sqrt(float(self.piece_area @ (g ** 2).sum(1)))
@@ -310,7 +303,7 @@ class GradientDiscretisation:
 
 def _max_generalized_eig(a, gd, method, tol):
     """Largest eigenvalue of a x = lambda b x, with b the SPD norm Gram
-    matrix of gd on free DOFs (see GradientDiscretisation.norm_factor)."""
+    matrix of gd (see GradientDiscretisation.norm_factor)."""
     n = a.shape[0]
     if method == "dense" or (method == "auto" and n < 200):
         vals = eigh(a.toarray(), gd.norm_gram().toarray(), eigvals_only=True)
@@ -337,22 +330,21 @@ def compute_cd(gd, method="auto", tol=1e-8):
 
     Dirichlet: the largest ratio of reconstructed-function norm to
     reconstructed-gradient norm, i.e. the square root of the largest
-    generalized eigenvalue of the (mass, gradient-Gram) pencil on free
-    DOFs.  Neumann: the larger of the trace-to-norm and function-to-norm
-    ratios, with the quadratic form gradient-Gram + mass standing in for
-    the discretisation norm (equivalent to it within a factor sqrt(2)).
+    generalized eigenvalue of the (mass, gradient-Gram) pencil.  Neumann:
+    the larger of the trace-to-norm and function-to-norm ratios, with the
+    quadratic form gradient-Gram + mass standing in for the
+    discretisation norm (equivalent to it within a factor sqrt(2)).
 
-    Meshes below 200 free DOFs use a dense eigensolve; larger ones use a
+    Meshes below 200 unknowns use a dense eigensolve; larger ones use a
     power iteration converged to ``tol`` in the eigenvalue, with the
     norm Gram matrix factored once per discretisation (norm_factor).
     """
     if gd.n_free == 0:
         raise ValueError("no free DOFs: coercivity constant undefined")
     if gd.bc == "dirichlet":
-        m = gd.restrict_matrix(gd.mass_matrix())
-        return math.sqrt(_max_generalized_eig(m, gd, method, tol))
-    lam_trace = _max_generalized_eig(gd.trace_gram().tocsc(), gd, method, tol)
-    lam_value = _max_generalized_eig(gd.mass_matrix().tocsc(), gd, method, tol)
+        return math.sqrt(_max_generalized_eig(gd.mass_matrix(), gd, method, tol))
+    lam_trace = _max_generalized_eig(gd.trace_gram(), gd, method, tol)
+    lam_value = _max_generalized_eig(gd.mass_matrix(), gd, method, tol)
     return math.sqrt(max(lam_trace, lam_value))
 
 
@@ -393,9 +385,8 @@ def compute_wd(gd, flux):
     if gd.bc == "neumann":
         ids = gd.boundary_face_ids
         r -= gd.trace_mid.T @ i1[ids] + gd.trace_slope.T @ i2[ids]
-    rr = gd.restrict(r)
-    z = gd.norm_factor().solve(rr)
-    return math.sqrt(max(float(rr @ z), 0.0))
+    z = gd.norm_factor().solve(r)
+    return math.sqrt(max(float(r @ z), 0.0))
 
 
 def compute_sd_upper(gd, fn, grad_fn):
@@ -422,7 +413,7 @@ def compute_sd_upper(gd, fn, grad_fn):
 
     # The factor is cached on gd, so the state and adjoint rows of a
     # diagnostics table share it.
-    z = gd.expand(gd.misfit_factor().solve(gd.restrict(b)))
+    z = gd.misfit_factor().solve(b)
 
     # Misfit norms by direct quadrature of the reconstructions; this
     # avoids the cancellation a quadratic-form expansion would suffer

@@ -9,7 +9,9 @@
   each face to the cell point.
 
 All three produce a GradientDiscretisation with identical downstream
-interfaces; Dirichlet conditions mask the boundary DOFs of each scheme.
+interfaces.  A Dirichlet condition eliminates the boundary DOFs of each
+scheme: every operator is built with one column per remaining DOF (the
+unknowns), so no downstream code sees the eliminated ones.
 """
 
 import numpy as np
@@ -49,31 +51,52 @@ def _require_triangles(mesh, name):
         raise ValueError(f"{name} requires a simplicial mesh")
 
 
-def _csr(rows, cols, vals, shape):
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+def _unknowns(boundary_dofs, bc):
+    """Numbering of the unknowns: the scheme DOF of each unknown (free)
+    and the unknown of each scheme DOF (-1 where a Dirichlet condition
+    eliminates the DOF)."""
+    free = np.flatnonzero(~boundary_dofs) if bc == "dirichlet" else np.arange(len(boundary_dofs))
+    unknown = np.full(len(boundary_dofs), -1)
+    unknown[free] = np.arange(len(free))
+    return free, unknown
+
+
+def _csr(rows, cols, vals, shape, unknown):
+    """Sparse matrix of the entries (rows, cols, vals), cols numbering
+    scheme DOFs, with one column per unknown: the entries of eliminated
+    DOFs are dropped as the matrix is built.  This is the one place the
+    Dirichlet condition is applied."""
+    cols = unknown[cols]
+    keep = cols >= 0
+    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
 
 
 def _affine_scheme(mesh, scheme, bc, dof_points, boundary_dofs, cell_dofs, basis_grad,
                    hf_mid, hf_slope):
     """Scheme whose function reconstruction on each triangle is the affine
     combination of its three local basis functions (DOFs cell_dofs, mean
-    1/3 each, gradients basis_grad); the gradient is its slope.  The
-    boundary trace is the first-owner halfface trace of each boundary
-    face.
+    1/3 each, gradients basis_grad); the gradient is its slope.  hf_mid
+    and hf_slope are the (rows, cols, vals) entries of the halfface
+    traces.  The boundary trace is the first-owner halfface trace of each
+    boundary face.
     """
+    free, unknown = _unknowns(boundary_dofs, bc)
     rows = np.repeat(np.arange(mesh.n_cells), 3)
     cols = cell_dofs.ravel()
-    shape = (mesh.n_cells, len(dof_points))
-    slope_x = _csr(rows, cols, basis_grad[:, :, 0].ravel(), shape)
-    slope_y = _csr(rows, cols, basis_grad[:, :, 1].ravel(), shape)
+    shape = (mesh.n_cells, len(free))
+    slope_x = _csr(rows, cols, basis_grad[:, :, 0].ravel(), shape, unknown)
+    slope_y = _csr(rows, cols, basis_grad[:, :, 1].ravel(), shape, unknown)
+    hf_shape = (3 * mesh.n_cells, len(free))
+    hf_mid = _csr(*hf_mid, hf_shape, unknown)
+    hf_slope = _csr(*hf_slope, hf_shape, unknown)
     first_owner = np.empty(mesh.n_faces, dtype=int)
     is_first = mesh.cell_face_sign.ravel() == 1
     first_owner[mesh.cell_faces.ravel()[is_first]] = np.flatnonzero(is_first)
     first = first_owner[mesh.boundary_faces]
     return GradientDiscretisation(
-        mesh=mesh, scheme=scheme, bc=bc, dof_points=dof_points,
-        dirichlet_mask=boundary_dofs & (bc == "dirichlet"),
-        value_center=_csr(rows, cols, np.full(3 * mesh.n_cells, 1.0 / 3.0), shape),
+        mesh=mesh, scheme=scheme, bc=bc, n_dofs=len(dof_points), free=free,
+        dof_points=dof_points[free],
+        value_center=_csr(rows, cols, np.full(3 * mesh.n_cells, 1.0 / 3.0), shape, unknown),
         value_slope_x=slope_x, value_slope_y=slope_y,
         piece_cell=np.arange(mesh.n_cells), piece_tri=mesh.vertices[mesh.cells],
         grad_x=slope_x, grad_y=slope_y,
@@ -85,39 +108,36 @@ def _affine_scheme(mesh, scheme, bc, dof_points, boundary_dofs, cell_dofs, basis
 def make_conforming_p1(mesh, bc="dirichlet"):
     """Conforming piecewise-affine scheme with vertex DOFs."""
     _require_triangles(mesh, "conforming p1")
-    n_dofs = mesh.n_vertices
     n_hf = 3 * mesh.n_cells
     hf_face = mesh.cell_faces.ravel()
     ends = mesh.faces[hf_face]  # (n_hf, 2) vertex ids in stored face order
     hrows = np.repeat(np.arange(n_hf), 2)
     hcols = ends.ravel()
     inv_len = 1.0 / mesh.face_length[hf_face]
-    hf_mid = _csr(hrows, hcols, np.full(2 * n_hf, 0.5), (n_hf, n_dofs))
-    slope_vals = np.column_stack([-inv_len, inv_len]).ravel()
-    hf_slope = _csr(hrows, hcols, slope_vals, (n_hf, n_dofs))
-    return _affine_scheme(mesh, "p1", bc, mesh.vertices.copy(), mesh.boundary_vertices,
+    hf_mid = hrows, hcols, np.full(2 * n_hf, 0.5)
+    hf_slope = hrows, hcols, np.column_stack([-inv_len, inv_len]).ravel()
+    return _affine_scheme(mesh, "p1", bc, mesh.vertices, mesh.boundary_vertices,
                           mesh.cells, _barycentric_gradients(mesh), hf_mid, hf_slope)
 
 
 def make_ncp1(mesh, bc="dirichlet"):
     """Non-conforming piecewise-affine scheme with face-midpoint DOFs."""
     _require_triangles(mesh, "non-conforming p1")
-    n_dofs = mesh.n_faces
     # Basis attached to local face i (joining vertices i, i+1) is
     # 1 - 2 * lambda_{i+2}; its gradient is -2 grad(lambda_{i+2}).
     basis_grad = -2.0 * _barycentric_gradients(mesh)[:, [2, 0, 1], :]
 
     n_hf = 3 * mesh.n_cells
     hf_face = mesh.cell_faces.ravel()
-    hf_mid = _csr(np.arange(n_hf), hf_face, np.ones(n_hf), (n_hf, n_dofs))
+    hf_mid = np.arange(n_hf), hf_face, np.ones(n_hf)
     # Tangential slope of the cell-side function along the face: all
     # three cell basis functions contribute.
     tang = mesh.face_tangent[hf_face].reshape(mesh.n_cells, 3, 2)
     svals = np.einsum("cjd,cid->cij", basis_grad, tang)  # (cell, face i, dof j)
     hrows = np.repeat(np.arange(n_hf), 3)
     hcols = np.tile(mesh.cell_faces[:, None, :], (1, 3, 1)).ravel()
-    hf_slope = _csr(hrows, hcols, svals.ravel(), (n_hf, n_dofs))
-    return _affine_scheme(mesh, "ncp1", bc, mesh.face_center.copy(), mesh.boundary_faces,
+    hf_slope = hrows, hcols, svals.ravel()
+    return _affine_scheme(mesh, "ncp1", bc, mesh.face_center, mesh.boundary_faces,
                           mesh.cell_faces, basis_grad, hf_mid, hf_slope)
 
 
@@ -132,8 +152,9 @@ def make_hmm(mesh, bc="dirichlet"):
     """
     k = mesh.cells.shape[1]
     n_cells, n_faces = mesh.n_cells, mesh.n_faces
-    n_dofs = n_cells + n_faces
-    dof_points = np.vstack([mesh.cell_point, mesh.face_center])
+    free, unknown = _unknowns(np.concatenate([np.zeros(n_cells, dtype=bool),
+                                              mesh.boundary_faces]), bc)
+    n_free = len(free)
 
     normals = mesh.outward_normals()  # (n_c, k, 2)
     ell = mesh.face_length[mesh.cell_faces]  # (n_c, k)
@@ -155,16 +176,14 @@ def make_hmm(mesh, bc="dirichlet"):
     cell_coef = -stab[:, :, None] * normals  # (cell, piece i, xy)
 
     n_pieces = n_cells * k
-    prow_face = np.repeat(np.arange(n_pieces), k)
-    pcol_face = np.tile(mesh.cell_faces[:, None, :], (1, k, 1)).ravel() + n_cells
-    prow_cell = np.arange(n_pieces)
-    pcol_cell = np.repeat(np.arange(n_cells), k)
-    shape = (n_pieces, n_dofs)
-    rows = np.concatenate([prow_face, prow_cell])
-    cols = np.concatenate([pcol_face, pcol_cell])
+    shape = (n_pieces, n_free)
+    # Entries of each piece: its cell's k faces, then its cell.
+    rows = np.concatenate([np.repeat(np.arange(n_pieces), k), np.arange(n_pieces)])
+    cols = np.concatenate([np.tile(mesh.cell_faces[:, None, :], (1, k, 1)).ravel() + n_cells,
+                           np.repeat(np.arange(n_cells), k)])
     grad_x, grad_y = (
         _csr(rows, cols, np.concatenate([face_coef[..., i].ravel(), cell_coef[..., i].ravel()]),
-             shape)
+             shape, unknown)
         for i in (0, 1)
     )
 
@@ -177,24 +196,22 @@ def make_hmm(mesh, bc="dirichlet"):
     piece_tri[:, 1] = mesh.vertices[ends[:, :, 0].ravel()]
     piece_tri[:, 2] = mesh.vertices[ends[:, :, 1].ravel()]
 
-    cshape = (n_cells, n_dofs)
-    value_center = _csr(np.arange(n_cells), np.arange(n_cells), np.ones(n_cells), cshape)
+    cshape = (n_cells, n_free)
+    value_center = _csr(np.arange(n_cells), np.arange(n_cells), np.ones(n_cells), cshape,
+                        unknown)
     zero_c = sp.csr_matrix(cshape)
-    hf_mid = _csr(
-        np.arange(n_pieces), np.repeat(np.arange(n_cells), k), np.ones(n_pieces), shape
-    )
+    hf_mid = _csr(np.arange(n_pieces), np.repeat(np.arange(n_cells), k), np.ones(n_pieces),
+                  shape, unknown)
     hf_slope = sp.csr_matrix(shape)
 
     bids = np.flatnonzero(mesh.boundary_faces)
     trace_mid = _csr(np.arange(len(bids)), n_cells + bids, np.ones(len(bids)),
-                     (len(bids), n_dofs))
-    trace_slope = sp.csr_matrix((len(bids), n_dofs))
+                     (len(bids), n_free), unknown)
+    trace_slope = sp.csr_matrix((len(bids), n_free))
 
-    mask = np.zeros(n_dofs, dtype=bool)
-    if bc == "dirichlet":
-        mask[n_cells + bids] = True
     return GradientDiscretisation(
-        mesh=mesh, scheme="hmm", bc=bc, dof_points=dof_points, dirichlet_mask=mask,
+        mesh=mesh, scheme="hmm", bc=bc, n_dofs=n_cells + n_faces, free=free,
+        dof_points=np.vstack([mesh.cell_point, mesh.face_center])[free],
         value_center=value_center, value_slope_x=zero_c, value_slope_y=zero_c,
         piece_cell=np.repeat(np.arange(n_cells), k), piece_tri=piece_tri,
         grad_x=grad_x, grad_y=grad_y, halfface_mid=hf_mid, halfface_slope=hf_slope,

@@ -116,7 +116,8 @@ def test_cell_quadrature_cached_read_only(rule):
 def test_segment_quadrature():
     a = np.array([[0.0, 0.0], [1.0, 1.0]])
     b = np.array([[2.0, 0.0], [1.0, 4.0]])
-    pts, wts, arc = segment_quadrature(a, b, npoints=3)
+    pts, wts, arc = segment_quadrature(a, b)
+    assert pts.shape == (6, 2) and wts.shape == arc.shape == (6,)
     np.testing.assert_allclose(wts.reshape(2, -1).sum(axis=1), [2.0, 3.0],
                                rtol=1e-14)
     # Offsets are antisymmetric about the midpoint.

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdmopt import control
+from gdmopt import assembly, control
 from gdmopt.analysis import cell_quadrature, function_rule
 from gdmopt.assembly import SolverError
 from gdmopt.cases import get_case
@@ -267,6 +267,36 @@ def test_pdas_factors_stiffness_once(monkeypatch):
     # The factor is cached with the problem's assembly.
     solve_kkt_pdas(problem)
     assert len(calls) == 1
+
+
+def test_both_solvers_reject_asymmetric_stiffness(monkeypatch):
+    # A diffusion tensor with a varying skew part gives a non-symmetric
+    # stiffness matrix (a constant one integrates to zero), which neither
+    # the sparse factor nor cho_factor (it reads one triangle) may accept.
+    gd = build_scheme("p1", build_unit_square_triangulation(4), "dirichlet")
+
+    def skew(pts):
+        tensor = np.tile(np.eye(2), (len(pts), 1, 1))
+        tensor[:, 0, 1] = pts[:, 0]
+        return tensor
+
+    for solve in (solve_kkt_pdas, solve_kkt_reference):
+        with pytest.raises(SolverError, match="not symmetric"):
+            solve(synthetic_problem(gd, diffusion=skew))
+    # Each solve path checks the symmetry of K once.
+    calls = []
+    check = assembly.check_symmetry
+
+    def counting_check(a, *args):
+        calls.append(a.shape)
+        return check(a, *args)
+
+    monkeypatch.setattr(assembly, "check_symmetry", counting_check)
+    monkeypatch.setattr(control, "check_symmetry", counting_check)
+    for solve in (solve_kkt_pdas, solve_kkt_reference):
+        calls.clear()
+        solve(synthetic_problem(gd))
+        assert calls == [(gd.n_free, gd.n_free)]
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)

@@ -66,10 +66,10 @@ def test_grams_spd_on_free_dofs(scheme):
     # function reconstruction ignores face DOFs, so its mass matrix is
     # only positive semidefinite.
     gd = make_gd(scheme, 3, "dirichlet")
-    g = gd.restrict_matrix(gd.gradient_gram()).toarray()
+    g = gd.gradient_gram().toarray()
     np.testing.assert_allclose(g, g.T, atol=1e-13)
     assert np.linalg.eigvalsh(g)[0] > 0.0
-    m = gd.restrict_matrix(gd.mass_matrix()).toarray()
+    m = gd.mass_matrix().toarray()
     np.testing.assert_allclose(m, m.T, atol=1e-13)
     low = np.linalg.eigvalsh(m)[0]
     if scheme == "hmm":
@@ -293,11 +293,3 @@ def test_cd_and_wd_share_one_factor(monkeypatch, bc):
     assert compute_cd(fresh) == cd
     assert len(calls) == 4
 
-
-def test_expand_restrict_roundtrip():
-    gd = make_gd("p1", 4, "dirichlet")
-    rng = np.random.default_rng(9)
-    vf = rng.standard_normal(gd.n_free)
-    full = gd.expand(vf)
-    assert np.all(full[gd.dirichlet_mask] == 0.0)
-    np.testing.assert_array_equal(gd.restrict(full), vf)

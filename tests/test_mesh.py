@@ -236,6 +236,9 @@ def test_face_shared_by_three_cells_rejected():
 
 GRAD = np.array([1.7, -0.4])
 
+OPERATORS = ("value_center", "value_slope_x", "value_slope_y", "grad_x", "grad_y",
+             "halfface_mid", "halfface_slope", "trace_mid", "trace_slope")
+
 
 def perturbed_triangulation(domain, m, seed):
     """Triangulation of the unit square or the L-shape with every interior
@@ -262,10 +265,26 @@ def test_perturbed_meshes_keep_mesh_and_scheme_identities(domain, m, seed):
         np.testing.assert_array_equal(got, want)
 
     # Interpolated affine functions keep their gradient on every piece.
-    for scheme in ("p1", "ncp1", "hmm"):
+    boundary_dofs = {
+        "p1": mesh.boundary_vertices,
+        "ncp1": mesh.boundary_faces,
+        "hmm": np.concatenate([np.zeros(mesh.n_cells, dtype=bool), mesh.boundary_faces]),
+    }
+    for scheme, boundary in boundary_dofs.items():
         gd = build_scheme(scheme, mesh, "neumann")
         table = gd.gradient_table(gd.interpolate(lambda pts: 0.3 + pts @ GRAD))
         assert np.max(np.abs(table - GRAD)) <= 1e-12
+
+        # A Dirichlet condition eliminates the boundary DOFs and keeps the
+        # columns of the others as they are.
+        gdd = build_scheme(scheme, mesh, "dirichlet")
+        np.testing.assert_array_equal(gd.free, np.arange(gd.n_dofs))
+        np.testing.assert_array_equal(gdd.free, np.flatnonzero(~boundary))
+        assert gdd.n_dofs == gd.n_dofs == len(boundary)
+        np.testing.assert_array_equal(gdd.dof_points, gd.dof_points[gdd.free])
+        for name in OPERATORS:
+            np.testing.assert_array_equal(getattr(gdd, name).toarray(),
+                                          getattr(gd, name)[:, gdd.free].toarray())
 
     # Non-conforming P1 functions are continuous at interior face midpoints.
     gd = build_scheme("ncp1", mesh, "neumann")

@@ -153,18 +153,6 @@ def test_free_dof_counts():
         assert gd.n_free == gd.n_dofs
 
 
-def test_dirichlet_interpolation_masks_boundary():
-    for scheme in SCHEMES:
-        mesh = (
-            build_cartesian_mesh(3) if scheme == "hmm"
-            else build_unit_square_triangulation(3)
-        )
-        gd = build_scheme(scheme, mesh, "dirichlet")
-        vec = gd.interpolate(lambda pts: np.ones(len(pts)))
-        assert np.all(vec[gd.dirichlet_mask] == 0.0)
-        assert np.all(vec[gd.free] == 1.0)
-
-
 def test_hmm_piece_areas_tile_cells():
     for mesh in meshes_for("hmm"):
         gd = build_scheme("hmm", mesh, "dirichlet")
@@ -179,7 +167,7 @@ def test_hmm_identity_form_spd():
     mesh = build_cartesian_mesh(4)
     gd = build_scheme("hmm", mesh, "dirichlet")
     assert gd.n_dofs <= 200
-    a = gd.restrict_matrix(gd.stiffness()).toarray()
+    a = gd.stiffness().toarray()
     np.testing.assert_allclose(a, a.T, atol=1e-13)
     eigs = np.linalg.eigvalsh(a)
     assert eigs[0] > 0.0
@@ -219,3 +207,10 @@ def test_discretisation_checks_its_operators():
         dataclasses.replace(gd, grad_x=2.0 * gd.value_slope_x)
     with pytest.raises(ValueError, match="boundary condition"):
         dataclasses.replace(gd, bc="robin")
+    # Every operator has one column, and dof_points one row, per unknown.
+    with pytest.raises(ValueError, match="per unknown"):
+        dataclasses.replace(gd, halfface_slope=gd.halfface_slope[:, :-1])
+    with pytest.raises(ValueError, match="per unknown"):
+        dataclasses.replace(gd, dof_points=gd.dof_points[:-1])
+    with pytest.raises(ValueError, match="per unknown"):
+        dataclasses.replace(gd, free=gd.free[:-1])
