@@ -51,25 +51,36 @@ class SPDFactor:
             raise SolverError(f"sparse factorisation failed: {exc}") from exc
         self._norm = np.asarray(abs(self.matrix).sum(axis=1)).max(initial=0.0)
 
-    def solve(self, b):
-        """Solution of A x = b, refined to the backward-error tolerance."""
+    def solve(self, b, x0=None):
+        """Solution of A x = b, refined to the backward-error tolerance.
+
+        The refinement starts from the approximation x0 when it is given
+        and finite: an x0 that already meets the tolerance costs one
+        product and no factor solve.  Otherwise it starts from zero.
+        """
         b = np.asarray(b, dtype=float)
         bnorm = np.abs(b).max(initial=0.0)
-        x = np.zeros_like(b)
-        r = b
-        for _ in range(REFINE_STEPS + 1):
-            x = x + self._lu.solve(r)
-            if not np.all(np.isfinite(x)):
-                raise SolverError("sparse solve produced non-finite values")
+        if x0 is None or not np.all(np.isfinite(x0)):
+            x, r = np.zeros_like(b), b
+        else:
+            x = np.array(x0, dtype=float)
             r = b - self.matrix @ x
+        solves = 0
+        while True:
             err = np.abs(r).max(initial=0.0)
             scale = self._norm * np.abs(x).max(initial=0.0) + bnorm
             if err <= self.tol * scale:
                 return x
-        raise SolverError(
-            f"backward error {err / scale:.3e} exceeds {self.tol:.1e} "
-            f"after {REFINE_STEPS} refinement steps"
-        )
+            if solves > REFINE_STEPS:
+                raise SolverError(
+                    f"backward error {err / scale:.3e} exceeds {self.tol:.1e} "
+                    f"after {REFINE_STEPS} refinement steps"
+                )
+            x = x + self._lu.solve(r)
+            solves += 1
+            if not np.all(np.isfinite(x)):
+                raise SolverError("sparse solve produced non-finite values")
+            r = b - self.matrix @ x
 
 
 def solve_spd(a, b, tol=SOLVE_TOL):

@@ -9,14 +9,19 @@ over piecewise-constant controls confined to a box, subject to the
 discrete elliptic state equation.  Two independent solvers are provided:
 a primal-dual active-set iteration that factors the stiffness matrix
 once and, per active-set guess, solves the reduced Hessian on the
-inactive controls by preconditioned conjugate gradients; and a dense
-accelerated projected-gradient reference (FISTA with adaptive restart)
-used to cross-check it on small meshes.
+inactive controls by preconditioned conjugate gradients, carrying state
+and adjoint along; each such run stops as soon as a bound on the error
+of the candidate control (from the CG residual and a Lanczos estimate
+of the Hessian's spectrum) proves the next active sets, except for a
+final run to full accuracy once they repeat, so the iteration visits the
+same active sets as one with exact inner solves.  The second solver is a
+dense accelerated projected-gradient reference (FISTA with adaptive
+restart) used to cross-check it on small meshes.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -28,6 +33,11 @@ from .assembly import SolverError, SPDFactor, assemble_load, check_symmetry
 
 DEFAULT_PDAS_MAX_ITER = 100
 DEFAULT_PDAS_TOL = 1e-10
+
+# Safety factor on the Lanczos estimate of the largest eigenvalue of
+# W^-1/2 B^T K^-1 M K^-1 B W^-1/2 that scales the active-set certificate
+# of solve_kkt_pdas: a Ritz value approaches that eigenvalue from below.
+LAMBDA_INFLATION = 4.0
 
 # Conjugate-gradient steps allowed per active-set guess.  Preconditioned
 # by the control weights, the reduced Hessian has a condition number
@@ -195,7 +205,13 @@ class _Assembly:
 @dataclass(eq=False)
 class KKTSolution:
     """State and adjoint vectors, on the unknowns of the discretisation,
-    and cellwise (facewise) controls."""
+    and cellwise (facewise) controls.
+
+    history holds one (|A-|, |A+|, cg_steps, certified) record per
+    active-set iteration: the sizes of the active sets it solved with,
+    its conjugate-gradient steps, and whether the certificate proved its
+    outcome (see solve_kkt_pdas).  The reference solver leaves it empty.
+    """
 
     y: np.ndarray
     p: np.ndarray
@@ -204,38 +220,22 @@ class KKTSolution:
     iterations: int
     active_lower: Optional[np.ndarray]
     active_upper: Optional[np.ndarray]
+    history: list = field(default_factory=list)
 
 
-def _pcg(apply, rhs, x, inv_weight, tol, max_iter=PCG_MAX_ITER):
-    """Conjugate gradients for apply(x) = rhs from the start x, with the
-    diagonal preconditioner inv_weight.
-
-    Stops when the preconditioned residual norm is at most tol times that
-    of rhs; raises SolverError if max_iter steps do not get there.
-    """
-    rhs_norm = math.sqrt(rhs @ (inv_weight * rhs))
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-    r = rhs - apply(x)
-    z = inv_weight * r
-    rz = float(r @ z)
-    d = z
-    steps = 0
-    while not math.sqrt(rz) <= tol * rhs_norm:
-        if steps == max_iter:
-            raise SolverError(
-                f"conjugate gradients reached relative residual "
-                f"{math.sqrt(rz) / rhs_norm:.3e}, above {tol:.1e}, in {max_iter} steps"
-            )
-        steps += 1
-        q = apply(d)
-        step = rz / float(d @ q)
-        x = x + step * d
-        r = r - step * q
-        z = inv_weight * r
-        rz, rz_old = float(r @ z), rz
-        d = z + (rz / rz_old) * d
-    return x
+def _largest_ritz_value(steps, betas):
+    """Largest eigenvalue of the Lanczos tridiagonal of a preconditioned
+    CG run: steps[k] is the length of step k and betas[k] the coefficient
+    of direction k in direction k + 1 (at least len(steps) - 1 of them).
+    It approximates the largest eigenvalue of the preconditioned operator
+    from below."""
+    steps = np.asarray(steps)
+    betas = np.asarray(betas[:len(steps) - 1])
+    diag = 1.0 / steps
+    diag[1:] += betas / steps[:-1]
+    off = np.sqrt(betas) / steps[:-1]
+    k = len(steps) - 1
+    return la.eigvalsh_tridiagonal(diag, off, select="i", select_range=(k, k))[0]
 
 
 def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL):
@@ -243,71 +243,145 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
 
     The stiffness matrix K is factored once per problem (and cached on
     its assembly).  Distributed and boundary controls form one stacked
-    control u with weights W (alpha * cell areas, beta * face lengths).
-    Each iteration pins u at its bounds on the current active sets and
-    solves the reduced Hessian system
+    control u with weights W (alpha * cell areas, beta * face lengths),
+    coupling B and candidate c(u) = u_d - W^-1 B^T p(u).  Each iteration
+    pins u at its bounds on the current active sets, keeps the previous
+    control on the inactive controls I, and solves the reduced Hessian
+    system
 
-        (W_I + B_I^T K^-1 M K^-1 B_I) u_I = rhs
+        H_I u_I = (W_I + G_II) u_I = rhs,   G = B^T K^-1 M K^-1 B,
 
-    on the inactive controls I by conjugate gradients preconditioned with
-    W_I^-1 and warm-started from the previous control, to a relative
-    preconditioned residual of tol / 100.  State and adjoint are then
-    recomputed from u with two factor solves, and the active sets are
-    refreshed from the unclamped candidate control; termination is
+    by conjugate gradients preconditioned with W_I^-1, from that start.
+    One state/adjoint solve of the start gives the initial residual
+    W_I (c - u)_I; each step solves s = K^-1 B_I d and t = K^-1 M s and
+    adds them to the state and adjoint as it adds d to u_I, so both are
+    carried along and the candidate with them.
+
+    Certificate.  With e = u_I - u_I* the CG error, c(u) - c(u*) =
+    -W^-1 G_{:,I} e, so by Cauchy-Schwarz and G_ii <= lambda_G w_i
+
+        |c_i(u) - c_i(u*)| <= sqrt(lambda_G / w_i) ||e||_G
+                           <= sqrt(lambda_G / w_i) ||r||_{W_I^-1},
+
+    since H_I >= W_I; lambda_G is the largest eigenvalue of
+    W^-1/2 G W^-1/2.  It is estimated once, from the largest Ritz value
+    theta of the Lanczos tridiagonal of iteration 1 (whose inactive set
+    holds every control) as LAMBDA_INFLATION * (theta - 1).  From
+    iteration 2 on, CG stops as soon as every candidate lies farther
+    than its bound from each finite box edge: the next active sets are
+    then those an exact solve would give.  When they equal the current
+    sets, the same CG run goes on to the full stopping rule (the exact
+    finish) and the loop ends if they still repeat.  Without a CG step
+    in iteration 1 there is no estimate and every iteration is exact.
+
+    The full stopping rule is ||r||_{W_I^-1} <= tau (||u_I||_{W_I} -
+    ||r||_{W_I^-1}) with tau = tol / 100.  The bracket is a lower bound
+    on ||u_I*||_{W_I}, which is at most ||rhs||_{W_I^-1}, so the rule
+    is no looser than a relative residual of tau; a zero start of a zero
+    solution meets it at once.  A CG run that has not stopped after
+    PCG_MAX_ITER steps raises SolverError with the residual it reached.
+
+    The active sets are refreshed from the candidate; termination is
     reached when they repeat.  A return to any earlier pair is a cycle
-    and raises SolverError with the |A-|/|A+| history.  The returned
-    control satisfies the discrete projection identity by construction.
+    and raises SolverError with the |A-|/|A+| history.  The carried
+    state and adjoint are checked against the backward-error contract of
+    the factor (refined where they miss it), and the returned control is
+    the box projection of their candidate, so it satisfies the discrete
+    projection identity by construction.
     """
     asm = problem.assembled()
     lower, upper = problem.lower, problem.upper
     factor = asm.stiffness_factor
     b_mat, w = asm.control_coupling, asm.control_weight
+    b_t = b_mat.T.tocsr()
+    root_w = np.sqrt(w)
+    cg_tol = 1e-2 * tol
+    lam = None
 
-    def state_adjoint(u):
-        y = factor.solve(asm.source_load + b_mat @ u)
-        return y, factor.solve(asm.mass @ y - asm.target_load)
+    def proven(candidate, rz):
+        margin = np.minimum(np.abs(candidate - lower), np.abs(candidate - upper))
+        return bool(np.min(margin * root_w) > math.sqrt(lam * rz))
 
-    def reduced_hessian(inactive):
-        b_in = b_mat[:, inactive]
-        w_in = w[inactive]
-        return lambda v: w_in * v + b_in.T @ factor.solve(asm.mass @ factor.solve(b_in @ v))
+    def unchanged(candidate):
+        return bool(np.array_equal(candidate < lower, lo)
+                    and np.array_equal(candidate > upper, hi))
 
     u = np.zeros(len(w))
     lo = np.zeros(len(w), dtype=bool)
     hi = np.zeros(len(w), dtype=bool)
-    # Iteration that used each active-set pair, keyed by its packed bits,
-    # and the |A-|/|A+| history for the cycle report.
+    # Iteration that used each active-set pair, keyed by its packed bits.
     key = lambda lo, hi: np.packbits(lo).tobytes() + np.packbits(hi).tobytes()
     seen = {}
-    sizes = []
+    history = []
     for it in range(1, max_iter + 1):
         seen[key(lo, hi)] = it
-        sizes.append(f"{lo.sum()}/{hi.sum()}")
-        inactive = ~(lo | hi)
-        pinned = np.where(lo, lower, np.where(hi, upper, 0.0))
-        if inactive.any():
-            _, p_pinned = state_adjoint(pinned)
-            rhs = (w * asm.control_target - b_mat.T @ p_pinned)[inactive]
-            pinned[inactive] = _pcg(reduced_hessian(inactive), rhs, u[inactive],
-                                    1.0 / w[inactive], 1e-2 * tol)
-        u = pinned
-        y, p = state_adjoint(u)
-        candidate = asm.candidate(p)
+        free = (~(lo | hi)).astype(float)
+        u = np.where(lo, lower, np.where(hi, upper, u))
+        y = factor.solve(asm.source_load + b_mat @ u)
+        p = factor.solve(asm.mass @ y - asm.target_load)
+        candidate = asm.control_target - (b_t @ p) / w
+        # CG vectors have one entry per control, zero on the active ones.
+        r = free * w * (candidate - u)
+        z = r / w
+        rz = float(r @ z)
+        d = z
+        steps, betas = [], []
+        certified = False
+        while True:
+            x = free * u
+            res, norm = math.sqrt(rz), math.sqrt(x @ (w * x))
+            if res <= cg_tol * (norm - res):
+                exact = True
+                break
+            if lam is not None and not certified and proven(candidate, rz):
+                certified = True
+                if not unchanged(candidate):
+                    exact = False
+                    break
+            if len(steps) == PCG_MAX_ITER:
+                raise SolverError(
+                    f"conjugate gradients reached relative residual "
+                    f"{res / norm if norm else math.inf:.3e}, above {cg_tol:.1e}, "
+                    f"in {PCG_MAX_ITER} steps"
+                )
+            s = factor.solve(b_mat @ d)
+            t = factor.solve(asm.mass @ s)
+            bt = b_t @ t
+            q = free * (w * d + bt)
+            step = rz / float(d @ q)
+            u += step * d
+            y += step * s
+            p += step * t
+            candidate -= step * bt / w
+            r -= step * q
+            z = r / w
+            rz, rz_old = float(r @ z), rz
+            betas.append(rz / rz_old)
+            steps.append(step)
+            d = z + betas[-1] * d
+        if it == 1 and steps:
+            lam = LAMBDA_INFLATION * max(_largest_ritz_value(steps, betas) - 1.0, 0.0)
+        history.append((int(lo.sum()), int(hi.sum()), len(steps), certified))
+        if exact:
+            y = factor.solve(asm.source_load + b_mat @ u, x0=y)
+            p = factor.solve(asm.mass @ y - asm.target_load, x0=p)
+            candidate = asm.candidate(p)
+        done = exact and unchanged(candidate)
         new_lo = candidate < lower
         new_hi = candidate > upper
-        done = bool(np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi))
         if not done and key(new_lo, new_hi) in seen:
-            sizes.append(f"{new_lo.sum()}/{new_hi.sum()}")
+            sizes = [f"{a}/{b}" for a, b, _, _ in history]
             raise SolverError(
                 f"active sets cycle: iteration {it + 1} would repeat those of "
                 f"iteration {seen[key(new_lo, new_hi)]}; "
-                f"|A-|/|A+| by iteration: {', '.join(sizes)}"
+                f"|A-|/|A+| by iteration: {', '.join(sizes)}, "
+                f"{new_lo.sum()}/{new_hi.sum()}"
             )
         lo, hi = new_lo, new_hi
         if done:
             u_cells, u_b = asm.split(project_box(candidate, lower, upper))
             return KKTSolution(y, p, u_cells, u_b, it,
-                               asm.split(lo)[0], asm.split(hi)[0])
+                               asm.split(lo)[0], asm.split(hi)[0], history)
     raise SolverError(f"active-set iteration did not settle in {max_iter} steps")
 
 

@@ -61,14 +61,28 @@ def _unknowns(boundary_dofs, bc):
     return free, unknown
 
 
-def _csr(rows, cols, vals, shape, unknown):
-    """Sparse matrix of the entries (rows, cols, vals), cols numbering
-    scheme DOFs, with one column per unknown: the entries of eliminated
-    DOFs are dropped as the matrix is built.  This is the one place the
-    Dirichlet condition is applied."""
-    cols = unknown[cols]
-    keep = cols >= 0
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+def _pattern(rows, cols, shape, unknown):
+    """CSR structure of entries at the distinct positions (rows, cols),
+    cols numbering scheme DOFs, with one column per unknown: the entries
+    of eliminated DOFs are dropped.  This is the one place the Dirichlet
+    condition is applied.  The result is an integer CSR matrix whose data
+    give, for each stored entry, its index in rows and cols; matrices of
+    one pattern share its index arrays (see _csr)."""
+    take = np.arange(len(rows))
+    if shape[1] < len(unknown):
+        cols = unknown[cols]
+        take = np.flatnonzero(cols >= 0)
+        rows, cols = rows[take], cols[take]
+    pattern = sp.coo_matrix((take, (rows, cols)), shape=shape).tocsr()
+    if pattern.nnz != len(take):
+        raise ValueError("repeated positions in a sparse pattern")
+    return pattern
+
+
+def _csr(pattern, vals):
+    """Matrix of the values vals at the entries of a _pattern."""
+    return sp.csr_matrix((vals[pattern.data], pattern.indices, pattern.indptr),
+                         shape=pattern.shape)
 
 
 def _affine_scheme(mesh, scheme, bc, dof_points, boundary_dofs, cell_dofs, basis_grad,
@@ -81,14 +95,13 @@ def _affine_scheme(mesh, scheme, bc, dof_points, boundary_dofs, cell_dofs, basis
     boundary face.
     """
     free, unknown = _unknowns(boundary_dofs, bc)
-    rows = np.repeat(np.arange(mesh.n_cells), 3)
-    cols = cell_dofs.ravel()
-    shape = (mesh.n_cells, len(free))
-    slope_x = _csr(rows, cols, basis_grad[:, :, 0].ravel(), shape, unknown)
-    slope_y = _csr(rows, cols, basis_grad[:, :, 1].ravel(), shape, unknown)
+    cell = _pattern(np.repeat(np.arange(mesh.n_cells), 3), cell_dofs.ravel(),
+                    (mesh.n_cells, len(free)), unknown)
+    slope_x = _csr(cell, basis_grad[:, :, 0].ravel())
+    slope_y = _csr(cell, basis_grad[:, :, 1].ravel())
     hf_shape = (3 * mesh.n_cells, len(free))
-    hf_mid = _csr(*hf_mid, hf_shape, unknown)
-    hf_slope = _csr(*hf_slope, hf_shape, unknown)
+    hf_mid, hf_slope = (_csr(_pattern(rows, cols, hf_shape, unknown), vals)
+                        for rows, cols, vals in (hf_mid, hf_slope))
     first_owner = np.empty(mesh.n_faces, dtype=int)
     is_first = mesh.cell_face_sign.ravel() == 1
     first_owner[mesh.cell_faces.ravel()[is_first]] = np.flatnonzero(is_first)
@@ -96,7 +109,7 @@ def _affine_scheme(mesh, scheme, bc, dof_points, boundary_dofs, cell_dofs, basis
     return GradientDiscretisation(
         mesh=mesh, scheme=scheme, bc=bc, n_dofs=len(dof_points), free=free,
         dof_points=dof_points[free],
-        value_center=_csr(rows, cols, np.full(3 * mesh.n_cells, 1.0 / 3.0), shape, unknown),
+        value_center=_csr(cell, np.full(3 * mesh.n_cells, 1.0 / 3.0)),
         value_slope_x=slope_x, value_slope_y=slope_y,
         piece_cell=np.arange(mesh.n_cells), piece_tri=mesh.vertices[mesh.cells],
         grad_x=slope_x, grad_y=slope_y,
@@ -178,12 +191,13 @@ def make_hmm(mesh, bc="dirichlet"):
     n_pieces = n_cells * k
     shape = (n_pieces, n_free)
     # Entries of each piece: its cell's k faces, then its cell.
-    rows = np.concatenate([np.repeat(np.arange(n_pieces), k), np.arange(n_pieces)])
-    cols = np.concatenate([np.tile(mesh.cell_faces[:, None, :], (1, k, 1)).ravel() + n_cells,
-                           np.repeat(np.arange(n_cells), k)])
+    pieces = _pattern(
+        np.concatenate([np.repeat(np.arange(n_pieces), k), np.arange(n_pieces)]),
+        np.concatenate([np.tile(mesh.cell_faces[:, None, :], (1, k, 1)).ravel() + n_cells,
+                        np.repeat(np.arange(n_cells), k)]),
+        shape, unknown)
     grad_x, grad_y = (
-        _csr(rows, cols, np.concatenate([face_coef[..., i].ravel(), cell_coef[..., i].ravel()]),
-             shape, unknown)
+        _csr(pieces, np.concatenate([face_coef[..., i].ravel(), cell_coef[..., i].ravel()]))
         for i in (0, 1)
     )
 
@@ -197,16 +211,16 @@ def make_hmm(mesh, bc="dirichlet"):
     piece_tri[:, 2] = mesh.vertices[ends[:, :, 1].ravel()]
 
     cshape = (n_cells, n_free)
-    value_center = _csr(np.arange(n_cells), np.arange(n_cells), np.ones(n_cells), cshape,
-                        unknown)
+    value_center = _csr(_pattern(np.arange(n_cells), np.arange(n_cells), cshape, unknown),
+                        np.ones(n_cells))
     zero_c = sp.csr_matrix(cshape)
-    hf_mid = _csr(np.arange(n_pieces), np.repeat(np.arange(n_cells), k), np.ones(n_pieces),
-                  shape, unknown)
+    hf_mid = _csr(_pattern(np.arange(n_pieces), np.repeat(np.arange(n_cells), k), shape,
+                           unknown), np.ones(n_pieces))
     hf_slope = sp.csr_matrix(shape)
 
     bids = np.flatnonzero(mesh.boundary_faces)
-    trace_mid = _csr(np.arange(len(bids)), n_cells + bids, np.ones(len(bids)),
-                     (len(bids), n_free), unknown)
+    trace_mid = _csr(_pattern(np.arange(len(bids)), n_cells + bids, (len(bids), n_free),
+                              unknown), np.ones(len(bids)))
     trace_slope = sp.csr_matrix((len(bids), n_free))
 
     return GradientDiscretisation(

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from gdmopt.assembly import (
     SOLVE_TOL,
     SolverError,
+    SPDFactor,
     assemble_load,
     cell_source_load,
     check_symmetry,
@@ -166,6 +167,43 @@ def test_solve_spd_contract():
     sing = sp.csc_matrix((n, n))
     with pytest.raises(SolverError):
         solve_spd(sing, b)
+
+
+def test_spd_factor_solve_from_approximation():
+    rng = np.random.default_rng(2)
+    n = 40
+    q = rng.standard_normal((n, n))
+    a = sp.csc_matrix(q @ q.T + n * np.eye(n))
+    b = rng.standard_normal(n)
+    factor = SPDFactor(a)
+    solves = []
+    lu_solve = factor._lu.solve
+
+    class CountingLU:
+        def solve(self, rhs):
+            solves.append(None)
+            return lu_solve(rhs)
+
+    factor._lu = CountingLU()
+    a_norm = abs(a).sum(axis=1).max()
+
+    def backward(x):
+        return np.abs(b - a @ x).max() / (a_norm * np.abs(x).max() + np.abs(b).max())
+
+    x = factor.solve(b)
+    assert backward(x) <= SOLVE_TOL and len(solves) >= 1
+    # An approximation that meets the contract is returned as it is.
+    solves.clear()
+    np.testing.assert_array_equal(factor.solve(b, x0=x), x)
+    assert solves == []
+    # A perturbed one is refined until it meets it.
+    rough = factor.solve(b, x0=x * (1.0 + 1e-6 * rng.standard_normal(n)))
+    assert backward(rough) <= SOLVE_TOL and len(solves) >= 1
+    # A non-finite one is discarded for a fresh solve.
+    solves.clear()
+    fresh = factor.solve(b, x0=np.full(n, np.nan))
+    np.testing.assert_array_equal(fresh, x)
+    assert backward(fresh) <= SOLVE_TOL
 
 
 def test_solve_pde_meets_backward_error_on_neumann_level6():

@@ -13,8 +13,8 @@ from gdmopt.assembly import SolverError
 from gdmopt.cases import get_case
 from gdmopt.control import (
     OptimalControlProblem,
+    _largest_ritz_value,
     _largest_weighted_eig,
-    _pcg,
     postprocess,
     project_box,
     project_onto_cells,
@@ -345,16 +345,137 @@ def test_pdas_without_free_dofs():
     np.testing.assert_allclose(sol.u, np.clip(problem.assembled().control_target_cells, 0.2, 0.5))
 
 
-def test_pcg_cap_raises_with_reached_residual():
-    rng = np.random.default_rng(3)
-    q = rng.standard_normal((20, 20))
-    a = q @ q.T + np.eye(20)
-    rhs = rng.standard_normal(20)
-    weight = np.ones(20)
-    x = _pcg(lambda v: a @ v, rhs, np.zeros(20), weight, 1e-12, max_iter=200)
-    assert np.linalg.norm(a @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+def test_pdas_cg_cap_raises_with_reached_residual(monkeypatch):
+    problem = case_problem("example1", "p1", 4)
+    assert solve_kkt_pdas(problem).history[0][2] > 2
+    monkeypatch.setattr(control, "PCG_MAX_ITER", 2)
     with pytest.raises(SolverError, match="relative residual .* in 2 steps"):
-        _pcg(lambda v: a @ v, rhs, np.zeros(20), weight, 1e-12, max_iter=2)
+        solve_kkt_pdas(problem)
+
+
+def test_pdas_zero_data_returns_zeros_without_cg_steps(monkeypatch):
+    # Zero source, target and control shift: the zero start is the
+    # solution, and the stopping rule accepts it before any CG step.
+    monkeypatch.setattr(control, "PCG_MAX_ITER", 0)
+    gd = build_scheme("p1", build_unit_square_triangulation(4), "dirichlet")
+    zero = lambda pts: np.zeros(len(pts))
+    problem = OptimalControlProblem(gd, alpha=1.0, bounds=(-1.0, 1.0), y_target=zero)
+    sol = solve_kkt_pdas(problem)
+    assert not sol.u.any() and not sol.y.any() and not sol.p.any()
+    assert sol.history == [(0, 0, 0, False)]
+
+
+def test_largest_ritz_value_of_a_complete_cg_run():
+    # n steps of preconditioned CG on an n x n system build the whole
+    # Lanczos tridiagonal, whose largest eigenvalue is then that of
+    # W^-1/2 A W^-1/2.
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    a = q @ np.diag([1.0, 1.5, 2.0, 3.0, 5.0, 9.0]) @ q.T
+    weight = rng.uniform(0.5, 2.0, 6)
+    x = np.zeros(6)
+    r = rng.standard_normal(6)
+    z = r / weight
+    d, rz = z, r @ z
+    steps, betas = [], []
+    for _ in range(6):
+        q_d = a @ d
+        steps.append(rz / (d @ q_d))
+        x, r = x + steps[-1] * d, r - steps[-1] * q_d
+        z = r / weight
+        rz, rz_old = r @ z, rz
+        betas.append(rz / rz_old)
+        d = z + betas[-1] * d
+    scaled = a / np.sqrt(np.outer(weight, weight))
+    assert _largest_ritz_value(steps, betas) == pytest.approx(np.linalg.eigvalsh(scaled)[-1],
+                                                              rel=1e-8)
+    # A shorter run approximates it from below.
+    assert _largest_ritz_value(steps[:2], betas[:1]) <= np.linalg.eigvalsh(scaled)[-1]
+
+
+def test_pdas_solve_count_regression(monkeypatch):
+    # With exact inner solves and no carried state this took 134 SuperLU
+    # solves (two per CG step, six more per iteration).
+    solves = []
+    splu = spla.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(None)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: CountingLU(splu(*a, **kw)))
+    sol = solve_kkt_pdas(case_problem("example2-lshape", "p1", 16))
+    assert sol.iterations == 5
+    assert len(solves) <= 95
+    # The certificate holds in every iteration after the first (which
+    # has no eigenvalue estimate yet); the last then runs on to the
+    # full stopping rule.
+    assert [h[3] for h in sol.history] == [False] + [True] * 4
+
+
+def dense_exact_pdas(problem):
+    """(|A-|, |A+|) by iteration and the final active sets of the active-set
+    iteration with dense, exact inner solves."""
+    asm = problem.assembled()
+    k = asm.stiffness.toarray()
+    m = asm.mass.toarray()
+    w = asm.control_weight
+    state_map = np.linalg.solve(k, asm.control_coupling.toarray())
+    y0 = np.linalg.solve(k, asm.source_load)
+    # B^T p(u) = hess @ u + shift.
+    hess = state_map.T @ m @ state_map
+    shift = state_map.T @ (m @ y0 - asm.target_load)
+    lo = np.zeros(len(w), dtype=bool)
+    hi = np.zeros(len(w), dtype=bool)
+    history = []
+    while len(history) < 50:
+        history.append((int(lo.sum()), int(hi.sum())))
+        free = ~(lo | hi)
+        u = np.where(lo, problem.lower, np.where(hi, problem.upper, 0.0))
+        u[free] = np.linalg.solve(np.diag(w[free]) + hess[np.ix_(free, free)],
+                                  (w * asm.control_target - shift - hess @ u)[free])
+        candidate = asm.control_target - (hess @ u + shift) / w
+        new_lo, new_hi = candidate < problem.lower, candidate > problem.upper
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            return history, lo, hi
+        lo, hi = new_lo, new_hi
+    raise AssertionError("dense active-set oracle did not settle")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    case_name=st.sampled_from(["example1", "example3-neumann"]),
+    scheme=st.sampled_from(["p1", "ncp1", "hmm"]),
+    log_alpha=st.floats(-3.0, 0.0),
+    cuts=st.tuples(st.floats(0.02, 0.98), st.floats(0.02, 0.98)),
+    sides=st.sampled_from(["both", "lower", "upper"]),
+)
+def test_certified_pdas_follows_exact_active_sets(case_name, scheme, log_alpha, cuts, sides):
+    # The box cuts the range of the unconstrained control strictly inside,
+    # so that no candidate of the first iteration sits on a bound.
+    case = get_case(case_name)
+    gd = build_scheme(scheme, case.build_mesh(scheme, 8), case.bc)
+
+    def problem(bounds):
+        return OptimalControlProblem(
+            gd, alpha=10.0 ** log_alpha, bounds=bounds, y_target=case.y_d,
+            volume_source=case.f, control_target=case.u_d, reaction=case.reaction,
+            boundary_source=case.f_b if case.bc == "neumann" else None,
+        )
+
+    free = solve_kkt_pdas(problem((-np.inf, np.inf))).u
+    lower, upper = free.min() + np.sort(cuts) * np.ptp(free)
+    constrained = problem((lower if sides != "upper" else -np.inf,
+                           upper if sides != "lower" else np.inf))
+    history, lo, hi = dense_exact_pdas(constrained)
+    sol = solve_kkt_pdas(constrained)
+    assert [h[:2] for h in sol.history] == history
+    np.testing.assert_array_equal(sol.active_lower, lo)
+    np.testing.assert_array_equal(sol.active_upper, hi)
 
 
 def test_reference_iteration_cap_raises():

@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from gdmopt import schemes
 from gdmopt.gd_core import GradientDiscretisation
 from gdmopt.mesh import (
     build_cartesian_mesh,
@@ -214,3 +216,49 @@ def test_discretisation_checks_its_operators():
         dataclasses.replace(gd, dof_points=gd.dof_points[:-1])
     with pytest.raises(ValueError, match="per unknown"):
         dataclasses.replace(gd, free=gd.free[:-1])
+
+
+def test_operators_match_coo_oracle(monkeypatch):
+    # Every matrix a builder makes from a shared pattern is array-equal
+    # to the COO -> CSR conversion of its own entries, with the columns
+    # of eliminated DOFs dropped.
+    patterns = {}
+    real_pattern, real_csr = schemes._pattern, schemes._csr
+
+    def recording_pattern(rows, cols, shape, unknown):
+        pattern = real_pattern(rows, cols, shape, unknown)
+        patterns[id(pattern)] = (pattern, rows, cols, shape, unknown)
+        return pattern
+
+    built = []
+
+    def checked_csr(pattern, vals):
+        out = real_csr(pattern, vals)
+        _, rows, cols, shape, unknown = patterns[id(pattern)]
+        cols = unknown[cols]
+        keep = cols >= 0
+        oracle = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+        assert out.shape == oracle.shape
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(oracle, name))
+        built.append(pattern)
+        return out
+
+    monkeypatch.setattr(schemes, "_pattern", recording_pattern)
+    monkeypatch.setattr(schemes, "_csr", checked_csr)
+    for bc in ("dirichlet", "neumann"):
+        for m in (1, 3):
+            for scheme, mesh in (("p1", build_unit_square_triangulation(m)),
+                                 ("ncp1", build_lshape_triangulation(m)),
+                                 ("hmm", build_cartesian_mesh(m))):
+                built.clear()
+                schemes.build_scheme(scheme, mesh, bc)
+                # Five matrices: the three cell matrices of p1 and ncp1
+                # share one pattern, the two gradients of hmm another.
+                assert len(built) == 5
+                assert len({id(p) for p in built}) == (4 if scheme == "hmm" else 3)
+
+
+def test_pattern_rejects_repeated_positions():
+    with pytest.raises(ValueError, match="repeated"):
+        schemes._pattern(np.array([0, 0]), np.array([1, 1]), (1, 2), np.arange(2))
