@@ -83,19 +83,6 @@ class SPDFactor:
             r = b - self.matrix @ x
 
 
-def solve_spd(a, b, tol=SOLVE_TOL):
-    """Checked direct solve of a symmetric positive definite sparse system.
-
-    A zero right-hand side returns zero without factoring; otherwise
-    raises SolverError on asymmetric, singular or badly conditioned
-    input (see SPDFactor).
-    """
-    b = np.asarray(b, dtype=float)
-    if not b.any():
-        return np.zeros_like(b)
-    return SPDFactor(a, tol).solve(b)
-
-
 def assemble_load(gd, volume_source=None, boundary_source=None):
     """Load vector on the unknowns of gd for function sources.
 
@@ -121,20 +108,16 @@ def assemble_load(gd, volume_source=None, boundary_source=None):
     return out
 
 
-def cell_source_load(gd, cell_values):
-    """Exact load of a piecewise-constant volume source."""
-    return gd.cell_coupling() @ np.asarray(cell_values, dtype=float)
-
-
 def solve_pde(gd, volume_source=None, boundary_source=None, diffusion=None,
               reaction=0.0, extra_load=None):
     """Solve one elliptic problem; returns the vector of unknowns.
 
     extra_load, if given, is added to the assembled load; like it, it is
-    indexed by unknown.
+    indexed by unknown.  The solve is checked (see SPDFactor) and raises
+    SolverError on an asymmetric or singular form.
     """
     a = gd.stiffness(diffusion=diffusion, reaction=reaction)
     b = assemble_load(gd, volume_source, boundary_source)
     if extra_load is not None:
         b = b + extra_load
-    return solve_spd(a, b)
+    return SPDFactor(a).solve(b)

@@ -98,8 +98,10 @@ def _levels_arg(text):
             lo = hi = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
-    if lo < 0:
-        raise argparse.ArgumentTypeError("levels must be nonnegative")
+    if lo < DEFAULT_LEVELS[0]:
+        # Coarser meshes leave some schemes too few unknowns for an error
+        # ratio or a diagnostics row.
+        raise argparse.ArgumentTypeError(f"levels below {DEFAULT_LEVELS[0]} are not supported")
     if hi < lo:
         raise argparse.ArgumentTypeError("level range must satisfy A <= B")
     if hi > MAX_LEVEL:

@@ -49,10 +49,6 @@ class GradientDiscretisation:
     grad_x, grad_y : (n_pieces, n_free)
         Constant gradient reconstruction per piece; the pieces of cell K
         tile K, and piece_tri stores their vertex triangles.
-    halfface_mid, halfface_slope : (n_cells * k, n_free)
-        Trace of the cell-side function reconstruction on each (cell,
-        local face) incidence, affine in the arclength offset from the
-        face midpoint; rows are aligned with mesh.cell_faces.ravel().
     trace_mid, trace_slope : (n_boundary_faces, n_free)
         Boundary trace reconstruction, affine along each boundary face
         (rows follow boundary_face_ids).
@@ -74,12 +70,9 @@ class GradientDiscretisation:
     value_center: sp.csr_matrix
     value_slope_x: sp.csr_matrix
     value_slope_y: sp.csr_matrix
-    piece_cell: np.ndarray
     piece_tri: np.ndarray
     grad_x: sp.csr_matrix
     grad_y: sp.csr_matrix
-    halfface_mid: sp.csr_matrix
-    halfface_slope: sp.csr_matrix
     trace_mid: sp.csr_matrix
     trace_slope: sp.csr_matrix
 
@@ -259,13 +252,6 @@ class GradientDiscretisation:
             a = a + reaction * self.mass_matrix()
         return a.tocsc()
 
-    def cell_coupling(self):
-        """Exact integrals of the function reconstruction basis per cell,
-        shape (n_free, n_cells); column K holds the load of the indicator
-        of K.  Exact because the reconstruction is affine per cell.
-        """
-        return (self.value_center.T @ sp.diags(self.mesh.cell_area)).tocsr()
-
     def value_load(self, cells, pts, wts, vals):
         """Load vector sum(w * vals * basis) for point values on cells."""
         mesh = self.mesh
@@ -296,9 +282,6 @@ class GradientDiscretisation:
     def gradient_norm(self, vec):
         g = self.gradient_table(vec)
         return math.sqrt(float(self.piece_area @ (g ** 2).sum(1)))
-
-    def value_norm(self, vec):
-        return math.sqrt(float(vec @ (self.mass_matrix() @ vec)))
 
 
 def _max_generalized_eig(a, gd, method, tol):
@@ -376,10 +359,17 @@ def compute_wd(gd, flux):
         raise ValueError("no free DOFs: conformity defect undefined")
     mesh = gd.mesh
     i1, i2 = _face_flux_integrals(mesh, flux)
-    hf_face = mesh.cell_faces.ravel()
-    hf_sign = mesh.cell_face_sign.ravel().astype(float)
-    r = gd.halfface_mid.T @ (hf_sign * i1[hf_face])
-    r += gd.halfface_slope.T @ (hf_sign * i2[hf_face])
+    # On face f of cell K, x = x_f + arc t_f and the trace is
+    # c_K + S_K . (x_f - x_K) + arc S_K . t_f, so with the outward sign s
+    # its flux integral is s i1 (c_K + S_K . (x_f - x_K)) + s i2 S_K . t_f.
+    cells = np.repeat(np.arange(mesh.n_cells), mesh.cells.shape[1])
+    faces, sign = mesh.cell_faces.ravel(), mesh.cell_face_sign.ravel()
+    j1, j2 = sign * i1[faces], sign * i2[faces]
+    d = mesh.face_center[faces] - mesh.cell_centroid[cells]
+    t = mesh.face_tangent[faces]
+    r = (gd.value_center.T @ np.bincount(cells, j1, mesh.n_cells)
+         + gd.value_slope_x.T @ np.bincount(cells, j1 * d[:, 0] + j2 * t[:, 0], mesh.n_cells)
+         + gd.value_slope_y.T @ np.bincount(cells, j1 * d[:, 1] + j2 * t[:, 1], mesh.n_cells))
     if gd.cell_centred:
         r += gd.gradient_load(np.asarray(flux(gd.piece_quadrature()[1]), dtype=float))
     if gd.bc == "neumann":

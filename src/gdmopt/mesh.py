@@ -3,11 +3,8 @@
 Meshes are collections of non-overlapping convex cells (triangles or
 axis-aligned rectangles), each equipped with a cell point used by
 cell-centred discretisations.  The module provides structured generators
-for the unit square and an L-shaped domain, a shifted Cartesian grid,
-uniform red refinement and shape-quality measures.
+for the unit square, an L-shaped domain and a shifted Cartesian grid.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,32 +137,6 @@ class PolytopalMesh:
         return np.sum(d * n, axis=2)
 
 
-@dataclass
-class MeshQuality:
-    """Shape-regularity (eta) and quasi-uniformity (chi) of a mesh."""
-
-    eta: float
-    chi: float
-
-
-def quality(mesh):
-    """Shape measures of a mesh.
-
-    eta is the largest ratio of cell diameter to the distance from the
-    cell centroid to its nearest face line; chi compares the n-th power of
-    the mesh size with the smallest cell area (n = 2 here), so families of
-    meshes with bounded chi are quasi-uniform.
-    """
-    n = mesh.outward_normals()
-    d = mesh.face_center[mesh.cell_faces] - mesh.cell_centroid[:, None, :]
-    rho = np.sum(d * n, axis=2).min(axis=1)
-    if np.any(rho <= 0.0):
-        raise ValueError("degenerate cell: centroid not inside the cell")
-    eta = float((mesh.cell_diameter / rho).max())
-    chi = float(mesh.h ** 2 / mesh.cell_area.min())
-    return MeshQuality(eta, chi)
-
-
 def _grid_squares(nodes):
     """Tensor grid on nodes x nodes: its vertices, the ccw corner ids
     (v00, v10, v11, v01) of each square, row by row from the bottom, and
@@ -261,39 +232,3 @@ def build_cartesian_mesh(m, shift=0.0):
     if np.any(mesh.face_point_distances() <= 0.0):
         raise ValueError("shift places a cell point outside its cell")
     return mesh
-
-
-def uniform_refine(mesh):
-    """Red refinement: triangles and rectangles split into four children.
-
-    New vertices sit at face midpoints (plus cell centers for
-    rectangles).  The mesh size halves exactly and cell counts
-    quadruple.  Cell points follow the parent: each child point is the
-    child centroid plus half the parent's centroid-to-point offset, so
-    shifted Cartesian grids refine into their own finer versions.
-    """
-    v = mesh.cells
-    mid = mesh.n_vertices + mesh.cell_faces
-    if v.shape[1] == 3:
-        # Local faces: 0 joins (v0,v1), 1 joins (v1,v2), 2 joins (v2,v0).
-        vertices = np.vstack([mesh.vertices, mesh.face_center])
-        children = [
-            [v[:, 0], mid[:, 0], mid[:, 2]],
-            [mid[:, 0], v[:, 1], mid[:, 1]],
-            [mid[:, 2], mid[:, 1], v[:, 2]],
-            [mid[:, 0], mid[:, 1], mid[:, 2]],
-        ]
-    else:
-        vertices = np.vstack([mesh.vertices, mesh.face_center, mesh.cell_centroid])
-        ctr = mesh.n_vertices + mesh.n_faces + np.arange(mesh.n_cells)
-        children = [
-            [v[:, 0], mid[:, 0], ctr, mid[:, 3]],
-            [mid[:, 0], v[:, 1], mid[:, 1], ctr],
-            [ctr, mid[:, 1], v[:, 2], mid[:, 2]],
-            [mid[:, 3], ctr, mid[:, 2], v[:, 3]],
-        ]
-    # Children 4c..4c+3 of cell c, in the order listed above.
-    cells = np.array(children).transpose(2, 0, 1).reshape(-1, v.shape[1])
-    offset = np.repeat(mesh.cell_point - mesh.cell_centroid, 4, axis=0)
-    points = vertices[cells].mean(axis=1) + 0.5 * offset
-    return PolytopalMesh(vertices, cells, cell_points=points)

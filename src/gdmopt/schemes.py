@@ -86,51 +86,44 @@ def _csr(pattern, vals):
 
 
 def _affine_scheme(mesh, scheme, bc, dof_points, boundary_dofs, cell_dofs, basis_grad,
-                   hf_mid, hf_slope):
+                   trace_mid, trace_slope):
     """Scheme whose function reconstruction on each triangle is the affine
     combination of its three local basis functions (DOFs cell_dofs, mean
-    1/3 each, gradients basis_grad); the gradient is its slope.  hf_mid
-    and hf_slope are the (rows, cols, vals) entries of the halfface
-    traces.  The boundary trace is the first-owner halfface trace of each
-    boundary face.
+    1/3 each, gradients basis_grad); the gradient is its slope.  trace_mid
+    and trace_slope are the (rows, cols, vals) entries of the boundary
+    trace, one row per boundary face.
     """
     free, unknown = _unknowns(boundary_dofs, bc)
     cell = _pattern(np.repeat(np.arange(mesh.n_cells), 3), cell_dofs.ravel(),
                     (mesh.n_cells, len(free)), unknown)
     slope_x = _csr(cell, basis_grad[:, :, 0].ravel())
     slope_y = _csr(cell, basis_grad[:, :, 1].ravel())
-    hf_shape = (3 * mesh.n_cells, len(free))
-    hf_mid, hf_slope = (_csr(_pattern(rows, cols, hf_shape, unknown), vals)
-                        for rows, cols, vals in (hf_mid, hf_slope))
-    first_owner = np.empty(mesh.n_faces, dtype=int)
-    is_first = mesh.cell_face_sign.ravel() == 1
-    first_owner[mesh.cell_faces.ravel()[is_first]] = np.flatnonzero(is_first)
-    first = first_owner[mesh.boundary_faces]
+    trace_shape = (np.count_nonzero(mesh.boundary_faces), len(free))
+    trace_mid, trace_slope = (_csr(_pattern(rows, cols, trace_shape, unknown), vals)
+                              for rows, cols, vals in (trace_mid, trace_slope))
     return GradientDiscretisation(
         mesh=mesh, scheme=scheme, bc=bc, n_dofs=len(dof_points), free=free,
         dof_points=dof_points[free],
         value_center=_csr(cell, np.full(3 * mesh.n_cells, 1.0 / 3.0)),
         value_slope_x=slope_x, value_slope_y=slope_y,
-        piece_cell=np.arange(mesh.n_cells), piece_tri=mesh.vertices[mesh.cells],
-        grad_x=slope_x, grad_y=slope_y,
-        halfface_mid=hf_mid, halfface_slope=hf_slope,
-        trace_mid=hf_mid[first], trace_slope=hf_slope[first],
+        piece_tri=mesh.vertices[mesh.cells], grad_x=slope_x, grad_y=slope_y,
+        trace_mid=trace_mid, trace_slope=trace_slope,
     )
 
 
 def make_conforming_p1(mesh, bc="dirichlet"):
     """Conforming piecewise-affine scheme with vertex DOFs."""
     _require_triangles(mesh, "conforming p1")
-    n_hf = 3 * mesh.n_cells
-    hf_face = mesh.cell_faces.ravel()
-    ends = mesh.faces[hf_face]  # (n_hf, 2) vertex ids in stored face order
-    hrows = np.repeat(np.arange(n_hf), 2)
-    hcols = ends.ravel()
-    inv_len = 1.0 / mesh.face_length[hf_face]
-    hf_mid = hrows, hcols, np.full(2 * n_hf, 0.5)
-    hf_slope = hrows, hcols, np.column_stack([-inv_len, inv_len]).ravel()
+    # The trace on a boundary face is affine between its two end
+    # vertices, in stored face order.
+    bids = np.flatnonzero(mesh.boundary_faces)
+    rows = np.repeat(np.arange(len(bids)), 2)
+    cols = mesh.faces[bids].ravel()
+    inv_len = 1.0 / mesh.face_length[bids]
+    trace_mid = rows, cols, np.full(2 * len(bids), 0.5)
+    trace_slope = rows, cols, np.column_stack([-inv_len, inv_len]).ravel()
     return _affine_scheme(mesh, "p1", bc, mesh.vertices, mesh.boundary_vertices,
-                          mesh.cells, _barycentric_gradients(mesh), hf_mid, hf_slope)
+                          mesh.cells, _barycentric_gradients(mesh), trace_mid, trace_slope)
 
 
 def make_ncp1(mesh, bc="dirichlet"):
@@ -140,18 +133,16 @@ def make_ncp1(mesh, bc="dirichlet"):
     # 1 - 2 * lambda_{i+2}; its gradient is -2 grad(lambda_{i+2}).
     basis_grad = -2.0 * _barycentric_gradients(mesh)[:, [2, 0, 1], :]
 
-    n_hf = 3 * mesh.n_cells
-    hf_face = mesh.cell_faces.ravel()
-    hf_mid = np.arange(n_hf), hf_face, np.ones(n_hf)
-    # Tangential slope of the cell-side function along the face: all
-    # three cell basis functions contribute.
-    tang = mesh.face_tangent[hf_face].reshape(mesh.n_cells, 3, 2)
-    svals = np.einsum("cjd,cid->cij", basis_grad, tang)  # (cell, face i, dof j)
-    hrows = np.repeat(np.arange(n_hf), 3)
-    hcols = np.tile(mesh.cell_faces[:, None, :], (1, 3, 1)).ravel()
-    hf_slope = hrows, hcols, svals.ravel()
+    # The trace on a boundary face is its DOF at the midpoint; all three
+    # basis functions of the owning cell contribute to its tangential slope.
+    bids = np.flatnonzero(mesh.boundary_faces)
+    owner = mesh.face_cells[bids, 0]
+    trace_mid = np.arange(len(bids)), bids, np.ones(len(bids))
+    svals = np.einsum("bjd,bd->bj", basis_grad[owner], mesh.face_tangent[bids])
+    trace_slope = (np.repeat(np.arange(len(bids)), 3), mesh.cell_faces[owner].ravel(),
+                   svals.ravel())
     return _affine_scheme(mesh, "ncp1", bc, mesh.face_center, mesh.boundary_faces,
-                          mesh.cell_faces, basis_grad, hf_mid, hf_slope)
+                          mesh.cell_faces, basis_grad, trace_mid, trace_slope)
 
 
 def make_hmm(mesh, bc="dirichlet"):
@@ -214,9 +205,6 @@ def make_hmm(mesh, bc="dirichlet"):
     value_center = _csr(_pattern(np.arange(n_cells), np.arange(n_cells), cshape, unknown),
                         np.ones(n_cells))
     zero_c = sp.csr_matrix(cshape)
-    hf_mid = _csr(_pattern(np.arange(n_pieces), np.repeat(np.arange(n_cells), k), shape,
-                           unknown), np.ones(n_pieces))
-    hf_slope = sp.csr_matrix(shape)
 
     bids = np.flatnonzero(mesh.boundary_faces)
     trace_mid = _csr(_pattern(np.arange(len(bids)), n_cells + bids, (len(bids), n_free),
@@ -227,7 +215,6 @@ def make_hmm(mesh, bc="dirichlet"):
         mesh=mesh, scheme="hmm", bc=bc, n_dofs=n_cells + n_faces, free=free,
         dof_points=np.vstack([mesh.cell_point, mesh.face_center])[free],
         value_center=value_center, value_slope_x=zero_c, value_slope_y=zero_c,
-        piece_cell=np.repeat(np.arange(n_cells), k), piece_tri=piece_tri,
-        grad_x=grad_x, grad_y=grad_y, halfface_mid=hf_mid, halfface_slope=hf_slope,
+        piece_tri=piece_tri, grad_x=grad_x, grad_y=grad_y,
         trace_mid=trace_mid, trace_slope=trace_slope,
     )

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from gdmopt.analysis import cell_quadrature, function_rule
 from gdmopt.assembly import (
     SOLVE_TOL,
     SolverError,
     SPDFactor,
     assemble_load,
-    cell_source_load,
     check_symmetry,
     solve_pde,
-    solve_spd,
 )
 from gdmopt.cases import get_case
 from gdmopt.gd_core import compute_cd
@@ -125,8 +124,6 @@ def test_constant_load_p1():
 def test_load_from_sampled_values(scheme):
     # Values at the load rule's points give the very same load as the
     # callable; a wrong number of values is refused.
-    from gdmopt.analysis import cell_quadrature, function_rule
-
     gd = make_gd(scheme, 3)
     fn = lambda pts: np.sin(3.0 * pts[:, 0]) + pts[:, 1] ** 2
     _, pts, _ = cell_quadrature(gd.mesh, function_rule(gd))
@@ -135,38 +132,22 @@ def test_load_from_sampled_values(scheme):
         assemble_load(gd, fn(pts)[:-1])
 
 
-def test_cell_source_load_matches_quadrature():
-    gd = make_gd("ncp1", 3)
-    rng = np.random.default_rng(8)
-    f_cells = rng.standard_normal(gd.mesh.n_cells)
-    exact = cell_source_load(gd, f_cells)
-    # Quadrature route: sample the cellwise-constant field.
-    from gdmopt.analysis import cell_quadrature
-
-    cells, pts, wts = cell_quadrature(gd.mesh, "gauss3")
-    quad = gd.value_load(cells, pts, wts, f_cells[cells])
-    np.testing.assert_allclose(exact, quad, atol=1e-13)
-
-
-def test_solve_spd_contract():
+def test_spd_factor_contract():
     rng = np.random.default_rng(1)
     n = 30
     q = rng.standard_normal((n, n))
     a = sp.csc_matrix(q @ q.T + n * np.eye(n))
     x = rng.standard_normal(n)
     b = a @ x
-    np.testing.assert_allclose(solve_spd(a, b), x, rtol=1e-9)
-    # Zero right-hand side short-circuits, also on an empty system.
-    assert np.all(solve_spd(a, np.zeros(n)) == 0.0)
-    assert solve_spd(sp.csc_matrix((0, 0)), np.zeros(0)).shape == (0,)
+    np.testing.assert_allclose(SPDFactor(a).solve(b), x, rtol=1e-9)
     # Asymmetric input is rejected.
     bad = sp.csc_matrix(q + 10 * np.eye(n))
     with pytest.raises(SolverError):
-        solve_spd(bad, b)
+        SPDFactor(bad)
     # Singular input is rejected.
     sing = sp.csc_matrix((n, n))
     with pytest.raises(SolverError):
-        solve_spd(sing, b)
+        SPDFactor(sing)
 
 
 def test_spd_factor_solve_from_approximation():
@@ -238,7 +219,7 @@ def test_galerkin_residual():
         f = lambda pts: np.cos(3.0 * pts[:, 0]) + pts[:, 1]
         a = gd.stiffness()
         b = assemble_load(gd, volume_source=f)
-        x = solve_spd(a, b)
+        x = SPDFactor(a).solve(b)
         assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -258,8 +239,6 @@ def test_poisson_manufactured_convergence():
 
 
 def l2_error(gd, vec, exact):
-    from gdmopt.analysis import cell_quadrature
-
     cells, pts, wts = cell_quadrature(gd.mesh, "gauss7")
     diff = gd.value_at(vec, cells, pts) - exact(pts)
     return np.sqrt(float(wts @ diff ** 2))
@@ -309,8 +288,10 @@ def test_stability_bound(scheme):
     cd = compute_cd(gd)
     rng = np.random.default_rng(42)
     area = gd.mesh.cell_area
+    # Values at the load rule's points load a cellwise source exactly.
+    cells = cell_quadrature(gd.mesh, function_rule(gd))[0]
     for _ in range(20):
         f_cells = rng.standard_normal(gd.mesh.n_cells)
-        psi = solve_pde(gd, extra_load=cell_source_load(gd, f_cells))
+        psi = solve_pde(gd, volume_source=f_cells[cells])
         fnorm = np.sqrt(float(area @ f_cells ** 2))
         assert gd.gradient_norm(psi) <= cd * fnorm * (1.0 + 1e-10)

@@ -227,7 +227,7 @@ def test_lshape_level_samples_corner_parts_three_times(monkeypatch):
     assert 0 < len(calls) <= 3
 
 
-def test_lshape_memo_reevaluates_writeable_points():
+def test_lshape_closures_reevaluate_writeable_points():
     case = get_case("example2-lshape")
     pts = interior_points(case, np.random.default_rng(7))
     first = case.y(pts).copy()

@@ -75,6 +75,8 @@ def test_single_level_argument(tmp_path):
     ["--case", "example1", "--scheme", "p1", "--pdas-tol", "inf"],
     ["--case", "example1", "--scheme", "p1", "--levels", "2..11"],
     ["--case", "example1", "--scheme", "p1", "--levels", "11"],
+    ["--case", "example1", "--scheme", "p1", "--levels", "0..3"],
+    ["--case", "example1", "--scheme", "hmm", "--levels", "1"],
 ])
 def test_usage_errors_exit_2(args):
     with pytest.raises(SystemExit) as exc:
@@ -85,7 +87,7 @@ def test_usage_errors_exit_2(args):
 def test_level_cap_checked_while_parsing():
     parser = build_parser()
     base = ["--case", "example1", "--scheme", "p1", "--levels"]
-    assert parser.parse_args(base + [f"0..{MAX_LEVEL}"]).levels == (0, MAX_LEVEL)
+    assert parser.parse_args(base + [f"2..{MAX_LEVEL}"]).levels == (2, MAX_LEVEL)
     with pytest.raises(SystemExit):
         parser.parse_args(base + [str(MAX_LEVEL + 1)])
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from gdmopt.analysis import cell_quadrature
+from gdmopt.analysis import cell_quadrature, segment_quadrature
 from gdmopt.cases import get_case
 from gdmopt.gd_core import compute_cd, compute_sd_upper, compute_wd
 from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
@@ -55,7 +55,7 @@ def test_mass_matrix_matches_quadrature(scheme):
     cells, pts, wts = cell_quadrature(gd.mesh, "gauss7")
     vals = gd.value_at(v, cells, pts)
     direct = float(wts @ vals ** 2)
-    assert gd.value_norm(v) ** 2 == pytest.approx(direct, rel=1e-12)
+    assert v @ (gd.mass_matrix() @ v) == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -88,12 +88,13 @@ def test_constants_span_gradient_nullspace(scheme):
 
 def test_value_load_matches_cell_coupling():
     # Loading the constant 1 through quadrature equals the exact
-    # per-cell coupling integrals.
+    # per-cell coupling integrals: the basis is affine on each cell, so
+    # its mean there is its value_center entry.
     for scheme in SCHEMES:
         gd = make_gd(scheme, 3, "neumann")
         cells, pts, wts = cell_quadrature(gd.mesh, "gauss3")
         load = gd.value_load(cells, pts, wts, np.ones(len(wts)))
-        exact = gd.cell_coupling() @ np.ones(gd.mesh.n_cells)
+        exact = gd.value_center.T @ gd.mesh.cell_area
         np.testing.assert_allclose(load, exact, atol=1e-13)
 
 
@@ -207,6 +208,45 @@ def test_wd_first_order_decay(scheme):
     assert all(v > 0.0 for v in vals)
     for coarse, fine in zip(vals, vals[1:]):
         assert 0.35 <= fine / coarse <= 0.65
+
+
+def flux_field(pts):
+    x, y = pts[:, 0], pts[:, 1]
+    return np.column_stack([np.exp(x) * np.cos(2.0 * y), np.sin(3.0 * x * y) + x ** 3])
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_wd_matches_dense_oracle(scheme, bc):
+    # W_D is the dual norm, in the norm Gram matrix, of the residual
+    # r_j = sum_K int_dK v_j flux . n_K of each unit vector's function
+    # reconstruction v_j, plus int grad_D v_j . flux when v_j is piecewise
+    # constant, minus int_dOmega trace(v_j) flux . n under Neumann
+    # conditions.  Here every integral is a sum over quadrature points.
+    for m in (2, 3):
+        gd = make_gd(scheme, m, bc)
+        mesh = gd.mesh
+        faces = mesh.cell_faces.ravel()
+        pts, wts, _ = segment_quadrature(mesh.vertices[mesh.faces[faces, 0]],
+                                         mesh.vertices[mesh.faces[faces, 1]])
+        q = len(wts) // len(faces)
+        cells = np.repeat(np.arange(mesh.n_cells), mesh.cells.shape[1] * q)
+        normals = np.repeat(mesh.outward_normals().reshape(-1, 2), q, axis=0)
+        wflux = wts * (flux_field(pts) * normals).sum(1)
+        pieces, ppts, pwts = gd.piece_quadrature()
+        bfaces, bpts, bwts, _ = gd.boundary_quadrature()
+        bnormals = mesh.face_normal[gd.boundary_face_ids[bfaces]]
+        bflux = bwts * (flux_field(bpts) * bnormals).sum(1)
+        r = np.empty(gd.n_free)
+        for j, e in enumerate(np.eye(gd.n_free)):
+            r[j] = wflux @ gd.value_at(e, cells, pts)
+            if gd.cell_centred:
+                r[j] += pwts @ (gd.gradient_table(e)[pieces] * flux_field(ppts)).sum(1)
+            if bc == "neumann":
+                r[j] -= bflux @ gd.trace_at(e, bfaces, bpts)
+        expected = np.sqrt(r @ np.linalg.solve(gd.norm_gram().toarray(), r))
+        # The conforming scheme's defect is round-off on both sides.
+        assert compute_wd(gd, flux_field) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def test_sd_vanishes_on_reproducible_target():

@@ -1,4 +1,4 @@
-"""Mesh generators, incidence tables and shape-quality measures."""
+"""Mesh generators and incidence tables."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,44 @@ from gdmopt.mesh import (
     build_cartesian_mesh,
     build_lshape_triangulation,
     build_unit_square_triangulation,
-    quality,
-    uniform_refine,
 )
 from gdmopt.schemes import build_scheme
+
+
+def uniform_refine(mesh):
+    """Red refinement: triangles and rectangles split into four children.
+
+    New vertices sit at face midpoints (plus cell centers for
+    rectangles).  The mesh size halves exactly and cell counts
+    quadruple.  Cell points follow the parent: each child point is the
+    child centroid plus half the parent's centroid-to-point offset, so
+    shifted Cartesian grids refine into their own finer versions.
+    """
+    v = mesh.cells
+    mid = mesh.n_vertices + mesh.cell_faces
+    if v.shape[1] == 3:
+        # Local faces: 0 joins (v0,v1), 1 joins (v1,v2), 2 joins (v2,v0).
+        vertices = np.vstack([mesh.vertices, mesh.face_center])
+        children = [
+            [v[:, 0], mid[:, 0], mid[:, 2]],
+            [mid[:, 0], v[:, 1], mid[:, 1]],
+            [mid[:, 2], mid[:, 1], v[:, 2]],
+            [mid[:, 0], mid[:, 1], mid[:, 2]],
+        ]
+    else:
+        vertices = np.vstack([mesh.vertices, mesh.face_center, mesh.cell_centroid])
+        ctr = mesh.n_vertices + mesh.n_faces + np.arange(mesh.n_cells)
+        children = [
+            [v[:, 0], mid[:, 0], ctr, mid[:, 3]],
+            [mid[:, 0], v[:, 1], mid[:, 1], ctr],
+            [ctr, mid[:, 1], v[:, 2], mid[:, 2]],
+            [mid[:, 3], ctr, mid[:, 2], v[:, 3]],
+        ]
+    # Children 4c..4c+3 of cell c, in the order listed above.
+    cells = np.array(children).transpose(2, 0, 1).reshape(-1, v.shape[1])
+    offset = np.repeat(mesh.cell_point - mesh.cell_centroid, 4, axis=0)
+    points = vertices[cells].mean(axis=1) + 0.5 * offset
+    return PolytopalMesh(vertices, cells, cell_points=points)
 
 
 def test_unit_square_m1_counts():
@@ -113,28 +147,6 @@ def test_cartesian_cell_points_inside():
     np.testing.assert_allclose(
         mesh.cell_point - mesh.cell_centroid, 0.3 / 4.0, atol=1e-15
     )
-
-
-def test_quality_single_right_triangle():
-    mesh = PolytopalMesh(
-        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        np.array([[0, 1, 2]]),
-    )
-    q = quality(mesh)
-    # Centroid-to-hypotenuse distance is 1/(3*sqrt(2)), diameter sqrt(2).
-    assert q.eta == pytest.approx(6.0, rel=1e-12)
-    assert q.chi == pytest.approx(4.0, rel=1e-12)
-
-
-def test_quality_uniform_families():
-    for m in (2, 4):
-        q = quality(build_unit_square_triangulation(m))
-        assert q.eta == pytest.approx(6.0, rel=1e-12)
-        assert q.chi == pytest.approx(4.0, rel=1e-12)
-    for m in (2, 4):
-        q = quality(build_cartesian_mesh(m))
-        assert q.eta == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
-        assert q.chi == pytest.approx(2.0, rel=1e-12)
 
 
 def test_refine_halves_h_and_quadruples_cells():
@@ -237,7 +249,7 @@ def test_face_shared_by_three_cells_rejected():
 GRAD = np.array([1.7, -0.4])
 
 OPERATORS = ("value_center", "value_slope_x", "value_slope_y", "grad_x", "grad_y",
-             "halfface_mid", "halfface_slope", "trace_mid", "trace_slope")
+             "trace_mid", "trace_slope")
 
 
 def perturbed_triangulation(domain, m, seed):

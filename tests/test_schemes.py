@@ -158,7 +158,9 @@ def test_free_dof_counts():
 def test_hmm_piece_areas_tile_cells():
     for mesh in meshes_for("hmm"):
         gd = build_scheme("hmm", mesh, "dirichlet")
-        per_cell = np.bincount(gd.piece_cell, gd.piece_area, mesh.n_cells)
+        # The k pieces of each cell follow one another.
+        pieces = np.repeat(np.arange(mesh.n_cells), mesh.cells.shape[1])
+        per_cell = np.bincount(pieces, gd.piece_area, mesh.n_cells)
         np.testing.assert_allclose(per_cell, mesh.cell_area, rtol=1e-13)
         assert np.all(gd.piece_area > 0.0)
 
@@ -211,7 +213,7 @@ def test_discretisation_checks_its_operators():
         dataclasses.replace(gd, bc="robin")
     # Every operator has one column, and dof_points one row, per unknown.
     with pytest.raises(ValueError, match="per unknown"):
-        dataclasses.replace(gd, halfface_slope=gd.halfface_slope[:, :-1])
+        dataclasses.replace(gd, trace_slope=gd.trace_slope[:, :-1])
     with pytest.raises(ValueError, match="per unknown"):
         dataclasses.replace(gd, dof_points=gd.dof_points[:-1])
     with pytest.raises(ValueError, match="per unknown"):
@@ -253,10 +255,11 @@ def test_operators_match_coo_oracle(monkeypatch):
                                  ("hmm", build_cartesian_mesh(m))):
                 built.clear()
                 schemes.build_scheme(scheme, mesh, bc)
-                # Five matrices: the three cell matrices of p1 and ncp1
-                # share one pattern, the two gradients of hmm another.
-                assert len(built) == 5
-                assert len({id(p) for p in built}) == (4 if scheme == "hmm" else 3)
+                # p1 and ncp1 make five matrices from three patterns: the
+                # three cell matrices share one.  hmm makes four from three:
+                # its two gradients share one.
+                assert len(built) == (4 if scheme == "hmm" else 5)
+                assert len({id(p) for p in built}) == 3
 
 
 def test_pattern_rejects_repeated_positions():
