@@ -362,13 +362,20 @@ def render_csv(reports, failure=None):
     return "\n".join(lines) + "\n"
 
 
-def render_diagnostics_csv(rows):
-    """Render diagnostics rows (level, h, c_d, w_d_y, s_d_y, s_d_p) as CSV."""
+def render_diagnostics_csv(rows, failure=None):
+    """Render diagnostics rows (level, h, c_d, w_d_y, s_d_y, s_d_p) as CSV.
+
+    failure, if given, is a (level, h) pair appended as a trailing marker
+    row whose c_d field carries the literal FAILED.
+    """
     lines = [DIAGNOSTICS_HEADER]
     for level, h, cd, wd, sdy, sdp in rows:
         lines.append(
             ",".join([str(level), _fmt(h), _fmt(cd), _fmt(wd), _fmt(sdy), _fmt(sdp)])
         )
+    if failure is not None:
+        level, h = failure
+        lines.append(",".join([str(level), _fmt(h), "FAILED", "", "", ""]))
     return "\n".join(lines) + "\n"
 
 
@@ -387,6 +394,6 @@ def emit_csv(reports, out, failure=None):
     return _write(render_csv(reports, failure=failure), out)
 
 
-def emit_diagnostics_csv(rows, out):
+def emit_diagnostics_csv(rows, out, failure=None):
     """Write the diagnostics CSV to a path or file handle; returns the text."""
-    return _write(render_diagnostics_csv(rows), out)
+    return _write(render_diagnostics_csv(rows, failure=failure), out)

@@ -13,6 +13,12 @@ SOLVE_TOL = 1e-12
 # Iterative refinement steps a checked solve may take.
 REFINE_STEPS = 3
 
+# Conjugate-gradient steps SPDFactor.cg_solve may take.  The factored
+# matrix preconditions a nearby one to a condition number of a few (the
+# diagnostics' misfit systems take 2-9 steps), so the cap is only hit
+# when the two matrices are far apart or the system is broken.
+CG_MAX_STEPS = 100
+
 
 class SolverError(RuntimeError):
     """A linear or optimisation solve failed its accuracy contract."""
@@ -81,6 +87,44 @@ class SPDFactor:
             if not np.all(np.isfinite(x)):
                 raise SolverError("sparse solve produced non-finite values")
             r = b - self.matrix @ x
+
+    def cg_solve(self, a, b):
+        """Solution of A x = b for an SPD matrix A near the factored one,
+        by conjugate gradients preconditioned with the factor.
+
+        It stops on the backward-error contract of solve, checked on the
+        true residual: ||b - A x||_inf <= tol (||A||_inf ||x||_inf +
+        ||b||_inf).  A run that has not met it after CG_MAX_STEPS steps
+        raises SolverError with the backward error it reached, as does a
+        preconditioner that produces non-finite values.  The factor's
+        matrix B bounds how fast it converges: when B <= A <= (1 + c) B,
+        the preconditioned condition number is at most 1 + c.
+        """
+        b = np.asarray(b, dtype=float)
+        bnorm = np.abs(b).max(initial=0.0)
+        anorm = np.asarray(abs(a).sum(axis=1)).max(initial=0.0)
+        x, r, d = np.zeros_like(b), b, np.zeros_like(b)
+        rz_old = np.inf  # no previous direction: the first one is z
+        steps = 0
+        while True:
+            err = np.abs(r).max(initial=0.0)
+            scale = anorm * np.abs(x).max(initial=0.0) + bnorm
+            if err <= self.tol * scale:
+                return x
+            if steps == CG_MAX_STEPS:
+                raise SolverError(
+                    f"conjugate gradients reached backward error {err / scale:.3e}, "
+                    f"above {self.tol:.1e}, in {CG_MAX_STEPS} steps"
+                )
+            z = self._lu.solve(r)
+            if not np.all(np.isfinite(z)):
+                raise SolverError("preconditioner produced non-finite values")
+            rz = float(r @ z)
+            d = z + (rz / rz_old) * d
+            x = x + (rz / float(d @ (a @ d))) * d
+            r = b - a @ x
+            rz_old = rz
+            steps += 1
 
 
 def assemble_load(gd, volume_source=None, boundary_source=None):

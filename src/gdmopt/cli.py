@@ -26,7 +26,8 @@ MAX_LEVEL = 10
 
 
 class LevelFailure(Exception):
-    """Solver breakdown at one study level; carries the mesh size."""
+    """Solver breakdown at one study or diagnostics level; carries the mesh
+    size."""
 
     def __init__(self, level, h, cause):
         super().__init__(f"level {level} (h={h:.3e}): {cause}")
@@ -75,18 +76,26 @@ def run_study(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0,
 
 
 def run_diagnostics(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0):
-    """Per-level coercivity / conformity / consistency table rows."""
+    """Per-level coercivity / conformity / consistency table rows, up to
+    the first failed level.
+
+    Returns (rows, failure) as run_study does: failure is None or the
+    LevelFailure of the level whose solve broke down.
+    """
     case = get_case(case_name)
     rows = []
     for level in range(levels[0], levels[1] + 1):
         mesh = case.build_mesh(scheme, 2 ** level, shift=shift)
         gd = build_scheme(scheme, mesh, case.bc)
-        cd, wd = compute_cd(gd), compute_wd(gd, case.grad_y)
-        # The adjoint of every case equals its state, so the state's S_D
-        # serves both columns.
-        sd = compute_sd_upper(gd, case.y, case.grad_y)
+        try:
+            cd, wd = compute_cd(gd), compute_wd(gd, case.grad_y)
+            # The adjoint of every case equals its state, so the state's
+            # S_D serves both columns.
+            sd = compute_sd_upper(gd, case.y, case.grad_y)
+        except SolverError as exc:
+            return rows, LevelFailure(level, mesh.h, exc)
         rows.append((level, mesh.h, cd, wd, sd, sd))
-    return rows
+    return rows, None
 
 
 def _levels_arg(text):
@@ -148,16 +157,17 @@ def main(argv=None):
 
     out = args.out if args.out is not None else sys.stdout
     if args.diagnostics:
-        rows = run_diagnostics(args.case, args.scheme, args.levels, shift=args.shift)
-        emit_diagnostics_csv(rows, out)
-        return 0
-
-    reports, failure = run_study(
-        args.case, args.scheme, args.levels, shift=args.shift,
-        pdas_max_iter=args.pdas_max_iter, pdas_tol=args.pdas_tol,
-    )
+        rows, failure = run_diagnostics(args.case, args.scheme, args.levels,
+                                        shift=args.shift)
+        emit = emit_diagnostics_csv
+    else:
+        rows, failure = run_study(
+            args.case, args.scheme, args.levels, shift=args.shift,
+            pdas_max_iter=args.pdas_max_iter, pdas_tol=args.pdas_tol,
+        )
+        emit = emit_csv
     marker = None if failure is None else (failure.level, failure.h)
-    emit_csv(reports, out, failure=marker)
+    emit(rows, out, failure=marker)
     if failure is not None:
         print(f"solver failure: {failure}", file=sys.stderr)
         return 1

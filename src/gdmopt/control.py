@@ -264,15 +264,17 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
                            <= sqrt(lambda_G / w_i) ||r||_{W_I^-1},
 
     since H_I >= W_I; lambda_G is the largest eigenvalue of
-    W^-1/2 G W^-1/2.  It is estimated once, from the largest Ritz value
-    theta of the Lanczos tridiagonal of iteration 1 (whose inactive set
-    holds every control) as LAMBDA_INFLATION * (theta - 1).  From
-    iteration 2 on, CG stops as soon as every candidate lies farther
-    than its bound from each finite box edge: the next active sets are
-    then those an exact solve would give.  When they equal the current
-    sets, the same CG run goes on to the full stopping rule (the exact
-    finish) and the loop ends if they still repeat.  Without a CG step
-    in iteration 1 there is no estimate and every iteration is exact.
+    W^-1/2 G W^-1/2.  It is estimated in iteration 1, whose inactive set
+    holds every control, as LAMBDA_INFLATION * (theta - 1), with theta
+    the largest Ritz value of the Lanczos tridiagonal built so far; the
+    estimate is refreshed after every CG step of iteration 1, and the
+    later iterations keep the value it ends with.  From the second CG
+    step of iteration 1 on, CG stops as soon as every candidate lies
+    farther than its bound from each finite box edge: the next active
+    sets are then those an exact solve would give.  When they equal the current sets, the same CG run
+    goes on to the full stopping rule (the exact finish) and the loop
+    ends if they still repeat.  Without a CG step in iteration 1 there
+    is no estimate and every iteration is exact.
 
     The full stopping rule is ||r||_{W_I^-1} <= tau (||u_I||_{W_I} -
     ||r||_{W_I^-1}) with tau = tol / 100.  The bracket is a lower bound
@@ -328,12 +330,16 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
         steps, betas = [], []
         certified = False
         while True:
+            if it == 1 and steps:
+                lam = LAMBDA_INFLATION * max(_largest_ritz_value(steps, betas) - 1.0, 0.0)
             x = free * u
             res, norm = math.sqrt(rz), math.sqrt(x @ (w * x))
             if res <= cg_tol * (norm - res):
                 exact = True
                 break
-            if lam is not None and not certified and proven(candidate, rz):
+            # An estimate from a single step is not trusted to certify.
+            if (lam is not None and (it > 1 or len(steps) > 1) and not certified
+                    and proven(candidate, rz)):
                 certified = True
                 if not unchanged(candidate):
                     exact = False
@@ -359,8 +365,6 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
             betas.append(rz / rz_old)
             steps.append(step)
             d = z + betas[-1] * d
-        if it == 1 and steps:
-            lam = LAMBDA_INFLATION * max(_largest_ritz_value(steps, betas) - 1.0, 0.0)
         history.append((int(lo.sum()), int(hi.sum()), len(steps), certified))
         if exact:
             y = factor.solve(asm.source_load + b_mat @ u, x0=y)

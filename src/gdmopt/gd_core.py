@@ -20,7 +20,10 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from .analysis import cell_quadrature, segment_quadrature, triangle_quadrature
-from .assembly import SPDFactor
+from .assembly import SolverError, SPDFactor
+
+# Power-iteration steps allowed per eigenvalue of compute_cd.
+POWER_MAX_ITER = 10000
 
 
 def _face_rule(mesh, ids):
@@ -102,7 +105,6 @@ class GradientDiscretisation:
         self._mass = None
         self._grad_gram = None
         self._trace_gram = None
-        self._factor_kind = None
         self._factor = None
 
     # -- reconstruction operators ------------------------------------
@@ -198,28 +200,6 @@ class GradientDiscretisation:
             self._trace_gram = t.tocsr()
         return self._trace_gram
 
-    def _cached_factor(self, kind, gram):
-        """SPDFactor of gram(), kept until a factor of another kind is
-        asked for.  A diagnostics row asks for the norm factor (C_D, W_D)
-        and then the misfit factor (S_D of state and adjoint), so one
-        slot factors each once and holds one factor at a time."""
-        if self._factor_kind != kind:
-            self._factor = self._factor_kind = None  # free the old factor first
-            self._factor = SPDFactor(gram())
-            self._factor_kind = kind
-        return self._factor
-
-    def misfit_factor(self):
-        """Factor of the misfit Gram matrix: mass plus gradient Gram, plus
-        trace Gram under Neumann conditions."""
-        def gram():
-            a = self.mass_matrix() + self.gradient_gram()
-            if self.bc == "neumann":
-                a = a + self.trace_gram()
-            return a
-
-        return self._cached_factor("misfit", gram)
-
     def norm_gram(self):
         """Discretisation-norm Gram matrix: gradient Gram, plus mass under
         Neumann conditions (a quadratic surrogate)."""
@@ -229,8 +209,12 @@ class GradientDiscretisation:
         return a
 
     def norm_factor(self):
-        """Factor of norm_gram(), shared by the C_D pencils and W_D."""
-        return self._cached_factor("norm", self.norm_gram)
+        """Factor of norm_gram(), built once per discretisation.  It is the
+        only factor a diagnostics row makes: the C_D pencils and W_D solve
+        with it, and it preconditions the misfit solve of S_D."""
+        if self._factor is None:
+            self._factor = SPDFactor(self.norm_gram())
+        return self._factor
 
     def stiffness(self, diffusion=None, reaction=0.0):
         """Diffusion form of the gradient reconstruction, plus an optional
@@ -297,7 +281,7 @@ def _max_generalized_eig(a, gd, method, tol):
     # to the leading eigenvector by symmetry.
     x = 1.0 + 0.01 * np.arange(n) / n
     lam = 0.0
-    for _ in range(10000):
+    for _ in range(POWER_MAX_ITER):
         ax = a @ x
         lam_new = float(x @ ax) / float(x @ (b @ x))
         x = solve(ax)
@@ -305,7 +289,8 @@ def _max_generalized_eig(a, gd, method, tol):
         if abs(lam_new - lam) <= tol * abs(lam_new):
             return lam_new
         lam = lam_new
-    raise RuntimeError("power iteration for the coercivity constant stalled")
+    raise SolverError(f"power iteration for the coercivity constant did not settle "
+                      f"to {tol:.1e} in {POWER_MAX_ITER} steps")
 
 
 def compute_cd(gd, method="auto", tol=1e-8):
@@ -388,6 +373,13 @@ def compute_sd_upper(gd, fn, grad_fn):
     minimiser.  Any DOF vector bounds the defect from above, and the
     least-squares minimiser is within a factor sqrt(2) of optimal for the
     sum objective (sqrt(3) with the trace term).
+
+    The minimiser solves the misfit system (mass + gradient Gram, + trace
+    Gram under Neumann conditions) by conjugate gradients preconditioned
+    with gd.norm_factor() (SPDFactor.cg_solve).  The misfit matrix is the
+    norm Gram matrix plus the mass (Dirichlet) or the trace Gram
+    (Neumann), which C_D^2 times the norm Gram bounds, so the
+    preconditioned condition number is at most 1 + C_D^2 on every mesh.
     """
     if gd.n_free == 0:
         raise ValueError("no free DOFs: consistency defect undefined")
@@ -401,9 +393,10 @@ def compute_sd_upper(gd, fn, grad_fn):
         bvals = np.asarray(fn(bpts), dtype=float)
         b = b + gd.boundary_load(bvals)
 
-    # The factor is cached on gd, so the state and adjoint rows of a
-    # diagnostics table share it.
-    z = gd.misfit_factor().solve(b)
+    a = gd.mass_matrix() + gd.gradient_gram()
+    if gd.bc == "neumann":
+        a = a + gd.trace_gram()
+    z = gd.norm_factor().cg_solve(a, b)
 
     # Misfit norms by direct quadrature of the reconstructions; this
     # avoids the cancellation a quadratic-form expansion would suffer

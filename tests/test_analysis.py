@@ -207,6 +207,8 @@ def test_render_diagnostics_csv():
     assert lines[0] == DIAGNOSTICS_HEADER == "level,h,c_d,w_d_y,s_d_y,s_d_p"
     assert len(lines) == 3
     assert len(lines[1].split(",")) == 6
+    marker = render_diagnostics_csv(rows, failure=(4, 0.125)).strip().split("\n")[-1]
+    assert marker == "4,1.250000000e-01,FAILED,,,"
 
 
 def test_render_csv_deterministic():

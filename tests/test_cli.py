@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import gdmopt
-from gdmopt.cli import MAX_LEVEL, build_parser, main, run_study
+from gdmopt import assembly, cli
+from gdmopt.cli import MAX_LEVEL, build_parser, main, run_diagnostics, run_study
+from gdmopt.gd_core import compute_sd_upper
 
 HEADER = (
     "level,h,dofs,err_y,err_grad_y,err_p,err_grad_p,err_u,err_u_tilde,"
@@ -142,6 +144,38 @@ def test_solver_failure_partial_csv(tmp_path, capsys):
     assert marker[3] == "FAILED"
     assert len(marker) == 16
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_diagnostics_failure_partial_csv(tmp_path, capsys, monkeypatch):
+    # Without a conjugate-gradient step, S_D's misfit solve fails on the
+    # first row: the table ends with a marker row, as a study does.
+    monkeypatch.setattr(assembly, "CG_MAX_STEPS", 0)
+    code, text = run_cli(
+        tmp_path,
+        ["--case", "example1", "--scheme", "ncp1", "--levels", "2..3",
+         "--diagnostics"],
+    )
+    assert code == 1
+    lines = text.strip().split("\n")
+    assert lines[0] == "level,h,c_d,w_d_y,s_d_y,s_d_p"
+    assert len(lines) == 2
+    marker = lines[1].split(",")
+    assert marker[0] == "2" and marker[2] == "FAILED"
+    assert len(marker) == 6
+    assert "solver failure: level 2" in capsys.readouterr().err
+
+
+def test_run_diagnostics_keeps_rows_before_failure(monkeypatch):
+    def sd_then_cap(*args):
+        value = compute_sd_upper(*args)
+        monkeypatch.setattr(assembly, "CG_MAX_STEPS", 0)
+        return value
+
+    monkeypatch.setattr(cli, "compute_sd_upper", sd_then_cap)
+    rows, failure = run_diagnostics("example1", "p1", (2, 4))
+    assert [row[0] for row in rows] == [2]
+    assert failure is not None and failure.level == 3
+    assert "conjugate gradients reached backward error" in str(failure)
 
 
 def test_run_study_failure_reports():

@@ -346,7 +346,9 @@ def test_pdas_without_free_dofs():
 
 
 def test_pdas_cg_cap_raises_with_reached_residual(monkeypatch):
-    problem = case_problem("example1", "p1", 4)
+    # Iteration 1 of this problem takes 9 steps before its certificate
+    # holds, so a cap of 2 is reached first.
+    problem = case_problem("example2-lshape", "p1", 16)
     assert solve_kkt_pdas(problem).history[0][2] > 2
     monkeypatch.setattr(control, "PCG_MAX_ITER", 2)
     with pytest.raises(SolverError, match="relative residual .* in 2 steps"):
@@ -410,11 +412,13 @@ def test_pdas_solve_count_regression(monkeypatch):
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: CountingLU(splu(*a, **kw)))
     sol = solve_kkt_pdas(case_problem("example2-lshape", "p1", 16))
     assert sol.iterations == 5
-    assert len(solves) <= 95
-    # The certificate holds in every iteration after the first (which
-    # has no eigenvalue estimate yet); the last then runs on to the
-    # full stopping rule.
-    assert [h[3] for h in sol.history] == [False] + [True] * 4
+    # 78 solves measured; the margin allows one more CG step in each of
+    # the five iterations.
+    assert len(solves) <= 78 + 2 * 5
+    # The certificate holds in every iteration, the first included (its
+    # eigenvalue estimate grows with its own CG run); the last then runs
+    # on to the full stopping rule.
+    assert [h[3] for h in sol.history] == [True] * 5
 
 
 def dense_exact_pdas(problem):

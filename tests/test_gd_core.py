@@ -1,10 +1,16 @@
 """Reconstruction algebra, coercivity, conformity and consistency defects."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gdmopt import assembly, gd_core
 from gdmopt.analysis import cell_quadrature, segment_quadrature
+from gdmopt.assembly import SOLVE_TOL, SolverError, SPDFactor
 from gdmopt.cases import get_case
 from gdmopt.gd_core import compute_cd, compute_sd_upper, compute_wd
 from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
@@ -322,14 +328,61 @@ def test_cd_and_wd_share_one_factor(monkeypatch, bc):
     cd = compute_cd(gd)
     wd = compute_wd(gd, smooth_grad)
     assert len(calls) == 1
-    # One factor is held at a time: the misfit factor replaces it.
+    # S_D's misfit solve is preconditioned with the same factor, and it
+    # stays cached for C_D again.
     compute_sd_upper(gd, smooth, smooth_grad)
-    assert len(calls) == 2
     compute_cd(gd)
-    assert len(calls) == 3
+    assert len(calls) == 1
     # A fresh discretisation factors anew and reproduces both values.
     fresh = make_gd("ncp1", 16, bc)
     assert compute_wd(fresh, smooth_grad) == wd
     assert compute_cd(fresh) == cd
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+def misfit_gram(gd):
+    a = gd.mass_matrix() + gd.gradient_gram()
+    return a + gd.trace_gram() if gd.bc == "neumann" else a
+
+
+@functools.lru_cache(maxsize=None)
+def cached_gd(scheme, bc, level):
+    return make_gd(scheme, 2 ** level, bc)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    scheme=st.sampled_from(SCHEMES),
+    bc=st.sampled_from(["dirichlet", "neumann"]),
+    level=st.integers(2, 4),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_misfit_solve_meets_contract_and_matches_direct(scheme, bc, level, seed):
+    gd = cached_gd(scheme, bc, level)
+    a = misfit_gram(gd)
+    b = np.random.default_rng(seed).standard_normal(gd.n_free)
+    x = gd.norm_factor().cg_solve(a, b)
+    a_norm = abs(a).sum(axis=1).max()
+    assert np.abs(b - a @ x).max() <= SOLVE_TOL * (a_norm * np.abs(x).max() + np.abs(b).max())
+    direct = SPDFactor(a).solve(b)
+    assert np.abs(x - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+def test_misfit_solve_cap_raises_with_reached_backward_error(monkeypatch):
+    # The Neumann misfit solve takes 8-9 steps, so a cap of 2 is reached.
+    gd = make_gd("ncp1", 16, "neumann")
+    b = np.random.default_rng(3).standard_normal(gd.n_free)
+    gd.norm_factor().cg_solve(misfit_gram(gd), b)  # meets the contract uncapped
+    monkeypatch.setattr(assembly, "CG_MAX_STEPS", 2)
+    with pytest.raises(SolverError, match="backward error .* in 2 steps") as exc:
+        gd.norm_factor().cg_solve(misfit_gram(gd), b)
+    reached = float(str(exc.value).split("backward error ")[1].split(",")[0])
+    assert reached > SOLVE_TOL
+
+
+def test_cd_power_iteration_cap_raises(monkeypatch):
+    gd = make_gd("ncp1", 16)
+    monkeypatch.setattr(gd_core, "POWER_MAX_ITER", 1)
+    with pytest.raises(SolverError, match="did not settle .* in 1 steps"):
+        compute_cd(gd, method="power")
 
