@@ -24,12 +24,12 @@ class SolverError(RuntimeError):
     """A linear or optimisation solve failed its accuracy contract."""
 
 
-def check_symmetry(a, tol=1e-12):
-    """Raise if a sparse matrix is not symmetric to the given tolerance."""
+def check_symmetry(a):
+    """Raise if |A - A^T| exceeds 1e-12 max(1, |A|) in some entry."""
     skew = (a - a.T).tocoo()
     worst = np.abs(skew.data).max() if skew.nnz else 0.0
     scale = np.abs(a.data).max() if a.nnz else 1.0
-    if worst > tol * max(scale, 1.0):
+    if worst > 1e-12 * max(scale, 1.0):
         raise SolverError(f"matrix not symmetric: |A - A^T| reaches {worst:.3e}")
 
 
@@ -40,14 +40,13 @@ class SPDFactor:
     pivots (SuperLU's symmetric mode), which roughly halves the fill of
     the default column ordering on stiffness matrices.  Every solve is
     checked: it refines iteratively until the backward error meets
-    ``tol`` and raises SolverError when it cannot, or when the factors
+    SOLVE_TOL and raises SolverError when it cannot, or when the factors
     produce non-finite values.
     """
 
-    def __init__(self, a, tol=SOLVE_TOL):
+    def __init__(self, a):
         check_symmetry(a)
         self.matrix = sp.csc_matrix(a)
-        self.tol = tol
         try:
             self._lu = spla.splu(
                 self.matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -75,11 +74,11 @@ class SPDFactor:
         while True:
             err = np.abs(r).max(initial=0.0)
             scale = self._norm * np.abs(x).max(initial=0.0) + bnorm
-            if err <= self.tol * scale:
+            if err <= SOLVE_TOL * scale:
                 return x
             if solves > REFINE_STEPS:
                 raise SolverError(
-                    f"backward error {err / scale:.3e} exceeds {self.tol:.1e} "
+                    f"backward error {err / scale:.3e} exceeds {SOLVE_TOL:.1e} "
                     f"after {REFINE_STEPS} refinement steps"
                 )
             x = x + self._lu.solve(r)
@@ -93,7 +92,7 @@ class SPDFactor:
         by conjugate gradients preconditioned with the factor.
 
         It stops on the backward-error contract of solve, checked on the
-        true residual: ||b - A x||_inf <= tol (||A||_inf ||x||_inf +
+        true residual: ||b - A x||_inf <= SOLVE_TOL (||A||_inf ||x||_inf +
         ||b||_inf).  A run that has not met it after CG_MAX_STEPS steps
         raises SolverError with the backward error it reached, as does a
         preconditioner that produces non-finite values.  The factor's
@@ -109,12 +108,12 @@ class SPDFactor:
         while True:
             err = np.abs(r).max(initial=0.0)
             scale = anorm * np.abs(x).max(initial=0.0) + bnorm
-            if err <= self.tol * scale:
+            if err <= SOLVE_TOL * scale:
                 return x
             if steps == CG_MAX_STEPS:
                 raise SolverError(
                     f"conjugate gradients reached backward error {err / scale:.3e}, "
-                    f"above {self.tol:.1e}, in {CG_MAX_STEPS} steps"
+                    f"above {SOLVE_TOL:.1e}, in {CG_MAX_STEPS} steps"
                 )
             z = self._lu.solve(r)
             if not np.all(np.isfinite(z)):
@@ -153,15 +152,11 @@ def assemble_load(gd, volume_source=None, boundary_source=None):
 
 
 def solve_pde(gd, volume_source=None, boundary_source=None, diffusion=None,
-              reaction=0.0, extra_load=None):
+              reaction=0.0):
     """Solve one elliptic problem; returns the vector of unknowns.
 
-    extra_load, if given, is added to the assembled load; like it, it is
-    indexed by unknown.  The solve is checked (see SPDFactor) and raises
-    SolverError on an asymmetric or singular form.
+    The solve is checked (see SPDFactor) and raises SolverError on an
+    asymmetric or singular form.
     """
     a = gd.stiffness(diffusion=diffusion, reaction=reaction)
-    b = assemble_load(gd, volume_source, boundary_source)
-    if extra_load is not None:
-        b = b + extra_load
-    return SPDFactor(a).solve(b)
+    return SPDFactor(a).solve(assemble_load(gd, volume_source, boundary_source))

@@ -14,7 +14,7 @@ import sys
 from .analysis import compute_errors, emit_csv, emit_diagnostics_csv, sample_level
 from .assembly import SolverError
 from .cases import CASE_NAMES, get_case
-from .control import postprocess, solve_kkt_pdas
+from .control import DEFAULT_PDAS_MAX_ITER, DEFAULT_PDAS_TOL, postprocess, solve_kkt_pdas
 from .gd_core import compute_cd, compute_sd_upper, compute_wd
 from .schemes import SCHEMES, build_scheme
 
@@ -35,7 +35,8 @@ class LevelFailure(Exception):
         self.h = h
 
 
-def run_level(case, scheme, level, shift=0.0, pdas_max_iter=100, pdas_tol=1e-10):
+def run_level(case, scheme, level, shift=0.0, pdas_max_iter=DEFAULT_PDAS_MAX_ITER,
+              pdas_tol=DEFAULT_PDAS_TOL):
     """Solve one study level and return its error report.
 
     The exact fields are sampled once per point set of the level and
@@ -57,7 +58,7 @@ def run_level(case, scheme, level, shift=0.0, pdas_max_iter=100, pdas_tol=1e-10)
 
 
 def run_study(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0,
-              pdas_max_iter=100, pdas_tol=1e-10):
+              pdas_max_iter=DEFAULT_PDAS_MAX_ITER, pdas_tol=DEFAULT_PDAS_TOL):
     """Run the levels of a study in order, up to the first failed one.
 
     Returns (reports, failure) where failure is None or the LevelFailure
@@ -136,8 +137,10 @@ def build_parser():
                         help="CSV output path (default: stdout)")
     parser.add_argument("--diagnostics", action="store_true",
                         help="emit the per-level diagnostics table instead")
-    parser.add_argument("--pdas-max-iter", type=int, default=100)
-    parser.add_argument("--pdas-tol", type=float, default=1e-10)
+    parser.add_argument("--pdas-max-iter", type=int, default=DEFAULT_PDAS_MAX_ITER,
+                        help="active-set iterations allowed per level (default %(default)s)")
+    parser.add_argument("--pdas-tol", type=float, default=DEFAULT_PDAS_TOL,
+                        help="relative tolerance of the inner CG solves (default %(default)s)")
     return parser
 
 
@@ -154,6 +157,12 @@ def main(argv=None):
         parser.error("--pdas-max-iter must be at least 1")
     if not (math.isfinite(args.pdas_tol) and args.pdas_tol > 0.0):
         parser.error("--pdas-tol must be positive and finite")
+    if args.out is not None:
+        # Appending creates a missing file but leaves an existing one intact.
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            parser.error(f"--out {args.out} is not writable: {exc.strerror}")
 
     out = args.out if args.out is not None else sys.stdout
     if args.diagnostics:

@@ -3,7 +3,6 @@
 The discrete problem minimises
 
     1/2 ||reconstructed state - target||^2 + alpha/2 ||u - u_d||^2
-        (+ beta/2 ||u_b||^2 for Neumann boundary control)
 
 over piecewise-constant controls confined to a box, subject to the
 discrete elliptic state equation.  Two independent solvers are provided:
@@ -41,8 +40,8 @@ LAMBDA_INFLATION = 4.0
 
 # Conjugate-gradient steps allowed per active-set guess.  Preconditioned
 # by the control weights, the reduced Hessian has a condition number
-# bounded independently of the mesh size (1 + C_D^4 / alpha for the
-# distributed control), so the benchmark cases need 15 steps or fewer.
+# bounded independently of the mesh size (1 + C_D^4 / alpha), so the
+# benchmark cases need 15 steps or fewer.
 PCG_MAX_ITER = 500
 
 
@@ -69,7 +68,7 @@ class OptimalControlProblem:
     ----------
     gd : GradientDiscretisation
     alpha : float
-        Distributed control cost weight, positive.
+        Control cost weight, positive.
     bounds : (float, float)
         Box constraints; infinite entries disable a side.  They are also
         available as ``lower`` and ``upper``.
@@ -83,12 +82,6 @@ class OptimalControlProblem:
         2x2 diffusion tensor field; None means the identity.
     reaction : float
         Zero-order coefficient; must be positive for Neumann problems.
-    distributed : bool
-        Enable the piecewise-constant control on cells (default).
-    boundary_control : bool
-        Enable a piecewise-constant control on boundary faces (Neumann).
-    beta : float
-        Boundary control cost weight, positive when boundary_control.
     boundary_source : callable or None
         Fixed boundary source of the state equation (Neumann only).
     """
@@ -101,9 +94,6 @@ class OptimalControlProblem:
     control_target: Optional[Callable] = None
     diffusion: Optional[Callable] = None
     reaction: float = 0.0
-    distributed: bool = True
-    boundary_control: bool = False
-    beta: float = 1.0
     boundary_source: Optional[Callable] = None
 
     def __post_init__(self):
@@ -114,14 +104,9 @@ class OptimalControlProblem:
             raise ValueError("empty box: lower bound exceeds upper bound")
         if self.gd.bc == "neumann" and not self.reaction > 0.0:
             raise ValueError("Neumann problems need a positive reaction coefficient")
-        if self.gd.bc == "dirichlet" and (self.boundary_control
-                                          or self.boundary_source is not None):
-            raise ValueError("boundary data supplied under Dirichlet conditions")
-        if self.boundary_control and not self.beta > 0.0:
-            raise ValueError("beta must be positive with boundary control")
-        if not (self.distributed or self.boundary_control):
-            raise ValueError("at least one control family must be enabled")
-        self.alpha, self.beta = float(self.alpha), float(self.beta)
+        if self.gd.bc == "dirichlet" and self.boundary_source is not None:
+            raise ValueError("boundary source supplied under Dirichlet conditions")
+        self.alpha = float(self.alpha)
         self.reaction = float(self.reaction)
         self._asm = None
 
@@ -135,77 +120,41 @@ class _Assembly:
     """Matrices and vectors of a control problem, on the unknowns of its
     discretisation (see GradientDiscretisation).
 
-    The controls form one stacked vector: the cells first (distributed
-    control), then the boundary faces (boundary control).  Per control it
-    holds the adjoint average operator (the cell mean of the function
-    reconstruction, the face mean of the trace), the cost (alpha or
-    beta), the measure (cell area or face length), the weight
-    W = cost * measure, the coupling B = average^T diag(measure) and the
-    control target u_d.
+    The control has one value per cell.  Per cell it holds the weight
+    W = alpha * area and the cell average u_d of the control target; the
+    coupling is B = V^T diag(area), with V the cell mean of the function
+    reconstruction.
     """
 
     def __init__(self, problem):
         gd = problem.gd
         self.stiffness = gd.stiffness(problem.diffusion, problem.reaction)
         self.mass = gd.mass_matrix()
-        self.source_load = assemble_load(
-            gd, problem.volume_source,
-            problem.boundary_source if gd.bc == "neumann" else None)
+        self.source_load = assemble_load(gd, problem.volume_source, problem.boundary_source)
         self.target_load = assemble_load(gd, problem.y_target)
         if problem.control_target is None:
-            self.control_target_cells = np.zeros(gd.mesh.n_cells)
+            self.control_target = np.zeros(gd.mesh.n_cells)
         else:
-            self.control_target_cells = project_onto_cells(
-                gd.mesh, problem.control_target
-            )
-        self.n_cells = gd.mesh.n_cells if problem.distributed else 0
-        self.boundary_control = problem.boundary_control
-        averages, costs, measures, targets = [], [], [], []
-        if problem.distributed:
-            averages.append(gd.value_center)
-            costs.append(np.full(self.n_cells, problem.alpha))
-            measures.append(gd.mesh.cell_area)
-            targets.append(self.control_target_cells)
-        if problem.boundary_control:
-            ell = gd.mesh.face_length[gd.boundary_face_ids]
-            averages.append(gd.trace_mid)
-            costs.append(np.full(len(ell), problem.beta))
-            measures.append(ell)
-            targets.append(np.zeros(len(ell)))
-        # A single family shares the operator of gd instead of copying it.
-        self.control_average = (averages[0] if len(averages) == 1
-                                else sp.vstack(averages, format="csr"))
-        self.control_cost = np.concatenate(costs)
-        measure = np.concatenate(measures)
-        self.control_weight = self.control_cost * measure
-        self.control_coupling = (self.control_average.T @ sp.diags(measure)).tocsr()
-        self.control_target = np.concatenate(targets)
+            self.control_target = project_onto_cells(gd.mesh, problem.control_target)
+        self.alpha = problem.alpha
+        self.value_center = gd.value_center
+        self.control_weight = problem.alpha * gd.mesh.cell_area
+        self.control_coupling = (gd.value_center.T @ sp.diags(gd.mesh.cell_area)).tocsr()
 
     @functools.cached_property
     def stiffness_factor(self):
         return SPDFactor(self.stiffness)
 
     def candidate(self, p):
-        """Unclamped control u_d - (average of p) / cost, for an adjoint
+        """Unclamped control u_d - (cell mean of p) / alpha, for an adjoint
         vector p; its box projection is the optimal control."""
-        return self.control_target - (self.control_average @ p) / self.control_cost
-
-    def split(self, v):
-        """(cell part, face part) of a stacked control vector; None stands
-        for a disabled family."""
-        return (v[:self.n_cells] if self.n_cells else None,
-                v[self.n_cells:] if self.boundary_control else None)
-
-    def stack(self, cells, faces):
-        """Stacked control vector of a cell part and a face part."""
-        return np.concatenate([v for v, on in ((cells, self.n_cells),
-                                               (faces, self.boundary_control)) if on])
+        return self.control_target - (self.value_center @ p) / self.alpha
 
 
 @dataclass(eq=False)
 class KKTSolution:
     """State and adjoint vectors, on the unknowns of the discretisation,
-    and cellwise (facewise) controls.
+    and the cellwise control with its active sets.
 
     history holds one (|A-|, |A+|, cg_steps, certified) record per
     active-set iteration: the sizes of the active sets it solved with,
@@ -215,11 +164,10 @@ class KKTSolution:
 
     y: np.ndarray
     p: np.ndarray
-    u: Optional[np.ndarray]
-    u_b: Optional[np.ndarray]
+    u: np.ndarray
     iterations: int
-    active_lower: Optional[np.ndarray]
-    active_upper: Optional[np.ndarray]
+    active_lower: np.ndarray
+    active_upper: np.ndarray
     history: list = field(default_factory=list)
 
 
@@ -242,12 +190,11 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
     """Primal-dual active-set solve of the discrete optimality system.
 
     The stiffness matrix K is factored once per problem (and cached on
-    its assembly).  Distributed and boundary controls form one stacked
-    control u with weights W (alpha * cell areas, beta * face lengths),
-    coupling B and candidate c(u) = u_d - W^-1 B^T p(u).  Each iteration
-    pins u at its bounds on the current active sets, keeps the previous
-    control on the inactive controls I, and solves the reduced Hessian
-    system
+    its assembly).  The cellwise control u has weights W (alpha * cell
+    areas), coupling B and candidate c(u) = u_d - W^-1 B^T p(u).  Each
+    iteration pins u at its bounds on the current active sets, keeps the
+    previous control on the inactive controls I, and solves the reduced
+    Hessian system
 
         H_I u_I = (W_I + G_II) u_I = rhs,   G = B^T K^-1 M K^-1 B,
 
@@ -383,9 +330,8 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
             )
         lo, hi = new_lo, new_hi
         if done:
-            u_cells, u_b = asm.split(project_box(candidate, lower, upper))
-            return KKTSolution(y, p, u_cells, u_b, it,
-                               asm.split(lo)[0], asm.split(hi)[0], history)
+            return KKTSolution(y, p, project_box(candidate, lower, upper), it,
+                               lo, hi, history)
     raise SolverError(f"active-set iteration did not settle in {max_iter} steps")
 
 
@@ -408,9 +354,9 @@ def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
     restart (momentum reset whenever it points against the projected
     gradient step) runs in the control-cost metric with the step
     1 / (1 + largest eigenvalue), until the natural residual
-    max|u - P(u_d - W^-1 B^T p)| is at most ``tol`` * max(1, max|u|).
-    Shares no code path with the active-set solver beyond problem
-    assembly.
+    max|u - P(u_d - W^-1 B^T p)| is at most ``tol`` * max(1, max|u|); it
+    returns that u, the iterate whose residual it checked.  Shares no
+    code path with the active-set solver beyond problem assembly.
     """
     if problem.gd.n_dofs > 500:
         raise ValueError("reference solver is restricted to at most 500 DOFs")
@@ -420,18 +366,18 @@ def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
     lower, upper = problem.lower, problem.upper
     k = asm.stiffness.toarray()
     m = asm.mass.toarray()
-    b_all = asm.control_coupling.toarray()
-    w_all = asm.control_weight
+    coupling = asm.control_coupling.toarray()
+    w = asm.control_weight
     u_target = asm.control_target
 
     cho = la.cho_factor(k)
     y0 = la.cho_solve(cho, asm.source_load)
-    state_map = la.cho_solve(cho, b_all)
+    state_map = la.cho_solve(cho, coupling)
     hess = state_map.T @ (m @ state_map)
     # K is symmetric, so B^T p(u) = B^T K^-1 (M (y0 + S u) - target load)
     # = hess @ u + shift.
     shift = state_map.T @ (m @ y0 - asm.target_load)
-    step = 1.0 / (1.0 + _largest_weighted_eig(hess, w_all))
+    step = 1.0 / (1.0 + _largest_weighted_eig(hess, w))
 
     # u is the projected iterate, z the extrapolated point the gradient
     # step starts from; their Hessian products are carried along, so
@@ -441,27 +387,24 @@ def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
     z, hz = u, hu
     t = 1.0
     for it in range(1, max_iter + 1):
-        candidate = project_box(u_target - (hu + shift) / w_all, lower, upper)
+        candidate = project_box(u_target - (hu + shift) / w, lower, upper)
         if np.max(np.abs(u - candidate)) <= tol * max(1.0, np.max(np.abs(u))):
-            u = candidate
             break
-        u_new = project_box(z - step * ((hz + shift) / w_all + (z - u_target)), lower, upper)
+        u_new = project_box(z - step * ((hz + shift) / w + (z - u_target)), lower, upper)
         hu_new = hess @ u_new
-        if (z - u_new) @ (w_all * (u_new - u)) > 0.0:
+        if (z - u_new) @ (w * (u_new - u)) > 0.0:
             t = 1.0
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_new
-        z = u_new + beta * (u_new - u)
-        hz = hu_new + beta * (hu_new - hu)
+        momentum = (t - 1.0) / t_new
+        z = u_new + momentum * (u_new - u)
+        hz = hu_new + momentum * (hu_new - hu)
         u, hu, t = u_new, hu_new, t_new
     else:
         raise SolverError("projected gradient did not reach stationarity")
 
-    u_cells, u_b = asm.split(u)
     y = y0 + state_map @ u
     p = la.cho_solve(cho, m @ y - asm.target_load)
-    return KKTSolution(y, p, u_cells, u_b, it,
-                       asm.split(u <= lower)[0], asm.split(u >= upper)[0])
+    return KKTSolution(y, p, u, it, u <= lower, u >= upper)
 
 
 def postprocess(problem, solution, exact_p):
@@ -475,23 +418,20 @@ def postprocess(problem, solution, exact_p):
     """
     gd = problem.gd
     cells, pts, _ = cell_quadrature(gd.mesh, function_rule(gd))
-    ud = problem.assembled().control_target_cells[cells]
+    ud = problem.assembled().control_target[cells]
     return tuple(project_box(ud - p / problem.alpha, problem.lower, problem.upper)
                  for p in (gd.value_at(solution.p, cells, pts), exact_p))
 
 
-def variational_inequality_gap(problem, solution, trial_cells, trial_faces=None):
+def variational_inequality_gap(problem, solution, trial):
     """Inner product of the control-equation residual with (trial - u).
 
     Nonnegative (up to solver tolerance) for every admissible trial
     control exactly when the discrete variational inequality holds.
-    Without trial_faces the boundary control is its own trial.
     """
     asm = problem.assembled()
-    u = asm.stack(solution.u, solution.u_b)
-    trial = asm.stack(trial_cells, solution.u_b if trial_faces is None else trial_faces)
-    residual = asm.control_weight * (u - asm.candidate(solution.p))
-    return float(residual @ (trial - u))
+    residual = asm.control_weight * (solution.u - asm.candidate(solution.p))
+    return float(residual @ (trial - solution.u))
 
 
 def projection_identity_gap(problem, solution):
@@ -499,4 +439,4 @@ def projection_identity_gap(problem, solution):
     asm = problem.assembled()
     candidate = project_box(asm.candidate(solution.p),
                             problem.lower, problem.upper)
-    return float(np.max(np.abs(asm.stack(solution.u, solution.u_b) - candidate)))
+    return float(np.max(np.abs(solution.u - candidate)))

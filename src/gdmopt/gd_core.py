@@ -22,7 +22,12 @@ from scipy.linalg import eigh
 from .analysis import cell_quadrature, segment_quadrature, triangle_quadrature
 from .assembly import SolverError, SPDFactor
 
-# Power-iteration steps allowed per eigenvalue of compute_cd.
+# compute_cd solves a pencil with fewer unknowns than DENSE_EIG_MAX_UNKNOWNS
+# densely, and a larger one by power iteration, which stops once the
+# eigenvalue changes by at most POWER_TOL relatively and raises after
+# POWER_MAX_ITER steps.
+DENSE_EIG_MAX_UNKNOWNS = 200
+POWER_TOL = 1e-8
 POWER_MAX_ITER = 10000
 
 
@@ -268,11 +273,11 @@ class GradientDiscretisation:
         return math.sqrt(float(self.piece_area @ (g ** 2).sum(1)))
 
 
-def _max_generalized_eig(a, gd, method, tol):
+def _max_generalized_eig(a, gd):
     """Largest eigenvalue of a x = lambda b x, with b the SPD norm Gram
     matrix of gd (see GradientDiscretisation.norm_factor)."""
     n = a.shape[0]
-    if method == "dense" or (method == "auto" and n < 200):
+    if n < DENSE_EIG_MAX_UNKNOWNS:
         vals = eigh(a.toarray(), gd.norm_gram().toarray(), eigvals_only=True)
         return float(vals[-1])
     factor = gd.norm_factor()
@@ -286,14 +291,14 @@ def _max_generalized_eig(a, gd, method, tol):
         lam_new = float(x @ ax) / float(x @ (b @ x))
         x = solve(ax)
         x /= math.sqrt(float(x @ x))
-        if abs(lam_new - lam) <= tol * abs(lam_new):
+        if abs(lam_new - lam) <= POWER_TOL * abs(lam_new):
             return lam_new
         lam = lam_new
     raise SolverError(f"power iteration for the coercivity constant did not settle "
-                      f"to {tol:.1e} in {POWER_MAX_ITER} steps")
+                      f"to {POWER_TOL:.1e} in {POWER_MAX_ITER} steps")
 
 
-def compute_cd(gd, method="auto", tol=1e-8):
+def compute_cd(gd):
     """Coercivity constant of a gradient discretisation.
 
     Dirichlet: the largest ratio of reconstructed-function norm to
@@ -303,16 +308,16 @@ def compute_cd(gd, method="auto", tol=1e-8):
     quadratic form gradient-Gram + mass standing in for the
     discretisation norm (equivalent to it within a factor sqrt(2)).
 
-    Meshes below 200 unknowns use a dense eigensolve; larger ones use a
-    power iteration converged to ``tol`` in the eigenvalue, with the
-    norm Gram matrix factored once per discretisation (norm_factor).
+    Below DENSE_EIG_MAX_UNKNOWNS unknowns it solves densely, otherwise by
+    power iteration to POWER_TOL in the eigenvalue, with the norm Gram
+    matrix factored once per discretisation (norm_factor).
     """
     if gd.n_free == 0:
         raise ValueError("no free DOFs: coercivity constant undefined")
     if gd.bc == "dirichlet":
-        return math.sqrt(_max_generalized_eig(gd.mass_matrix(), gd, method, tol))
-    lam_trace = _max_generalized_eig(gd.trace_gram(), gd, method, tol)
-    lam_value = _max_generalized_eig(gd.mass_matrix(), gd, method, tol)
+        return math.sqrt(_max_generalized_eig(gd.mass_matrix(), gd))
+    lam_trace = _max_generalized_eig(gd.trace_gram(), gd)
+    lam_value = _max_generalized_eig(gd.mass_matrix(), gd)
     return math.sqrt(max(lam_trace, lam_value))
 
 

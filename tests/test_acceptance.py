@@ -90,6 +90,9 @@ def test_criterion_06_neumann_rates():
         check_smooth_thresholds(
             slopes(study("example3-neumann", scheme, (6, 8))), tilde_min=1.4
         )
+    # hmm has settled by level 5, and its post-processed control
+    # superconverges (slope 2.00 on levels 5..7).
+    check_smooth_thresholds(slopes(study("example3-neumann", "hmm", (5, 7))))
 
 
 def test_criterion_07_active_set_solver_matches_reference():

@@ -79,8 +79,16 @@ def test_single_level_argument(tmp_path):
     ["--case", "example1", "--scheme", "p1", "--levels", "11"],
     ["--case", "example1", "--scheme", "p1", "--levels", "0..3"],
     ["--case", "example1", "--scheme", "hmm", "--levels", "1"],
+    ["--case", "example1", "--scheme", "p1", "--levels", "2..5",
+     "--out", "/nonexistent/dir/x.csv"],
 ])
-def test_usage_errors_exit_2(args):
+def test_usage_errors_exit_2(args, monkeypatch):
+    # Usage errors are reported before any level runs.
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started despite a usage error")
+
+    monkeypatch.setattr(cli, "run_study", no_work)
+    monkeypatch.setattr(cli, "run_diagnostics", no_work)
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2

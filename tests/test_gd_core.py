@@ -160,12 +160,16 @@ def test_sd_samples_the_target_once_per_point_set():
     assert sizes == [3584, 192]
 
 
-def test_cd_dense_vs_power():
+def test_cd_dense_vs_power(monkeypatch):
     # The two eigenvalue routes are independent; they must agree.
     for scheme, m in (("p1", 6), ("ncp1", 4), ("hmm", 4)):
         gd = make_gd(scheme, m, "dirichlet")
-        dense = compute_cd(gd, method="dense")
-        power = compute_cd(gd, method="power", tol=1e-12)
+        assert gd.n_free < gd_core.DENSE_EIG_MAX_UNKNOWNS
+        dense = compute_cd(gd)
+        with monkeypatch.context() as patch:
+            patch.setattr(gd_core, "DENSE_EIG_MAX_UNKNOWNS", 0)
+            patch.setattr(gd_core, "POWER_TOL", 1e-12)
+            power = compute_cd(gd)
         assert power == pytest.approx(dense, rel=1e-6)
 
 
@@ -323,7 +327,7 @@ def test_cd_and_wd_share_one_factor(monkeypatch, bc):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     gd = make_gd("ncp1", 16, bc)
-    assert gd.n_free >= 200  # the power-iteration route
+    assert gd.n_free >= gd_core.DENSE_EIG_MAX_UNKNOWNS  # the power-iteration route
     # Neumann runs two pencils (trace and value) against the same norm.
     cd = compute_cd(gd)
     wd = compute_wd(gd, smooth_grad)
@@ -382,7 +386,8 @@ def test_misfit_solve_cap_raises_with_reached_backward_error(monkeypatch):
 
 def test_cd_power_iteration_cap_raises(monkeypatch):
     gd = make_gd("ncp1", 16)
+    assert gd.n_free >= gd_core.DENSE_EIG_MAX_UNKNOWNS  # the power-iteration route
     monkeypatch.setattr(gd_core, "POWER_MAX_ITER", 1)
     with pytest.raises(SolverError, match="did not settle .* in 1 steps"):
-        compute_cd(gd, method="power")
+        compute_cd(gd)
 
