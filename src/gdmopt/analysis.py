@@ -377,23 +377,3 @@ def render_diagnostics_csv(rows, failure=None):
         level, h = failure
         lines.append(",".join([str(level), _fmt(h), "FAILED", "", "", ""]))
     return "\n".join(lines) + "\n"
-
-
-def _write(text, out):
-    """Write text to a path or file handle; returns the text."""
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
-
-
-def emit_csv(reports, out, failure=None):
-    """Write the study CSV to a path or file handle; returns the text."""
-    return _write(render_csv(reports, failure=failure), out)
-
-
-def emit_diagnostics_csv(rows, out, failure=None):
-    """Write the diagnostics CSV to a path or file handle; returns the text."""
-    return _write(render_diagnostics_csv(rows, failure=failure), out)

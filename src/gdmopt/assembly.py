@@ -126,17 +126,11 @@ class SPDFactor:
             steps += 1
 
 
-def assemble_load(gd, volume_source=None, boundary_source=None):
-    """Load vector on the unknowns of gd for function sources.
-
-    Volume sources use the rule ``analysis.function_rule(gd)`` of the
-    error measurement protocol; a volume source is a callable or its
-    values at that rule's points.  Boundary sources (Neumann only) are
-    callables, sampled at the points of ``gd.boundary_quadrature()`` (a
-    3-point Gauss rule per boundary face).
+def assemble_load(gd, volume_source):
+    """Load vector on the unknowns of gd for a volume source: a callable,
+    its values at the points of ``analysis.function_rule(gd)`` (the rule
+    of the error measurement protocol), or None for a zero load.
     """
-    if boundary_source is not None and gd.bc == "dirichlet":
-        raise ValueError("boundary source supplied under Dirichlet conditions")
     out = np.zeros(gd.n_free)
     if volume_source is not None:
         cells, pts, wts = cell_quadrature(gd.mesh, function_rule(gd))
@@ -145,18 +139,14 @@ def assemble_load(gd, volume_source=None, boundary_source=None):
         if vals.shape != (len(pts),):
             raise ValueError(f"volume source has shape {vals.shape}, not ({len(pts)},)")
         out += gd.value_load(cells, pts, wts, vals)
-    if boundary_source is not None:
-        pts = gd.boundary_quadrature()[1]
-        out += gd.boundary_load(np.asarray(boundary_source(pts), dtype=float))
     return out
 
 
-def solve_pde(gd, volume_source=None, boundary_source=None, diffusion=None,
-              reaction=0.0):
-    """Solve one elliptic problem; returns the vector of unknowns.
+def solve_pde(gd, volume_source, reaction=0.0):
+    """Solve -lap y + reaction y = volume_source on gd; returns the vector
+    of unknowns.
 
     The solve is checked (see SPDFactor) and raises SolverError on an
     asymmetric or singular form.
     """
-    a = gd.stiffness(diffusion=diffusion, reaction=reaction)
-    return SPDFactor(a).solve(assemble_load(gd, volume_source, boundary_source))
+    return SPDFactor(gd.stiffness(reaction)).solve(assemble_load(gd, volume_source))

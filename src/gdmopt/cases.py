@@ -48,6 +48,9 @@ class TestCase:
     single-field closure (y, grad_y, p, grad_p, u, f, y_d) that is not
     given reads its entry of ``fields``; one that is given must agree
     with that entry bit for bit.
+
+    f_b is None on every case and nothing in the package reads it; it
+    stays while the benchmark tracer wraps the case closures by name.
     """
 
     name: str
@@ -99,7 +102,6 @@ class TestCase:
             volume_source=self.f if source is None else source,
             control_target=self.u_d,
             reaction=self.reaction,
-            boundary_source=self.f_b if gd.bc == "neumann" else None,
         )
 
 

@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from .analysis import compute_errors, emit_csv, emit_diagnostics_csv, sample_level
+from .analysis import compute_errors, render_csv, render_diagnostics_csv, sample_level
 from .assembly import SolverError
 from .cases import CASE_NAMES, get_case
 from .control import DEFAULT_PDAS_MAX_ITER, DEFAULT_PDAS_TOL, postprocess, solve_kkt_pdas
@@ -164,19 +164,22 @@ def main(argv=None):
         except OSError as exc:
             parser.error(f"--out {args.out} is not writable: {exc.strerror}")
 
-    out = args.out if args.out is not None else sys.stdout
     if args.diagnostics:
         rows, failure = run_diagnostics(args.case, args.scheme, args.levels,
                                         shift=args.shift)
-        emit = emit_diagnostics_csv
+        render = render_diagnostics_csv
     else:
         rows, failure = run_study(
             args.case, args.scheme, args.levels, shift=args.shift,
             pdas_max_iter=args.pdas_max_iter, pdas_tol=args.pdas_tol,
         )
-        emit = emit_csv
-    marker = None if failure is None else (failure.level, failure.h)
-    emit(rows, out, failure=marker)
+        render = render_csv
+    text = render(rows, failure=None if failure is None else (failure.level, failure.h))
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     if failure is not None:
         print(f"solver failure: {failure}", file=sys.stderr)
         return 1

@@ -44,6 +44,11 @@ LAMBDA_INFLATION = 4.0
 # benchmark cases need 15 steps or fewer.
 PCG_MAX_ITER = 500
 
+# Stationarity tolerance of solve_kkt_reference, relative to max(1,
+# max|u|), and the iterations it may take to reach it.
+REFERENCE_TOL = 1e-12
+REFERENCE_MAX_ITER = 200000
+
 
 def project_box(values, lower, upper):
     """Pointwise projection onto the box [lower, upper]."""
@@ -52,9 +57,9 @@ def project_box(values, lower, upper):
     return np.clip(values, lower, upper)
 
 
-def project_onto_cells(mesh, fn, rule="gauss7"):
-    """Cell averages of a function under a named quadrature rule."""
-    cells, pts, wts = cell_quadrature(mesh, rule)
+def project_onto_cells(mesh, fn):
+    """Cell averages of a function under the degree-5 gauss7 rule."""
+    cells, pts, wts = cell_quadrature(mesh, "gauss7")
     vals = np.asarray(fn(pts), dtype=float)
     sums = np.bincount(cells, wts * vals, mesh.n_cells)
     return sums / np.bincount(cells, wts, mesh.n_cells)
@@ -78,12 +83,9 @@ class OptimalControlProblem:
         Fixed source of the state equation (see assemble_load).
     control_target : callable or None
         Distributed control shift u_d (defaults to zero).
-    diffusion : callable or None
-        2x2 diffusion tensor field; None means the identity.
     reaction : float
-        Zero-order coefficient; must be positive for Neumann problems.
-    boundary_source : callable or None
-        Fixed boundary source of the state equation (Neumann only).
+        Zero-order coefficient c0 of the state equation -lap y + c0 y =
+        f + u; must be positive for Neumann problems.
     """
 
     gd: Any
@@ -92,9 +94,7 @@ class OptimalControlProblem:
     y_target: Any
     volume_source: Any = None
     control_target: Optional[Callable] = None
-    diffusion: Optional[Callable] = None
     reaction: float = 0.0
-    boundary_source: Optional[Callable] = None
 
     def __post_init__(self):
         self.lower, self.upper = float(self.bounds[0]), float(self.bounds[1])
@@ -104,8 +104,6 @@ class OptimalControlProblem:
             raise ValueError("empty box: lower bound exceeds upper bound")
         if self.gd.bc == "neumann" and not self.reaction > 0.0:
             raise ValueError("Neumann problems need a positive reaction coefficient")
-        if self.gd.bc == "dirichlet" and self.boundary_source is not None:
-            raise ValueError("boundary source supplied under Dirichlet conditions")
         self.alpha = float(self.alpha)
         self.reaction = float(self.reaction)
         self._asm = None
@@ -128,9 +126,9 @@ class _Assembly:
 
     def __init__(self, problem):
         gd = problem.gd
-        self.stiffness = gd.stiffness(problem.diffusion, problem.reaction)
+        self.stiffness = gd.stiffness(problem.reaction)
         self.mass = gd.mass_matrix()
-        self.source_load = assemble_load(gd, problem.volume_source, problem.boundary_source)
+        self.source_load = assemble_load(gd, problem.volume_source)
         self.target_load = assemble_load(gd, problem.y_target)
         if problem.control_target is None:
             self.control_target = np.zeros(gd.mesh.n_cells)
@@ -343,7 +341,7 @@ def _largest_weighted_eig(hess, weight):
                    subset_by_index=[n - 1, n - 1])[0]
 
 
-def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
+def solve_kkt_reference(problem):
     """Accelerated projected-gradient reference solve of the same
     optimality system.
 
@@ -354,9 +352,10 @@ def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
     restart (momentum reset whenever it points against the projected
     gradient step) runs in the control-cost metric with the step
     1 / (1 + largest eigenvalue), until the natural residual
-    max|u - P(u_d - W^-1 B^T p)| is at most ``tol`` * max(1, max|u|); it
-    returns that u, the iterate whose residual it checked.  Shares no
-    code path with the active-set solver beyond problem assembly.
+    max|u - P(u_d - W^-1 B^T p)| is at most REFERENCE_TOL * max(1,
+    max|u|); it returns that u, the iterate whose residual it checked,
+    and raises SolverError after REFERENCE_MAX_ITER iterations.  Shares
+    no code path with the active-set solver beyond problem assembly.
     """
     if problem.gd.n_dofs > 500:
         raise ValueError("reference solver is restricted to at most 500 DOFs")
@@ -386,9 +385,9 @@ def solve_kkt_reference(problem, tol=1e-12, max_iter=200000):
     hu = hess @ u
     z, hz = u, hu
     t = 1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, REFERENCE_MAX_ITER + 1):
         candidate = project_box(u_target - (hu + shift) / w, lower, upper)
-        if np.max(np.abs(u - candidate)) <= tol * max(1.0, np.max(np.abs(u))):
+        if np.max(np.abs(u - candidate)) <= REFERENCE_TOL * max(1.0, np.max(np.abs(u))):
             break
         u_new = project_box(z - step * ((hz + shift) / w + (z - u_target)), lower, upper)
         hu_new = hess @ u_new

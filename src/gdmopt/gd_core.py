@@ -70,7 +70,6 @@ class GradientDiscretisation:
     """
 
     mesh: Any
-    scheme: str
     bc: str
     n_dofs: int
     free: np.ndarray
@@ -221,25 +220,10 @@ class GradientDiscretisation:
             self._factor = SPDFactor(self.norm_gram())
         return self._factor
 
-    def stiffness(self, diffusion=None, reaction=0.0):
-        """Diffusion form of the gradient reconstruction, plus an optional
-        reaction multiple of the mass matrix.  Exact for constant
-        coefficients; variable coefficients are sampled at piece centers.
-        The matrix is in CSC format, which SPDFactor factors without a copy.
-        """
-        w = self.piece_area
-        gx, gy = self.grad_x, self.grad_y
-        if diffusion is None:
-            a = gx.T @ sp.diags(w) @ gx + gy.T @ sp.diags(w) @ gy
-        else:
-            tensor = np.asarray(diffusion(self.piece_center), dtype=float)
-            a = gx.T @ sp.diags(w * tensor[:, 0, 0]) @ gx
-            a += gx.T @ sp.diags(w * tensor[:, 0, 1]) @ gy
-            a += gy.T @ sp.diags(w * tensor[:, 1, 0]) @ gx
-            a += gy.T @ sp.diags(w * tensor[:, 1, 1]) @ gy
-        if reaction:
-            a = a + reaction * self.mass_matrix()
-        return a.tocsc()
+    def stiffness(self, reaction=0.0):
+        """Matrix of -lap + reaction: gradient Gram + reaction * mass, in
+        CSC format, which SPDFactor factors without a copy."""
+        return (self.gradient_gram() + reaction * self.mass_matrix()).tocsc()
 
     def value_load(self, cells, pts, wts, vals):
         """Load vector sum(w * vals * basis) for point values on cells."""

@@ -85,7 +85,7 @@ def _csr(pattern, vals):
                          shape=pattern.shape)
 
 
-def _affine_scheme(mesh, scheme, bc, dof_points, boundary_dofs, cell_dofs, basis_grad,
+def _affine_scheme(mesh, bc, dof_points, boundary_dofs, cell_dofs, basis_grad,
                    trace_mid, trace_slope):
     """Scheme whose function reconstruction on each triangle is the affine
     combination of its three local basis functions (DOFs cell_dofs, mean
@@ -102,7 +102,7 @@ def _affine_scheme(mesh, scheme, bc, dof_points, boundary_dofs, cell_dofs, basis
     trace_mid, trace_slope = (_csr(_pattern(rows, cols, trace_shape, unknown), vals)
                               for rows, cols, vals in (trace_mid, trace_slope))
     return GradientDiscretisation(
-        mesh=mesh, scheme=scheme, bc=bc, n_dofs=len(dof_points), free=free,
+        mesh=mesh, bc=bc, n_dofs=len(dof_points), free=free,
         dof_points=dof_points[free],
         value_center=_csr(cell, np.full(3 * mesh.n_cells, 1.0 / 3.0)),
         value_slope_x=slope_x, value_slope_y=slope_y,
@@ -122,7 +122,7 @@ def make_conforming_p1(mesh, bc="dirichlet"):
     inv_len = 1.0 / mesh.face_length[bids]
     trace_mid = rows, cols, np.full(2 * len(bids), 0.5)
     trace_slope = rows, cols, np.column_stack([-inv_len, inv_len]).ravel()
-    return _affine_scheme(mesh, "p1", bc, mesh.vertices, mesh.boundary_vertices,
+    return _affine_scheme(mesh, bc, mesh.vertices, mesh.boundary_vertices,
                           mesh.cells, _barycentric_gradients(mesh), trace_mid, trace_slope)
 
 
@@ -141,7 +141,7 @@ def make_ncp1(mesh, bc="dirichlet"):
     svals = np.einsum("bjd,bd->bj", basis_grad[owner], mesh.face_tangent[bids])
     trace_slope = (np.repeat(np.arange(len(bids)), 3), mesh.cell_faces[owner].ravel(),
                    svals.ravel())
-    return _affine_scheme(mesh, "ncp1", bc, mesh.face_center, mesh.boundary_faces,
+    return _affine_scheme(mesh, bc, mesh.face_center, mesh.boundary_faces,
                           mesh.cell_faces, basis_grad, trace_mid, trace_slope)
 
 
@@ -212,7 +212,7 @@ def make_hmm(mesh, bc="dirichlet"):
     trace_slope = sp.csr_matrix((len(bids), n_free))
 
     return GradientDiscretisation(
-        mesh=mesh, scheme="hmm", bc=bc, n_dofs=n_cells + n_faces, free=free,
+        mesh=mesh, bc=bc, n_dofs=n_cells + n_faces, free=free,
         dof_points=np.vstack([mesh.cell_point, mesh.face_center])[free],
         value_center=value_center, value_slope_x=zero_c, value_slope_y=zero_c,
         piece_tri=piece_tri, grad_x=grad_x, grad_y=grad_y,

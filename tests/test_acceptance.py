@@ -78,11 +78,14 @@ def test_criterion_04_hmm_cell_point_shift_degrades_superconvergence():
     assert shifted["err_u_tilde"] <= base["err_u_tilde"] - 0.3, (base, shifted)
 
 
-def test_criterion_05_corner_singular_rates():
-    s = slopes(study("example2-lshape", "p1", (6, 8)))
+def check_corner_thresholds(s):
     assert 0.85 <= s["err_u"] <= 1.15, s
     assert s["err_grad_y"] < 0.95, s
     assert s["err_u_tilde"] < 1.8, s
+
+
+def test_criterion_05_corner_singular_rates():
+    check_corner_thresholds(slopes(study("example2-lshape", "p1", (6, 8))))
 
 
 def test_criterion_06_neumann_rates():
@@ -225,3 +228,9 @@ def test_criterion_09_repeated_studies_byte_identical():
     first, _ = run_study("example1", "hmm", (2, 4), shift=0.3)
     second, _ = run_study("example1", "hmm", (2, 4), shift=0.3)
     assert render_csv(first) == render_csv(second)
+
+
+def test_criterion_10_corner_singular_nonconforming_rates():
+    # ncp1 shows the reduced corner rates from level 5 on (slopes 1.006,
+    # 0.874 and 1.387 on levels 5..7).
+    check_corner_thresholds(slopes(study("example2-lshape", "ncp1", (5, 7))))

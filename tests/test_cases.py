@@ -168,7 +168,6 @@ def test_problem_wiring():
     gd = build_scheme("p1", case.build_mesh("p1", 2), case.bc)
     problem = case.build_problem(gd)
     assert problem.reaction == 1.0
-    assert problem.boundary_source is None
     assert problem.lower == -750.0 and problem.upper == -50.0
     case1 = get_case("example1")
     gd1 = build_scheme("p1", case1.build_mesh("p1", 2), case1.bc)

@@ -3,6 +3,7 @@ projection/variational-inequality identities of the optimality system."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,17 +24,16 @@ from gdmopt.control import (
     solve_kkt_reference,
     variational_inequality_gap,
 )
+from gdmopt.gd_core import GradientDiscretisation
 from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
 from gdmopt.schemes import build_scheme
 
 
-def synthetic_problem(gd, bounds=(0.0, np.inf), alpha=1.0, **kw):
+def synthetic_problem(gd, bounds=(0.0, np.inf), alpha=1.0):
     target = lambda pts: np.sin(np.pi * pts[:, 0]) * pts[:, 1]
     shift = lambda pts: 1.0 - pts[:, 0]
-    return OptimalControlProblem(
-        gd, alpha=alpha, bounds=bounds, y_target=target,
-        control_target=shift, **kw,
-    )
+    return OptimalControlProblem(gd, alpha=alpha, bounds=bounds, y_target=target,
+                                 control_target=shift)
 
 
 def case_problem(name, scheme, m):
@@ -68,12 +68,14 @@ def test_project_onto_cells_linear_oracle():
 
 
 def test_project_onto_cells_rule_agreement():
-    # Degree-5 integrand: both rules are exact, so averages coincide.
+    # Degree-5 integrand: gauss7 is exact, so its averages coincide with
+    # those of the degree10 oracle rule.
     mesh = build_cartesian_mesh(3, shift=0.2)
     fn = lambda pts: pts[:, 0] ** 3 * pts[:, 1] ** 2
-    a = project_onto_cells(mesh, fn, rule="gauss7")
-    b = project_onto_cells(mesh, fn, rule="degree10")
-    np.testing.assert_allclose(a, b, atol=1e-15)
+    cells, pts, wts = cell_quadrature(mesh, "degree10")
+    oracle = (np.bincount(cells, wts * fn(pts), mesh.n_cells)
+              / np.bincount(cells, wts, mesh.n_cells))
+    np.testing.assert_allclose(project_onto_cells(mesh, fn), oracle, atol=1e-15)
 
 
 def test_unconstrained_box_single_iteration():
@@ -230,19 +232,21 @@ def test_pdas_factors_stiffness_once(monkeypatch):
 
 
 def test_both_solvers_reject_asymmetric_stiffness(monkeypatch):
-    # A diffusion tensor with a varying skew part gives a non-symmetric
-    # stiffness matrix (a constant one integrates to zero), which neither
-    # the sparse factor nor cho_factor (it reads one triangle) may accept.
+    # A stiffness matrix with a skew part, which neither the sparse
+    # factor nor cho_factor (it reads one triangle) may accept.
     gd = build_scheme("p1", build_unit_square_triangulation(4), "dirichlet")
+    stiffness = GradientDiscretisation.stiffness
 
-    def skew(pts):
-        tensor = np.tile(np.eye(2), (len(pts), 1, 1))
-        tensor[:, 0, 1] = pts[:, 0]
-        return tensor
+    def skewed(self, reaction=0.0):
+        a = stiffness(self, reaction)
+        upper = sp.diags(self.dof_points[:, 0]) @ sp.triu(a, k=1)
+        return (a + upper - upper.T).tocsc()
 
-    for solve in (solve_kkt_pdas, solve_kkt_reference):
-        with pytest.raises(SolverError, match="not symmetric"):
-            solve(synthetic_problem(gd, diffusion=skew))
+    with monkeypatch.context() as patch:
+        patch.setattr(GradientDiscretisation, "stiffness", skewed)
+        for solve in (solve_kkt_pdas, solve_kkt_reference):
+            with pytest.raises(SolverError, match="not symmetric"):
+                solve(synthetic_problem(gd))
     # Each solve path checks the symmetry of K once.
     calls = []
     check = assembly.check_symmetry
@@ -276,7 +280,6 @@ def test_pdas_matches_reference_on_random_boxes(case_name, scheme, log_alpha, cu
         return OptimalControlProblem(
             gd, alpha=10.0 ** log_alpha, bounds=bounds, y_target=case.y_d,
             volume_source=case.f, control_target=case.u_d, reaction=case.reaction,
-            boundary_source=case.f_b if case.bc == "neumann" else None,
         )
 
     free = solve_kkt_pdas(problem((-np.inf, np.inf))).u
@@ -428,7 +431,6 @@ def test_certified_pdas_follows_exact_active_sets(case_name, scheme, log_alpha, 
         return OptimalControlProblem(
             gd, alpha=10.0 ** log_alpha, bounds=bounds, y_target=case.y_d,
             volume_source=case.f, control_target=case.u_d, reaction=case.reaction,
-            boundary_source=case.f_b if case.bc == "neumann" else None,
         )
 
     free = solve_kkt_pdas(problem((-np.inf, np.inf))).u
@@ -442,10 +444,11 @@ def test_certified_pdas_follows_exact_active_sets(case_name, scheme, log_alpha, 
     np.testing.assert_array_equal(sol.active_upper, hi)
 
 
-def test_reference_iteration_cap_raises():
+def test_reference_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(control, "REFERENCE_MAX_ITER", 10)
     problem = case_problem("example3-neumann", "p1", 4)
     with pytest.raises(SolverError):
-        solve_kkt_reference(problem, max_iter=10)
+        solve_kkt_reference(problem)
 
 
 def test_reference_converges_fast_on_small_alpha():
@@ -499,9 +502,6 @@ def test_problem_validations():
         OptimalControlProblem(gd, alpha=0.0, bounds=(0, 1), y_target=target)
     with pytest.raises(ValueError):
         OptimalControlProblem(gd, alpha=1.0, bounds=(1, 0), y_target=target)
-    with pytest.raises(ValueError, match="boundary source"):
-        OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), y_target=target,
-                              boundary_source=target)
     gdn = build_scheme("p1", build_unit_square_triangulation(2), "neumann")
     with pytest.raises(ValueError):
         OptimalControlProblem(gdn, alpha=1.0, bounds=(0, 1), y_target=target)

@@ -166,7 +166,7 @@ def test_hmm_piece_areas_tile_cells():
 
 
 def test_hmm_identity_form_spd():
-    # Dense check on a small mesh: the masked diffusion form has a
+    # Dense check on a small mesh: the stiffness matrix has a
     # strictly positive smallest eigenvalue.
     mesh = build_cartesian_mesh(4)
     gd = build_scheme("hmm", mesh, "dirichlet")
