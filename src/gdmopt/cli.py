@@ -8,13 +8,12 @@ runs with the same configuration are byte-identical.
 """
 
 import argparse
-import math
 import sys
 
 from .analysis import compute_errors, render_csv, render_diagnostics_csv, sample_level
 from .assembly import SolverError
 from .cases import CASE_NAMES, get_case
-from .control import DEFAULT_PDAS_MAX_ITER, DEFAULT_PDAS_TOL, postprocess, solve_kkt_pdas
+from .control import postprocess, solve_kkt_pdas
 from .gd_core import compute_cd, compute_sd_upper, compute_wd
 from .schemes import SCHEMES, build_scheme
 
@@ -35,8 +34,7 @@ class LevelFailure(Exception):
         self.h = h
 
 
-def run_level(case, scheme, level, shift=0.0, pdas_max_iter=DEFAULT_PDAS_MAX_ITER,
-              pdas_tol=DEFAULT_PDAS_TOL):
+def run_level(case, scheme, level, shift=0.0):
     """Solve one study level and return its error report.
 
     The exact fields are sampled once per point set of the level and
@@ -47,7 +45,7 @@ def run_level(case, scheme, level, shift=0.0, pdas_max_iter=DEFAULT_PDAS_MAX_ITE
     exact = sample_level(gd, case.fields)
     problem = case.build_problem(gd, source=exact.source, target=exact.target)
     try:
-        solution = solve_kkt_pdas(problem, max_iter=pdas_max_iter, tol=pdas_tol)
+        solution = solve_kkt_pdas(problem)
     except SolverError as exc:
         raise LevelFailure(level, mesh.h, exc) from exc
     post = postprocess(problem, solution, exact.post_p)
@@ -57,8 +55,7 @@ def run_level(case, scheme, level, shift=0.0, pdas_max_iter=DEFAULT_PDAS_MAX_ITE
     )
 
 
-def run_study(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0,
-              pdas_max_iter=DEFAULT_PDAS_MAX_ITER, pdas_tol=DEFAULT_PDAS_TOL):
+def run_study(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0):
     """Run the levels of a study in order, up to the first failed one.
 
     Returns (reports, failure) where failure is None or the LevelFailure
@@ -69,8 +66,7 @@ def run_study(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0,
     reports = []
     for level in range(levels[0], levels[1] + 1):
         try:
-            reports.append(run_level(case, scheme, level, shift=shift,
-                                     pdas_max_iter=pdas_max_iter, pdas_tol=pdas_tol))
+            reports.append(run_level(case, scheme, level, shift=shift))
         except LevelFailure as exc:
             return reports, exc
     return reports, None
@@ -137,10 +133,6 @@ def build_parser():
                         help="CSV output path (default: stdout)")
     parser.add_argument("--diagnostics", action="store_true",
                         help="emit the per-level diagnostics table instead")
-    parser.add_argument("--pdas-max-iter", type=int, default=DEFAULT_PDAS_MAX_ITER,
-                        help="active-set iterations allowed per level (default %(default)s)")
-    parser.add_argument("--pdas-tol", type=float, default=DEFAULT_PDAS_TOL,
-                        help="relative tolerance of the inner CG solves (default %(default)s)")
     return parser
 
 
@@ -153,10 +145,6 @@ def main(argv=None):
         parser.error("--shift applies only to --scheme hmm")
     if args.shift != 0.0 and args.case == "example2-lshape":
         parser.error("--shift requires a Cartesian-capable case")
-    if args.pdas_max_iter < 1:
-        parser.error("--pdas-max-iter must be at least 1")
-    if not (math.isfinite(args.pdas_tol) and args.pdas_tol > 0.0):
-        parser.error("--pdas-tol must be positive and finite")
     if args.out is not None:
         # Appending creates a missing file but leaves an existing one intact.
         try:
@@ -169,10 +157,7 @@ def main(argv=None):
                                         shift=args.shift)
         render = render_diagnostics_csv
     else:
-        rows, failure = run_study(
-            args.case, args.scheme, args.levels, shift=args.shift,
-            pdas_max_iter=args.pdas_max_iter, pdas_tol=args.pdas_tol,
-        )
+        rows, failure = run_study(args.case, args.scheme, args.levels, shift=args.shift)
         render = render_csv
     text = render(rows, failure=None if failure is None else (failure.level, failure.h))
     if args.out is None:

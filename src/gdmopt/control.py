@@ -30,8 +30,12 @@ import scipy.sparse as sp
 from .analysis import cell_quadrature, function_rule
 from .assembly import SolverError, SPDFactor, assemble_load, check_symmetry
 
-DEFAULT_PDAS_MAX_ITER = 100
-DEFAULT_PDAS_TOL = 1e-10
+# Active-set iterations solve_kkt_pdas may take; PDAS ends in finitely
+# many steps, so this is only a safety net.
+PDAS_MAX_ITER = 100
+
+# Relative tolerance tau of the full CG stopping rule of solve_kkt_pdas.
+PCG_TOL = 1e-12
 
 # Safety factor on the Lanczos estimate of the largest eigenvalue of
 # W^-1/2 B^T K^-1 M K^-1 B W^-1/2 that scales the active-set certificate
@@ -184,7 +188,7 @@ def _largest_ritz_value(steps, betas):
     return la.eigvalsh_tridiagonal(diag, off, select="i", select_range=(k, k))[0]
 
 
-def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL):
+def solve_kkt_pdas(problem):
     """Primal-dual active-set solve of the discrete optimality system.
 
     The stiffness matrix K is factored once per problem (and cached on
@@ -222,19 +226,21 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
     is no estimate and every iteration is exact.
 
     The full stopping rule is ||r||_{W_I^-1} <= tau (||u_I||_{W_I} -
-    ||r||_{W_I^-1}) with tau = tol / 100.  The bracket is a lower bound
-    on ||u_I*||_{W_I}, which is at most ||rhs||_{W_I^-1}, so the rule
-    is no looser than a relative residual of tau; a zero start of a zero
-    solution meets it at once.  A CG run that has not stopped after
-    PCG_MAX_ITER steps raises SolverError with the residual it reached.
+    ||r||_{W_I^-1}) with tau the constant PCG_TOL.  The bracket is a
+    lower bound on ||u_I*||_{W_I}, which is at most ||rhs||_{W_I^-1}, so
+    the rule is no looser than a relative residual of tau; a zero start
+    of a zero solution meets it at once.  A CG run that has not stopped
+    after PCG_MAX_ITER steps raises SolverError with the residual it
+    reached.
 
     The active sets are refreshed from the candidate; termination is
-    reached when they repeat.  A return to any earlier pair is a cycle
-    and raises SolverError with the |A-|/|A+| history.  The carried
-    state and adjoint are checked against the backward-error contract of
-    the factor (refined where they miss it), and the returned control is
-    the box projection of their candidate, so it satisfies the discrete
-    projection identity by construction.
+    reached when they repeat, and SolverError is raised if they still
+    change after PDAS_MAX_ITER iterations.  A return to any earlier pair
+    is a cycle and raises SolverError with the |A-|/|A+| history.  The
+    carried state and adjoint are checked against the backward-error
+    contract of the factor (refined where they miss it), and the
+    returned control is the box projection of their candidate, so it
+    satisfies the discrete projection identity by construction.
     """
     asm = problem.assembled()
     lower, upper = problem.lower, problem.upper
@@ -242,7 +248,6 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
     b_mat, w = asm.control_coupling, asm.control_weight
     b_t = b_mat.T.tocsr()
     root_w = np.sqrt(w)
-    cg_tol = 1e-2 * tol
     lam = None
 
     def proven(candidate, rz):
@@ -260,7 +265,7 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
     key = lambda lo, hi: np.packbits(lo).tobytes() + np.packbits(hi).tobytes()
     seen = {}
     history = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, PDAS_MAX_ITER + 1):
         seen[key(lo, hi)] = it
         free = (~(lo | hi)).astype(float)
         u = np.where(lo, lower, np.where(hi, upper, u))
@@ -279,7 +284,7 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
                 lam = LAMBDA_INFLATION * max(_largest_ritz_value(steps, betas) - 1.0, 0.0)
             x = free * u
             res, norm = math.sqrt(rz), math.sqrt(x @ (w * x))
-            if res <= cg_tol * (norm - res):
+            if res <= PCG_TOL * (norm - res):
                 exact = True
                 break
             # An estimate from a single step is not trusted to certify.
@@ -292,7 +297,7 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
             if len(steps) == PCG_MAX_ITER:
                 raise SolverError(
                     f"conjugate gradients reached relative residual "
-                    f"{res / norm if norm else math.inf:.3e}, above {cg_tol:.1e}, "
+                    f"{res / norm if norm else math.inf:.3e}, above {PCG_TOL:.1e}, "
                     f"in {PCG_MAX_ITER} steps"
                 )
             s = factor.solve(b_mat @ d)
@@ -330,7 +335,7 @@ def solve_kkt_pdas(problem, max_iter=DEFAULT_PDAS_MAX_ITER, tol=DEFAULT_PDAS_TOL
         if done:
             return KKTSolution(y, p, project_box(candidate, lower, upper), it,
                                lo, hi, history)
-    raise SolverError(f"active-set iteration did not settle in {max_iter} steps")
+    raise SolverError(f"active-set iteration did not settle in {PDAS_MAX_ITER} steps")
 
 
 def _largest_weighted_eig(hess, weight):
@@ -354,8 +359,9 @@ def solve_kkt_reference(problem):
     1 / (1 + largest eigenvalue), until the natural residual
     max|u - P(u_d - W^-1 B^T p)| is at most REFERENCE_TOL * max(1,
     max|u|); it returns that u, the iterate whose residual it checked,
-    and raises SolverError after REFERENCE_MAX_ITER iterations.  Shares
-    no code path with the active-set solver beyond problem assembly.
+    and raises SolverError with the residual it reached after
+    REFERENCE_MAX_ITER iterations.  Shares no code path with the
+    active-set solver beyond problem assembly.
     """
     if problem.gd.n_dofs > 500:
         raise ValueError("reference solver is restricted to at most 500 DOFs")
@@ -387,7 +393,8 @@ def solve_kkt_reference(problem):
     t = 1.0
     for it in range(1, REFERENCE_MAX_ITER + 1):
         candidate = project_box(u_target - (hu + shift) / w, lower, upper)
-        if np.max(np.abs(u - candidate)) <= REFERENCE_TOL * max(1.0, np.max(np.abs(u))):
+        residual, scale = np.max(np.abs(u - candidate)), max(1.0, np.max(np.abs(u)))
+        if residual <= REFERENCE_TOL * scale:
             break
         u_new = project_box(z - step * ((hz + shift) / w + (z - u_target)), lower, upper)
         hu_new = hess @ u_new
@@ -399,7 +406,11 @@ def solve_kkt_reference(problem):
         hz = hu_new + momentum * (hu_new - hu)
         u, hu, t = u_new, hu_new, t_new
     else:
-        raise SolverError("projected gradient did not reach stationarity")
+        raise SolverError(
+            f"projected gradient reached natural residual {residual / scale:.3e} "
+            f"relative to max(1, max|u|), above {REFERENCE_TOL:.1e}, "
+            f"in {REFERENCE_MAX_ITER} iterations"
+        )
 
     y = y0 + state_map @ u
     p = la.cho_solve(cho, m @ y - asm.target_load)

@@ -17,16 +17,13 @@ from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
 
 from .analysis import cell_quadrature, segment_quadrature, triangle_quadrature
 from .assembly import SolverError, SPDFactor
 
-# compute_cd solves a pencil with fewer unknowns than DENSE_EIG_MAX_UNKNOWNS
-# densely, and a larger one by power iteration, which stops once the
+# compute_cd solves its pencils by power iteration, which stops once the
 # eigenvalue changes by at most POWER_TOL relatively and raises after
 # POWER_MAX_ITER steps.
-DENSE_EIG_MAX_UNKNOWNS = 200
 POWER_TOL = 1e-8
 POWER_MAX_ITER = 10000
 
@@ -261,9 +258,6 @@ def _max_generalized_eig(a, gd):
     """Largest eigenvalue of a x = lambda b x, with b the SPD norm Gram
     matrix of gd (see GradientDiscretisation.norm_factor)."""
     n = a.shape[0]
-    if n < DENSE_EIG_MAX_UNKNOWNS:
-        vals = eigh(a.toarray(), gd.norm_gram().toarray(), eigvals_only=True)
-        return float(vals[-1])
     factor = gd.norm_factor()
     b, solve = factor.matrix, factor.solve
     # Deterministic start vector with a ramp so it is never orthogonal
@@ -292,9 +286,9 @@ def compute_cd(gd):
     quadratic form gradient-Gram + mass standing in for the
     discretisation norm (equivalent to it within a factor sqrt(2)).
 
-    Below DENSE_EIG_MAX_UNKNOWNS unknowns it solves densely, otherwise by
-    power iteration to POWER_TOL in the eigenvalue, with the norm Gram
-    matrix factored once per discretisation (norm_factor).
+    Each pencil is solved by power iteration to POWER_TOL in the
+    eigenvalue, with the norm Gram matrix factored once per
+    discretisation (norm_factor).
     """
     if gd.n_free == 0:
         raise ValueError("no free DOFs: coercivity constant undefined")

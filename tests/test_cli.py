@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gdmopt
-from gdmopt import assembly, cli
+from gdmopt import assembly, cli, control
 from gdmopt.cli import MAX_LEVEL, build_parser, main, run_diagnostics, run_study
 from gdmopt.gd_core import compute_sd_upper
 
@@ -71,9 +71,10 @@ def test_single_level_argument(tmp_path):
     ["--case", "example1", "--scheme", "hmm", "--shift", "0.6"],
     ["--case", "example1", "--scheme", "hmm", "--shift", "-0.1"],
     ["--case", "example2-lshape", "--scheme", "hmm", "--shift", "0.2"],
+    # The solver options are constants now: their former flags are rejected.
     ["--case", "example1", "--scheme", "p1", "--pdas-max-iter", "0"],
-    ["--case", "example1", "--scheme", "p1", "--pdas-tol", "0"],
-    ["--case", "example1", "--scheme", "p1", "--pdas-tol", "nan"],
+    ["--case", "example1", "--scheme", "p1", "--pdas-max-iter", "50"],
+    ["--case", "example1", "--scheme", "p1", "--pdas-tol", "1e-8"],
     ["--case", "example1", "--scheme", "p1", "--pdas-tol", "inf"],
     ["--case", "example1", "--scheme", "p1", "--levels", "2..11"],
     ["--case", "example1", "--scheme", "p1", "--levels", "11"],
@@ -92,6 +93,13 @@ def test_usage_errors_exit_2(args, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
+
+
+def test_option_surface_is_documented():
+    # The flags the README documents, and no others.
+    options = {opt for action in build_parser()._actions for opt in action.option_strings}
+    assert options == {"-h", "--help", "--case", "--scheme", "--levels", "--shift",
+                       "--out", "--diagnostics"}
 
 
 def test_level_cap_checked_while_parsing():
@@ -139,11 +147,11 @@ def test_diagnostics_table(tmp_path):
     assert sd[2] < sd[1] < sd[0]
 
 
-def test_solver_failure_partial_csv(tmp_path, capsys):
+def test_solver_failure_partial_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(control, "PDAS_MAX_ITER", 1)
     code, text = run_cli(
         tmp_path,
-        ["--case", "example1", "--scheme", "p1", "--levels", "2..4",
-         "--pdas-max-iter", "1"],
+        ["--case", "example1", "--scheme", "p1", "--levels", "2..4"],
     )
     assert code == 1
     lines = text.strip().split("\n")
@@ -186,8 +194,10 @@ def test_run_diagnostics_keeps_rows_before_failure(monkeypatch):
     assert "conjugate gradients reached backward error" in str(failure)
 
 
-def test_run_study_failure_reports():
-    reports, failure = run_study("example1", "p1", (2, 4), pdas_max_iter=1)
+def test_run_study_failure_reports(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(control, "PDAS_MAX_ITER", 1)
+        reports, failure = run_study("example1", "p1", (2, 4))
     assert reports == []
     assert failure is not None and failure.level == 2
     reports, failure = run_study("example1", "p1", (2, 3))

@@ -184,10 +184,11 @@ def test_unbounded_solution_is_linear_in_data():
     np.testing.assert_allclose(scaled.y, 3.0 * base.y, rtol=1e-10, atol=1e-12)
 
 
-def test_pdas_iteration_cap_raises():
+def test_pdas_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(control, "PDAS_MAX_ITER", 1)
     problem = case_problem("example1", "p1", 4)
-    with pytest.raises(SolverError):
-        solve_kkt_pdas(problem, max_iter=1)
+    with pytest.raises(SolverError, match="did not settle in 1 steps"):
+        solve_kkt_pdas(problem)
 
 
 def test_pdas_cycle_raises_with_history(monkeypatch):
@@ -206,7 +207,7 @@ def test_pdas_cycle_raises_with_history(monkeypatch):
     problem = synthetic_problem(gd, bounds=(0.0, 1.0))
     n = gd.mesh.n_cells
     with pytest.raises(SolverError) as err:
-        solve_kkt_pdas(problem, max_iter=50)
+        solve_kkt_pdas(problem)
     assert len(calls) == 3
     message = str(err.value)
     assert "iteration 4 would repeat those of iteration 2" in message
@@ -447,7 +448,8 @@ def test_certified_pdas_follows_exact_active_sets(case_name, scheme, log_alpha, 
 def test_reference_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(control, "REFERENCE_MAX_ITER", 10)
     problem = case_problem("example3-neumann", "p1", 4)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError,
+                       match=r"natural residual \d\.\d{3}e\S+ relative .* in 10 iterations"):
         solve_kkt_reference(problem)
 
 

@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,17 +161,25 @@ def test_sd_samples_the_target_once_per_point_set():
     assert sizes == [3584, 192]
 
 
-def test_cd_dense_vs_power(monkeypatch):
-    # The two eigenvalue routes are independent; they must agree.
-    for scheme, m in (("p1", 6), ("ncp1", 4), ("hmm", 4)):
-        gd = make_gd(scheme, m, "dirichlet")
-        assert gd.n_free < gd_core.DENSE_EIG_MAX_UNKNOWNS
-        dense = compute_cd(gd)
-        with monkeypatch.context() as patch:
-            patch.setattr(gd_core, "DENSE_EIG_MAX_UNKNOWNS", 0)
-            patch.setattr(gd_core, "POWER_TOL", 1e-12)
-            power = compute_cd(gd)
-        assert power == pytest.approx(dense, rel=1e-6)
+def dense_cd(gd):
+    """C_D from every eigenvalue of its pencils, computed densely."""
+    norm = gd.norm_gram().toarray()
+    pencils = [gd.mass_matrix()] + ([gd.trace_gram()] if gd.bc == "neumann" else [])
+    return np.sqrt(max(la.eigh(a.toarray(), norm, eigvals_only=True)[-1] for a in pencils))
+
+
+def test_cd_dense_vs_power():
+    # The power iteration agrees with a dense solve from 9 to 225
+    # unknowns, under both boundary conditions.
+    sizes = []
+    for scheme, m, bc in (("p1", 4, "dirichlet"), ("p1", 8, "dirichlet"),
+                          ("p1", 16, "dirichlet"), ("ncp1", 4, "dirichlet"),
+                          ("ncp1", 8, "dirichlet"), ("hmm", 4, "dirichlet"),
+                          ("hmm", 8, "dirichlet"), ("ncp1", 8, "neumann")):
+        gd = make_gd(scheme, m, bc)
+        sizes.append(gd.n_free)
+        assert compute_cd(gd) == pytest.approx(dense_cd(gd), rel=1e-9)
+    assert min(sizes) == 9 and max(sizes) == 225
 
 
 def test_cd_stable_under_refinement():
@@ -327,7 +336,6 @@ def test_cd_and_wd_share_one_factor(monkeypatch, bc):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     gd = make_gd("ncp1", 16, bc)
-    assert gd.n_free >= gd_core.DENSE_EIG_MAX_UNKNOWNS  # the power-iteration route
     # Neumann runs two pencils (trace and value) against the same norm.
     cd = compute_cd(gd)
     wd = compute_wd(gd, smooth_grad)
@@ -386,7 +394,6 @@ def test_misfit_solve_cap_raises_with_reached_backward_error(monkeypatch):
 
 def test_cd_power_iteration_cap_raises(monkeypatch):
     gd = make_gd("ncp1", 16)
-    assert gd.n_free >= gd_core.DENSE_EIG_MAX_UNKNOWNS  # the power-iteration route
     monkeypatch.setattr(gd_core, "POWER_MAX_ITER", 1)
     with pytest.raises(SolverError, match="did not settle .* in 1 steps"):
         compute_cd(gd)
