@@ -287,7 +287,7 @@ def postprocessed_error(gd, post, u):
     return _relative(float(w @ (discrete - exact) ** 2), float(w @ u ** 2))
 
 
-def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, level=0, pdas_iters=0):
+def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, *, level, pdas_iters):
     """Assemble the full error report for one solved problem.
 
     Parameters
@@ -327,13 +327,6 @@ def compute_eoc(hs, errors):
     return out
 
 
-def eoc_slope(hs, errors):
-    """Least-squares slope of log(error) against log(h) over a level window."""
-    hs = np.asarray(hs, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
-
-
 def _fmt(x):
     return f"{x:.9e}"
 
@@ -355,10 +348,7 @@ def render_csv(reports, failure=None):
         lines.append(",".join(row))
     if failure is not None:
         level, h = failure
-        row = [str(level), "" if h is None else _fmt(h), "", "FAILED"]
-        row += [""] * 11
-        row.append("")
-        lines.append(",".join(row))
+        lines.append(",".join([str(level), _fmt(h), "", "FAILED"] + [""] * 12))
     return "\n".join(lines) + "\n"
 
 
@@ -375,5 +365,5 @@ def render_diagnostics_csv(rows, failure=None):
         )
     if failure is not None:
         level, h = failure
-        lines.append(",".join([str(level), _fmt(h), "FAILED", "", "", ""]))
+        lines.append(",".join([str(level), _fmt(h), "FAILED"] + [""] * 3))
     return "\n".join(lines) + "\n"

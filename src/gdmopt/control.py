@@ -432,21 +432,3 @@ def postprocess(problem, solution, exact_p):
     return tuple(project_box(ud - p / problem.alpha, problem.lower, problem.upper)
                  for p in (gd.value_at(solution.p, cells, pts), exact_p))
 
-
-def variational_inequality_gap(problem, solution, trial):
-    """Inner product of the control-equation residual with (trial - u).
-
-    Nonnegative (up to solver tolerance) for every admissible trial
-    control exactly when the discrete variational inequality holds.
-    """
-    asm = problem.assembled()
-    residual = asm.control_weight * (solution.u - asm.candidate(solution.p))
-    return float(residual @ (trial - solution.u))
-
-
-def projection_identity_gap(problem, solution):
-    """Max-norm residual of the discrete projection identity."""
-    asm = problem.assembled()
-    candidate = project_box(asm.candidate(solution.p),
-                            problem.lower, problem.upper)
-    return float(np.max(np.abs(solution.u - candidate)))

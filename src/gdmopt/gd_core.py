@@ -110,10 +110,6 @@ class GradientDiscretisation:
 
     # -- reconstruction operators ------------------------------------
 
-    def interpolate(self, fn):
-        """DOF vector sampling fn at the points of the unknowns."""
-        return np.asarray(fn(self.dof_points), dtype=float)
-
     def value_at(self, vec, cells, pts):
         """Function reconstruction of a DOF vector at points inside cells."""
         c = self.value_center @ vec
@@ -248,10 +244,6 @@ class GradientDiscretisation:
         wv = wts * vals
         return (self.trace_mid.T @ np.bincount(bfaces, wv, n)
                 + self.trace_slope.T @ np.bincount(bfaces, wv * arc, n))
-
-    def gradient_norm(self, vec):
-        g = self.gradient_table(vec)
-        return math.sqrt(float(self.piece_area @ (g ** 2).sum(1)))
 
 
 def _max_generalized_eig(a, gd):

@@ -111,7 +111,7 @@ def _affine_scheme(mesh, bc, dof_points, boundary_dofs, cell_dofs, basis_grad,
     )
 
 
-def make_conforming_p1(mesh, bc="dirichlet"):
+def make_conforming_p1(mesh, bc):
     """Conforming piecewise-affine scheme with vertex DOFs."""
     _require_triangles(mesh, "conforming p1")
     # The trace on a boundary face is affine between its two end
@@ -126,7 +126,7 @@ def make_conforming_p1(mesh, bc="dirichlet"):
                           mesh.cells, _barycentric_gradients(mesh), trace_mid, trace_slope)
 
 
-def make_ncp1(mesh, bc="dirichlet"):
+def make_ncp1(mesh, bc):
     """Non-conforming piecewise-affine scheme with face-midpoint DOFs."""
     _require_triangles(mesh, "non-conforming p1")
     # Basis attached to local face i (joining vertices i, i+1) is
@@ -145,7 +145,7 @@ def make_ncp1(mesh, bc="dirichlet"):
                           mesh.cell_faces, basis_grad, trace_mid, trace_slope)
 
 
-def make_hmm(mesh, bc="dirichlet"):
+def make_hmm(mesh, bc):
     """Hybrid cell/face scheme with piecewise-constant reconstruction.
 
     The gradient on the sub-triangle between a face and the cell point
@@ -163,7 +163,7 @@ def make_hmm(mesh, bc="dirichlet"):
     normals = mesh.outward_normals()  # (n_c, k, 2)
     ell = mesh.face_length[mesh.cell_faces]  # (n_c, k)
     dx = mesh.face_center[mesh.cell_faces] - mesh.cell_point[:, None, :]
-    d = np.sum(dx * normals, axis=2)
+    d = mesh.face_point_distances()
     if np.any(d <= 0.0):
         raise ValueError("cell point outside its cell: distances must be positive")
 

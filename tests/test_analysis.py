@@ -11,7 +11,6 @@ from gdmopt.analysis import (
     ErrorReport,
     cell_quadrature,
     compute_eoc,
-    eoc_slope,
     get_rule,
     render_csv,
     render_diagnostics_csv,
@@ -136,7 +135,6 @@ def test_compute_eoc_exact_powers():
     eoc = compute_eoc(hs, errors)
     assert math.isnan(eoc[0])
     np.testing.assert_allclose(eoc[1:], 1.7, rtol=1e-12)
-    assert eoc_slope(hs, errors) == pytest.approx(1.7, rel=1e-12)
 
 
 def test_compute_eoc_handles_zero_error():

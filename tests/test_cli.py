@@ -61,28 +61,33 @@ def test_single_level_argument(tmp_path):
     assert len(text.strip().split("\n")) == 2
 
 
-@pytest.mark.parametrize("args", [
-    ["--case", "example1", "--scheme", "bogus"],
-    ["--case", "bogus", "--scheme", "p1"],
-    ["--case", "example1"],
-    ["--case", "example1", "--scheme", "p1", "--levels", "4..2"],
-    ["--case", "example1", "--scheme", "p1", "--levels", "x..y"],
-    ["--case", "example1", "--scheme", "p1", "--shift", "0.2"],
-    ["--case", "example1", "--scheme", "hmm", "--shift", "0.6"],
-    ["--case", "example1", "--scheme", "hmm", "--shift", "-0.1"],
-    ["--case", "example2-lshape", "--scheme", "hmm", "--shift", "0.2"],
+# Explicit ids keep each row's id when rows are added or removed; a new
+# row takes the next free number.
+USAGE_ERRORS = {
+    "args0": ["--case", "example1", "--scheme", "bogus"],
+    "args1": ["--case", "bogus", "--scheme", "p1"],
+    "args2": ["--case", "example1"],
+    "args3": ["--case", "example1", "--scheme", "p1", "--levels", "4..2"],
+    "args4": ["--case", "example1", "--scheme", "p1", "--levels", "x..y"],
+    "args5": ["--case", "example1", "--scheme", "p1", "--shift", "0.2"],
+    "args6": ["--case", "example1", "--scheme", "hmm", "--shift", "0.6"],
+    "args7": ["--case", "example1", "--scheme", "hmm", "--shift", "-0.1"],
+    "args8": ["--case", "example2-lshape", "--scheme", "hmm", "--shift", "0.2"],
     # The solver options are constants now: their former flags are rejected.
-    ["--case", "example1", "--scheme", "p1", "--pdas-max-iter", "0"],
-    ["--case", "example1", "--scheme", "p1", "--pdas-max-iter", "50"],
-    ["--case", "example1", "--scheme", "p1", "--pdas-tol", "1e-8"],
-    ["--case", "example1", "--scheme", "p1", "--pdas-tol", "inf"],
-    ["--case", "example1", "--scheme", "p1", "--levels", "2..11"],
-    ["--case", "example1", "--scheme", "p1", "--levels", "11"],
-    ["--case", "example1", "--scheme", "p1", "--levels", "0..3"],
-    ["--case", "example1", "--scheme", "hmm", "--levels", "1"],
-    ["--case", "example1", "--scheme", "p1", "--levels", "2..5",
-     "--out", "/nonexistent/dir/x.csv"],
-])
+    "args9": ["--case", "example1", "--scheme", "p1", "--pdas-max-iter", "0"],
+    "args10": ["--case", "example1", "--scheme", "p1", "--pdas-max-iter", "50"],
+    "args11": ["--case", "example1", "--scheme", "p1", "--pdas-tol", "1e-8"],
+    "args12": ["--case", "example1", "--scheme", "p1", "--pdas-tol", "inf"],
+    "args13": ["--case", "example1", "--scheme", "p1", "--levels", "2..11"],
+    "args14": ["--case", "example1", "--scheme", "p1", "--levels", "11"],
+    "args15": ["--case", "example1", "--scheme", "p1", "--levels", "0..3"],
+    "args16": ["--case", "example1", "--scheme", "hmm", "--levels", "1"],
+    "args17": ["--case", "example1", "--scheme", "p1", "--levels", "2..5",
+               "--out", "/nonexistent/dir/x.csv"],
+}
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
 def test_usage_errors_exit_2(args, monkeypatch):
     # Usage errors are reported before any level runs.
     def no_work(*_args, **_kwargs):

@@ -19,14 +19,13 @@ from gdmopt.control import (
     postprocess,
     project_box,
     project_onto_cells,
-    projection_identity_gap,
     solve_kkt_pdas,
     solve_kkt_reference,
-    variational_inequality_gap,
 )
 from gdmopt.gd_core import GradientDiscretisation
 from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
 from gdmopt.schemes import build_scheme
+from oracles import projection_identity_gap, variational_inequality_gap
 
 
 def synthetic_problem(gd, bounds=(0.0, np.inf), alpha=1.0):

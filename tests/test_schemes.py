@@ -59,7 +59,7 @@ def test_affine_gradient_exactness(scheme):
     # vanishes identically on affine interpolants.
     for mesh in meshes_for(scheme):
         gd = build_scheme(scheme, mesh, "neumann")
-        vec = gd.interpolate(affine)
+        vec = affine(gd.dof_points)
         table = gd.gradient_table(vec)
         assert np.max(np.abs(table - GRAD)) <= 1e-12
 
@@ -69,7 +69,7 @@ def test_affine_value_exactness_nodal(scheme):
     rng = np.random.default_rng(7)
     for mesh in meshes_for(scheme):
         gd = build_scheme(scheme, mesh, "neumann")
-        vec = gd.interpolate(affine)
+        vec = affine(gd.dof_points)
         cells, pts = random_points_in_cells(mesh, rng)
         vals = gd.value_at(vec, cells, pts)
         assert np.max(np.abs(vals - affine(pts))) <= 1e-12
@@ -79,7 +79,7 @@ def test_affine_value_exactness_hmm():
     # Piecewise-constant reconstruction: exact at the cell points.
     for mesh in meshes_for("hmm"):
         gd = build_scheme("hmm", mesh, "neumann")
-        vec = gd.interpolate(affine)
+        vec = affine(gd.dof_points)
         cells = np.arange(mesh.n_cells)
         vals = gd.value_at(vec, cells, mesh.cell_point)
         assert np.max(np.abs(vals - affine(mesh.cell_point))) <= 1e-12
@@ -89,7 +89,7 @@ def test_affine_value_exactness_hmm():
 def test_affine_trace_exactness(scheme):
     mesh = build_unit_square_triangulation(3)
     gd = build_scheme(scheme, mesh, "neumann")
-    vec = gd.interpolate(affine)
+    vec = affine(gd.dof_points)
     ids = gd.boundary_face_ids
     rows = np.arange(len(ids))
     for t in (-0.3, 0.0, 0.25):
