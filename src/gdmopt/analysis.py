@@ -10,7 +10,7 @@ constant discrete gradient, control errors use a degree-2 rule, and
 post-processed control errors use the function rule.
 Relative errors are reported; numerator and denominator share a rule.
 ``sample_level`` evaluates a case's exact fields once on each point set
-this protocol reads on a level.
+this protocol reads on a level, and only the fields read there.
 """
 
 import functools
@@ -28,6 +28,12 @@ CSV_HEADER = (
 DIAGNOSTICS_HEADER = "level,h,c_d,w_d_y,s_d_y,s_d_p"
 
 _SQRT15 = math.sqrt(15.0)
+
+# Points per block of whole cells (cell_blocks) in which sample_level
+# evaluates the exact fields and GradientDiscretisation.value_load sums
+# its loads: about this many keep the temporaries of a block in a
+# core's 2 MB cache.
+BLOCK_POINTS = 16384
 
 
 def _triangle_rule(name):
@@ -95,11 +101,11 @@ def _affine_map(origin, e1, e2, ref, wref):
     flattened to (n * q, 2) points and (n * q,) weights; the weights are
     scaled by the Jacobian determinant of the map."""
     jac = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    pts = (
-        origin[:, None, :]
-        + ref[None, :, 0, None] * e1[:, None, :]
-        + ref[None, :, 1, None] * e2[:, None, :]
-    )
+    # One coordinate at a time: half-size temporaries, half the traffic.
+    pts = np.empty((len(origin), len(wref), 2))
+    for c in (0, 1):
+        pts[:, :, c] = (origin[:, None, c] + ref[None, :, 0] * e1[:, None, c]
+                        + ref[None, :, 1] * e2[:, None, c])
     wts = jac[:, None] * wref[None, :]
     return pts.reshape(-1, 2), wts.reshape(-1)
 
@@ -228,18 +234,53 @@ class LevelSamples:
     post_u: np.ndarray
 
 
+def cell_blocks(n_points, n_cells):
+    """Slices of a point set that lists the same number of points for
+    every cell, cell by cell, into blocks of whole cells of about
+    BLOCK_POINTS points (one cell at least)."""
+    per_cell = n_points // n_cells
+    step = max(BLOCK_POINTS // per_cell, 1) * per_cell
+    return [slice(start, start + step) for start in range(0, n_points, step)]
+
+
+def _sample(fields, pts, names, n_cells):
+    """The arrays of fields(pts, names) by name, evaluated over the
+    cell_blocks of pts and written into arrays allocated once.  Names
+    that fields gives one array share one array here too."""
+    out, distinct = {}, []
+    for block in cell_blocks(len(pts), n_cells):
+        part = fields(pts[block], names)
+        if not out:
+            for name in names:
+                entry = getattr(part, name)
+                same = [m for m in out if getattr(part, m) is entry]
+                if same:
+                    out[name] = out[same[0]]
+                else:
+                    out[name] = np.empty((len(pts),) + entry.shape[1:], dtype=entry.dtype)
+                    distinct.append(name)
+        for name in distinct:
+            out[name][block] = getattr(part, name)
+    return out
+
+
 def sample_level(gd, fields):
-    """Sample fields(pts) once on each distinct point set of a level and
-    keep only the arrays LevelSamples holds."""
+    """Sample fields(pts, names) once on each distinct point set of a
+    level, asking for the fields LevelSamples keeps from it: the values
+    (not y for cell-centred schemes) at the load points, y and p at the
+    cell points of cell-centred schemes, the gradients at the piece
+    centres and u at the gauss3 points."""
     mesh = gd.mesh
-    load = fields(cell_quadrature(mesh, function_rule(gd))[1])
-    value = fields(mesh.cell_point) if gd.cell_centred else load
-    gradient = fields(gd.piece_center)
-    u = fields(cell_quadrature(mesh, "gauss3")[1]).u
+    n = mesh.n_cells
+    values = ("p", "u", "f", "y_d") if gd.cell_centred else ("y", "p", "u", "f", "y_d")
+    load = _sample(fields, cell_quadrature(mesh, function_rule(gd))[1], values, n)
+    value = _sample(fields, mesh.cell_point, ("y", "p"), n) if gd.cell_centred else load
+    gradient = _sample(fields, gd.piece_center, ("grad_y", "grad_p"), n)
+    u = _sample(fields, cell_quadrature(mesh, "gauss3")[1], ("u",), n)["u"]
     return LevelSamples(
-        source=load.f, target=load.y_d, y=value.y, p=value.p,
-        grad_y=gradient.grad_y, grad_p=gradient.grad_p, u=u,
-        post_p=load.p, post_u=load.u,
+        source=load["f"], target=load["y_d"], y=value["y"], p=value["p"],
+        grad_y=gradient["grad_y"], grad_p=gradient["grad_p"], u=u,
+        post_p=load["p"], post_u=load["u"],
     )
 
 

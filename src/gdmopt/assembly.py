@@ -61,19 +61,24 @@ class SPDFactor:
 
         The refinement starts from the approximation x0 when it is given
         and finite: an x0 that already meets the tolerance costs one
-        product and no factor solve.  Otherwise it starts from zero.
+        product and no factor solve.  Otherwise it starts from the factor
+        solve of b, or returns zero when b is zero.
         """
         b = np.asarray(b, dtype=float)
         bnorm = np.abs(b).max(initial=0.0)
-        if x0 is None or not np.all(np.isfinite(x0)):
-            x, r = np.zeros_like(b), b
+        if x0 is not None and np.all(np.isfinite(x0)):
+            x, solves = np.array(x0, dtype=float), 0
+        elif bnorm == 0.0:
+            return np.zeros_like(b)
         else:
-            x = np.array(x0, dtype=float)
-            r = b - self.matrix @ x
-        solves = 0
+            x, solves = self._lu.solve(b), 1
         while True:
+            xnorm = np.abs(x).max(initial=0.0)
+            if not np.isfinite(xnorm):
+                raise SolverError("sparse solve produced non-finite values")
+            r = b - self.matrix @ x
             err = np.abs(r).max(initial=0.0)
-            scale = self._norm * np.abs(x).max(initial=0.0) + bnorm
+            scale = self._norm * xnorm + bnorm
             if err <= SOLVE_TOL * scale:
                 return x
             if solves > REFINE_STEPS:
@@ -83,9 +88,6 @@ class SPDFactor:
                 )
             x = x + self._lu.solve(r)
             solves += 1
-            if not np.all(np.isfinite(x)):
-                raise SolverError("sparse solve produced non-finite values")
-            r = b - self.matrix @ x
 
     def cg_solve(self, a, b):
         """Solution of A x = b for an SPD matrix A near the factored one,
@@ -126,20 +128,31 @@ class SPDFactor:
             steps += 1
 
 
-def assemble_load(gd, volume_source):
-    """Load vector on the unknowns of gd for a volume source: a callable,
-    its values at the points of ``analysis.function_rule(gd)`` (the rule
-    of the error measurement protocol), or None for a zero load.
+def assemble_loads(gd, sources):
+    """Load vectors on the unknowns of gd, one row per volume source: a
+    callable, its values at the points of ``analysis.function_rule(gd)``
+    (the rule of the error measurement protocol), or None for a zero
+    load.  The loads share one pass over the rule's points.
     """
-    out = np.zeros(gd.n_free)
-    if volume_source is not None:
-        cells, pts, wts = cell_quadrature(gd.mesh, function_rule(gd))
-        vals = volume_source(pts) if callable(volume_source) else volume_source
-        vals = np.asarray(vals, dtype=float)
-        if vals.shape != (len(pts),):
-            raise ValueError(f"volume source has shape {vals.shape}, not ({len(pts)},)")
-        out += gd.value_load(cells, pts, wts, vals)
+    out = np.zeros((len(sources), gd.n_free))
+    given = [i for i, s in enumerate(sources) if s is not None]
+    if given:
+        rule = function_rule(gd)
+        pts = cell_quadrature(gd.mesh, rule)[1]
+        vals = []
+        for i in given:
+            source = sources[i]
+            v = np.asarray(source(pts) if callable(source) else source, dtype=float)
+            if v.shape != (len(pts),):
+                raise ValueError(f"volume source has shape {v.shape}, not ({len(pts)},)")
+            vals.append(v)
+        out[given] += gd.value_load(rule, vals)
     return out
+
+
+def assemble_load(gd, volume_source):
+    """Load vector of one volume source (see assemble_loads)."""
+    return assemble_loads(gd, [volume_source])[0]
 
 
 def solve_pde(gd, volume_source, reaction=0.0):

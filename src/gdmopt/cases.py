@@ -25,7 +25,8 @@ CASE_NAMES = ("example1", "example2-lshape", "example3-neumann")
 
 
 class Fields(NamedTuple):
-    """Exact fields of a case at one (n, 2) point array."""
+    """Exact fields of a case at one (n, 2) point array; an entry that
+    was not asked for is None."""
 
     y: np.ndarray
     grad_y: np.ndarray
@@ -36,16 +37,27 @@ class Fields(NamedTuple):
     y_d: np.ndarray
 
 
+GRADIENTS = frozenset({"grad_y", "grad_p"})
+
+
+def _only(names, *values):
+    """Fields of values, in Fields order, with the entries not in names
+    set to None."""
+    return Fields(*(v if n in names else None for n, v in zip(Fields._fields, values)))
+
+
 def _entry(fields, name, pts):
-    return getattr(fields(pts), name)
+    return getattr(fields(pts, (name,)), name)
 
 
 @dataclass
 class TestCase:
     """Closures of one benchmark; all callables take (n, 2) point arrays.
 
-    ``fields(pts)`` returns every exact field at once (a ``Fields``).  A
-    single-field closure (y, grad_y, p, grad_p, u, f, y_d) that is not
+    ``fields(pts, names)`` returns the exact fields named in names (all
+    of them by default) as a ``Fields``, and computes only what those
+    need; each entry is the same whichever names are asked for with it.
+    A single-field closure (y, grad_y, p, grad_p, u, f, y_d) that is not
     given reads its entry of ``fields``; one that is given must agree
     with that entry bit for bit.
 
@@ -125,11 +137,14 @@ def smooth_dirichlet_case():
             - np.sin(0.5 * np.pi * pts[:, 1])
         )
 
-    def fields(pts):
-        yv, gv = y(pts), grad_y(pts)
-        u = project_box(u_d(pts) - yv / alpha, lower, upper)
-        return Fields(yv, gv, yv, gv, u, 2.0 * np.pi ** 2 * yv - u,
-                      (1.0 - 2.0 * np.pi ** 2) * yv)
+    def fields(pts, names=Fields._fields):
+        need = set(names)
+        yv = y(pts) if need - GRADIENTS else None
+        gv = grad_y(pts) if need & GRADIENTS else None
+        u = project_box(u_d(pts) - yv / alpha, lower, upper) if need & {"u", "f"} else None
+        f = 2.0 * np.pi ** 2 * yv - u if "f" in need else None
+        y_d = (1.0 - 2.0 * np.pi ** 2) * yv if "y_d" in need else None
+        return _only(need, yv, gv, yv, gv, u, f, y_d)
 
     # The adjoint is the state.  y and grad_y stay direct closures, since
     # the diagnostics sample them alone on large point sets.
@@ -137,13 +152,15 @@ def smooth_dirichlet_case():
                     fields, y=y, grad_y=grad_y, p=y, grad_p=grad_y, u_d=u_d)
 
 
-def _corner_singular_parts(pts):
+def _corner_singular_parts(pts, order=2):
     """Value, gradient and Laplacian of r^(2/3) * g(theta) on the L-shape.
 
     The polar angle is measured from the boundary edge on the positive
     x-axis and runs through [0, 3*pi/2] across the domain; g vanishes at
     both edges meeting the re-entrant corner.  Values at the corner
-    itself are returned as zero.
+    itself are returned as zero.  order is the highest derivative
+    computed: 0 for the value alone, 1 for the gradient too, 2 for the
+    Laplacian too; the parts above it are returned as None.
 
     g and its derivatives are trigonometric polynomials in theta, so
     they are evaluated from cos(theta) = x/r and sin(theta) = y/r; the
@@ -155,14 +172,18 @@ def _corner_singular_parts(pts):
     r = np.where(corner, 1.0, r)
     c, s = x / r, y / r
     g = (1.0 - c) * (1.0 + s)
-    dg = s + c - (c * c - s * s)
-    ddg = c - s + 4.0 * s * c
     r13 = np.where(corner, 0.0, 1.0 / np.cbrt(r))  # r^(-1/3)
-    r43 = (r13 * r13) ** 2  # r^(-4/3)
     val = r * r13 * g  # r^(2/3) g
+    if order == 0:
+        return val, None, None, None
+    dg = s + c - (c * c - s * s)
     two3 = 2.0 / 3.0
     sx = r13 * (two3 * g * c - dg * s)
     sy = r13 * (two3 * g * s + dg * c)
+    if order == 1:
+        return val, sx, sy, None
+    ddg = c - s + 4.0 * s * c
+    r43 = (r13 * r13) ** 2  # r^(-4/3)
     lap = r43 * (ddg + (4.0 / 9.0) * g)
     return val, sx, sy, lap
 
@@ -170,24 +191,35 @@ def _corner_singular_parts(pts):
 def lshape_singular_case():
     """Distributed control on the L-shape with a corner-singular state.
 
-    Every closure evaluates all fields; a level samples them once per
-    point set through ``fields``.
+    Every closure reads ``fields``, which takes the corner parts only to
+    the derivative its names need: the values y, p and u need none, the
+    gradients the first and the sources f and y_d the Laplacian.
     """
     alpha = 1e-3
     lower, upper = -600.0, -50.0
 
-    def fields(pts):
+    def fields(pts, names=Fields._fields):
+        need = set(names)
+        order = 2 if need & {"f", "y_d"} else 1 if need & GRADIENTS else 0
         x, yy = pts[:, 0], pts[:, 1]
+        s, sx, sy, lap_s = _corner_singular_parts(pts, order)
         b = (x ** 2 - 1.0) * (yy ** 2 - 1.0)
-        bx = 2.0 * x * (yy ** 2 - 1.0)
-        by = 2.0 * yy * (x ** 2 - 1.0)
-        lap_b = 2.0 * (x ** 2 - 1.0) + 2.0 * (yy ** 2 - 1.0)
-        s, sx, sy, lap_s = _corner_singular_parts(pts)
         val = b * s
-        grad = np.column_stack([bx * s + b * sx, by * s + b * sy])
-        lap = lap_b * s + 2.0 * (bx * sx + by * sy) + b * lap_s
-        u = project_box(-val / alpha, lower, upper)
-        return Fields(val, grad, val, grad, u, -lap - u, val + lap)
+        grad = lap = u = f = y_d = None
+        if order >= 1:
+            bx = 2.0 * x * (yy ** 2 - 1.0)
+            by = 2.0 * yy * (x ** 2 - 1.0)
+            grad = np.column_stack([bx * s + b * sx, by * s + b * sy])
+        if order == 2:
+            lap_b = 2.0 * (x ** 2 - 1.0) + 2.0 * (yy ** 2 - 1.0)
+            lap = lap_b * s + 2.0 * (bx * sx + by * sy) + b * lap_s
+        if need & {"u", "f"}:
+            u = project_box(-val / alpha, lower, upper)
+        if "f" in need:
+            f = -lap - u
+        if "y_d" in need:
+            y_d = val + lap
+        return _only(need, val, grad, val, grad, u, f, y_d)
 
     return TestCase(
         "example2-lshape", "dirichlet", "lshape", alpha, (lower, upper), 0.0, fields
@@ -211,11 +243,15 @@ def smooth_neumann_case():
             [np.sin(np.pi * pts[:, 0]), np.sin(np.pi * pts[:, 1])]
         )
 
-    def fields(pts):
-        yv, gv = y(pts), grad_y(pts)
-        u = project_box(-yv / alpha, lower, upper)
+    def fields(pts, names=Fields._fields):
+        need = set(names)
+        yv = y(pts) if need - GRADIENTS else None
+        gv = grad_y(pts) if need & GRADIENTS else None
+        u = project_box(-yv / alpha, lower, upper) if need & {"u", "f"} else None
         # f = -lap(y) + y - u with lap(y) = -pi^2 y
-        return Fields(yv, gv, yv, gv, u, (np.pi ** 2 + 1.0) * yv - u, -np.pi ** 2 * yv)
+        f = (np.pi ** 2 + 1.0) * yv - u if "f" in need else None
+        y_d = -np.pi ** 2 * yv if "y_d" in need else None
+        return _only(need, yv, gv, yv, gv, u, f, y_d)
 
     # As in example1, the adjoint is the state and y, grad_y stay direct.
     return TestCase("example3-neumann", "neumann", "unit-square", alpha, (lower, upper),

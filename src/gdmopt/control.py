@@ -28,7 +28,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .analysis import cell_quadrature, function_rule
-from .assembly import SolverError, SPDFactor, assemble_load, check_symmetry
+from .assembly import SolverError, SPDFactor, assemble_loads, check_symmetry
 
 # Active-set iterations solve_kkt_pdas may take; PDAS ends in finitely
 # many steps, so this is only a safety net.
@@ -82,9 +82,9 @@ class OptimalControlProblem:
         Box constraints; infinite entries disable a side.  They are also
         available as ``lower`` and ``upper``.
     y_target : callable or array
-        Desired state, evaluated at quadrature points (see assemble_load).
+        Desired state, evaluated at quadrature points (see assemble_loads).
     volume_source : callable, array or None
-        Fixed source of the state equation (see assemble_load).
+        Fixed source of the state equation (see assemble_loads).
     control_target : callable or None
         Distributed control shift u_d (defaults to zero).
     reaction : float
@@ -132,8 +132,8 @@ class _Assembly:
         gd = problem.gd
         self.stiffness = gd.stiffness(problem.reaction)
         self.mass = gd.mass_matrix()
-        self.source_load = assemble_load(gd, problem.volume_source)
-        self.target_load = assemble_load(gd, problem.y_target)
+        self.source_load, self.target_load = assemble_loads(
+            gd, [problem.volume_source, problem.y_target])
         if problem.control_target is None:
             self.control_target = np.zeros(gd.mesh.n_cells)
         else:

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
-from .analysis import cell_quadrature, segment_quadrature, triangle_quadrature
+from .analysis import cell_blocks, cell_quadrature, segment_quadrature, triangle_quadrature
 from .assembly import SolverError, SPDFactor
 
 # compute_cd solves its pencils by power iteration, which stops once the
@@ -35,6 +35,14 @@ def _face_rule(mesh, ids):
     pts, wts, arc = segment_quadrature(mesh.vertices[mesh.faces[ids, 0]],
                                        mesh.vertices[mesh.faces[ids, 1]])
     return np.repeat(np.arange(len(ids)), 3), pts, wts, arc
+
+
+def _centroid_offsets(mesh, cells, pts):
+    """Coordinates x - x_K and y - y_K of points from the centroids of
+    their cells K, gathered one coordinate at a time, which is several
+    times faster than gathering centroid rows."""
+    c = mesh.cell_centroid
+    return pts[:, 0] - c[:, 0][cells], pts[:, 1] - c[:, 1][cells]
 
 
 @dataclass(eq=False, kw_only=True)
@@ -115,8 +123,8 @@ class GradientDiscretisation:
         c = self.value_center @ vec
         sx = self.value_slope_x @ vec
         sy = self.value_slope_y @ vec
-        d = pts - self.mesh.cell_centroid[cells]
-        return c[cells] + sx[cells] * d[:, 0] + sy[cells] * d[:, 1]
+        dx, dy = _centroid_offsets(self.mesh, cells, pts)
+        return c[cells] + sx[cells] * dx + sy[cells] * dy
 
     def gradient_table(self, vec):
         """Gradient reconstruction per piece, shape (n_pieces, 2)."""
@@ -169,10 +177,10 @@ class GradientDiscretisation:
         if self._mass is None:
             mesh = self.mesh
             cells, pts, wts = cell_quadrature(mesh, "gauss3")
-            d = pts - mesh.cell_centroid[cells]
-            jxx = np.bincount(cells, wts * d[:, 0] ** 2, mesh.n_cells)
-            jxy = np.bincount(cells, wts * d[:, 0] * d[:, 1], mesh.n_cells)
-            jyy = np.bincount(cells, wts * d[:, 1] ** 2, mesh.n_cells)
+            dx, dy = _centroid_offsets(mesh, cells, pts)
+            jxx = np.bincount(cells, wts * dx ** 2, mesh.n_cells)
+            jxy = np.bincount(cells, wts * dx * dy, mesh.n_cells)
+            jyy = np.bincount(cells, wts * dy ** 2, mesh.n_cells)
             c, sx, sy = self.value_center, self.value_slope_x, self.value_slope_y
             m = c.T @ sp.diags(mesh.cell_area) @ c
             m += sx.T @ sp.diags(jxx) @ sx + sy.T @ sp.diags(jyy) @ sy
@@ -215,18 +223,40 @@ class GradientDiscretisation:
 
     def stiffness(self, reaction=0.0):
         """Matrix of -lap + reaction: gradient Gram + reaction * mass, in
-        CSC format, which SPDFactor factors without a copy."""
-        return (self.gradient_gram() + reaction * self.mass_matrix()).tocsc()
+        CSC format, which SPDFactor factors without a copy.  A zero
+        reaction adds no mass term."""
+        a = self.gradient_gram()
+        if reaction != 0.0:
+            a = a + reaction * self.mass_matrix()
+        return a.tocsc()
 
-    def value_load(self, cells, pts, wts, vals):
-        """Load vector sum(w * vals * basis) for point values on cells."""
+    def value_load(self, rule, vals):
+        """Load vectors sum(w * v * basis) over the points of the named
+        cell quadrature rule, one row per array v of values at those
+        points in the sequence vals.
+
+        The per-cell sums run over the cell_blocks of the points, whose
+        offsets from the cell centroids all loads share; within a cell
+        they add its points in order, as one pass over all points would.
+        Each operator then takes one product for all loads.
+        """
         mesh = self.mesh
-        d = pts - mesh.cell_centroid[cells]
-        wv = wts * vals
-        s0 = np.bincount(cells, wv, mesh.n_cells)
-        sx = np.bincount(cells, wv * d[:, 0], mesh.n_cells)
-        sy = np.bincount(cells, wv * d[:, 1], mesh.n_cells)
-        return self.value_center.T @ s0 + self.value_slope_x.T @ sx + self.value_slope_y.T @ sy
+        cells, pts, wts = cell_quadrature(mesh, rule)
+        per_cell = len(wts) // mesh.n_cells
+        sums = np.empty((3, mesh.n_cells, len(vals)))
+        for block in cell_blocks(len(wts), mesh.n_cells):
+            first = block.start // per_cell
+            local = cells[block] - first
+            count = len(local) // per_cell
+            dx, dy = _centroid_offsets(mesh, cells[block], pts[block])
+            w = wts[block]
+            for j, v in enumerate(vals):
+                wv = w * v[block]
+                for row, part in enumerate((wv, wv * dx, wv * dy)):
+                    sums[row, first:first + count, j] = np.bincount(local, part, count)
+        loads = (self.value_center.T @ sums[0] + self.value_slope_x.T @ sums[1]
+                 + self.value_slope_y.T @ sums[2])
+        return loads.T
 
     def gradient_load(self, vals):
         """Load vector sum(w * vals . gradient basis) for (n, 2) values at
@@ -362,7 +392,7 @@ def compute_sd_upper(gd, fn, grad_fn):
     fvals = np.asarray(fn(pts), dtype=float)
     pieces, ppts, pwts = gd.piece_quadrature()
     gvals = np.asarray(grad_fn(ppts), dtype=float)
-    b = gd.value_load(cells, pts, wts, fvals) + gd.gradient_load(gvals)
+    b = gd.value_load("gauss7", [fvals])[0] + gd.gradient_load(gvals)
     if gd.bc == "neumann":
         bfaces, bpts, bwts, _ = gd.boundary_quadrature()
         bvals = np.asarray(fn(bpts), dtype=float)

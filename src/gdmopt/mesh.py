@@ -6,6 +6,8 @@ cell-centred discretisations.  The module provides structured generators
 for the unit square, an L-shaped domain and a shifted Cartesian grid.
 """
 
+from itertools import combinations
+
 import numpy as np
 
 
@@ -67,8 +69,11 @@ class PolytopalMesh:
             if self.cell_point.shape != (self.n_cells, 2):
                 raise ValueError("cell_points must be (n_cells, 2)")
 
-        diffs = loops[:, :, None, :] - loops[:, None, :, :]
-        self.cell_diameter = np.sqrt((diffs ** 2).sum(-1)).max(axis=(1, 2))
+        # Longest distance between two vertices: an edge or a diagonal.
+        sq = np.zeros(self.n_cells)
+        for i, j in combinations(range(k), 2):
+            np.maximum(sq, (x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2, out=sq)
+        self.cell_diameter = np.sqrt(sq)
 
         # Face table: one entry per undirected edge of the cell loops,
         # numbered by first appearance in (cell, local edge) order.
@@ -126,15 +131,23 @@ class PolytopalMesh:
             * self.cell_face_sign[:, :, None].astype(float)
         )
 
-    def face_point_distances(self):
+    def face_offsets(self):
+        """Vector from each cell point to the centre of each of its faces,
+        shape (n_cells, k, 2)."""
+        return self.face_center[self.cell_faces] - self.cell_point[:, None, :]
+
+    def face_point_distances(self, offsets=None, normals=None):
         """Orthogonal distance from each cell point to each of its face lines.
 
         Returns an (n_cells, k) array; entries are positive whenever every
-        cell point lies strictly inside its cell.
+        cell point lies strictly inside its cell.  A caller that holds
+        face_offsets() and outward_normals() already passes them in.
         """
-        n = self.outward_normals()
-        d = self.face_center[self.cell_faces] - self.cell_point[:, None, :]
-        return np.sum(d * n, axis=2)
+        if offsets is None:
+            offsets = self.face_offsets()
+        if normals is None:
+            normals = self.outward_normals()
+        return np.sum(offsets * normals, axis=2)
 
 
 def _grid_squares(nodes):
@@ -170,7 +183,7 @@ def _grid_triangulation(nodes, keep=None):
     cells[1::2] = corners[:, [0, 2, 3]]
 
     # Drop unused vertices, keeping the original ordering.
-    used = np.unique(cells)
+    used = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(vertices)))
     remap = -np.ones(vertices.shape[0], dtype=int)
     remap[used] = np.arange(len(used))
     return PolytopalMesh(vertices[used], remap[cells])

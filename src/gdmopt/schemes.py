@@ -162,8 +162,8 @@ def make_hmm(mesh, bc):
 
     normals = mesh.outward_normals()  # (n_c, k, 2)
     ell = mesh.face_length[mesh.cell_faces]  # (n_c, k)
-    dx = mesh.face_center[mesh.cell_faces] - mesh.cell_point[:, None, :]
-    d = mesh.face_point_distances()
+    dx = mesh.face_offsets()
+    d = mesh.face_point_distances(dx, normals)
     if np.any(d <= 0.0):
         raise ValueError("cell point outside its cell: distances must be positive")
 

@@ -1,23 +1,30 @@
 """Quadrature exactness, EOC arithmetic and CSV rendering."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gdmopt import analysis
 from gdmopt.analysis import (
     CSV_HEADER,
     DIAGNOSTICS_HEADER,
     ErrorReport,
+    LevelSamples,
     cell_quadrature,
     compute_eoc,
     get_rule,
     render_csv,
     render_diagnostics_csv,
+    sample_level,
     segment_quadrature,
     triangle_quadrature,
 )
+from gdmopt.assembly import assemble_loads
+from gdmopt.cases import get_case
 from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
+from gdmopt.schemes import build_scheme
 
 REF_TRI = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
 
@@ -212,3 +219,28 @@ def test_render_diagnostics_csv():
 def test_render_csv_deterministic():
     reports = [make_report(2, 0.5), make_report(3, 0.25)]
     assert render_csv(reports) == render_csv(reports)
+
+
+@pytest.mark.parametrize("name,scheme", [("example2-lshape", "p1"), ("example3-neumann", "hmm")])
+def test_blocks_match_one_block(monkeypatch, name, scheme):
+    # At level 3 each point set is one block.  Blocks of 40 points hold
+    # a few whole cells and divide none of the point sets, and still
+    # give the same samples and loads bit for bit; samples that one
+    # block shares stay shared.
+    case = get_case(name)
+    gd = build_scheme(scheme, case.build_mesh(scheme, 2 ** 3), case.bc)
+    whole = sample_level(gd, case.fields)
+    loads = assemble_loads(gd, [whole.source, whole.target])
+    calls = []
+
+    def counted(pts, names):
+        calls.append(len(pts))
+        return case.fields(pts, names)
+
+    monkeypatch.setattr(analysis, "BLOCK_POINTS", 40)
+    blocked = sample_level(gd, counted)
+    assert len(calls) > 4 and max(calls) <= 40
+    for field in dataclasses.fields(LevelSamples):
+        assert np.array_equal(getattr(blocked, field.name), getattr(whole, field.name))
+    assert (blocked.y is blocked.p) == (whole.y is whole.p)
+    assert np.array_equal(assemble_loads(gd, [whole.source, whole.target]), loads)

@@ -4,8 +4,10 @@ of the optimality systems, boundary behaviour, projection structure."""
 import numpy as np
 import pytest
 
+from gdmopt.analysis import sample_level
 from gdmopt.cases import CASE_NAMES, Fields, _corner_singular_parts, get_case
 from gdmopt.control import project_box
+from gdmopt.schemes import SCHEMES, build_scheme
 
 
 def fd_gradient(fn, pts, h=1e-6):
@@ -207,6 +209,12 @@ def test_corner_singular_parts_match_polar_form():
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     # The corner itself evaluates to zero in every field.
     assert all(part[-1] == 0.0 for part in _corner_singular_parts(np.zeros((1, 2))))
+    # Lower orders stop at their derivative and agree bit for bit below it.
+    full = _corner_singular_parts(pts)
+    for order in (0, 1):
+        parts = _corner_singular_parts(pts, order)
+        assert all(np.array_equal(a, b) for a, b in zip(parts[:order * 2 + 1], full))
+        assert all(a is None for a in parts[order * 2 + 1:])
 
 
 def test_lshape_level_samples_corner_parts_three_times(monkeypatch):
@@ -216,9 +224,9 @@ def test_lshape_level_samples_corner_parts_three_times(monkeypatch):
 
     calls = []
 
-    def counted(pts):
+    def counted(pts, *args):
         calls.append(len(pts))
-        return real(pts)
+        return real(pts, *args)
 
     real = cases._corner_singular_parts
     monkeypatch.setattr(cases, "_corner_singular_parts", counted)
@@ -244,6 +252,25 @@ def test_single_closures_match_fields(name):
     for field in Fields._fields:
         assert np.array_equal(getattr(case, field)(pts), getattr(sample, field))
 
+    # Every subset of names sample_level asks for, on nodal and on
+    # cell-centred schemes, gives the same arrays and None for the rest.
+    requested = set()
+
+    def record(p, names):
+        requested.add(tuple(names))
+        return case.fields(p, names)
+
+    for scheme in SCHEMES:
+        sample_level(build_scheme(scheme, case.build_mesh(scheme, 4), case.bc), record)
+    assert len(requested) == 5
+    for names in requested:
+        part = case.fields(pts, names)
+        for field in Fields._fields:
+            if field in names:
+                assert np.array_equal(getattr(part, field), getattr(sample, field))
+            else:
+                assert getattr(part, field) is None
+
 
 @pytest.mark.parametrize("name,scheme,calls", [
     ("example2-lshape", "p1", 3),
@@ -260,9 +287,9 @@ def test_level_samples_each_point_set_once(monkeypatch, name, scheme, calls):
     case = get_case(name)
     seen = []
 
-    def counted(pts):
+    def counted(pts, *args):
         seen.append(pts)
-        return real(pts)
+        return real(pts, *args)
 
     real = case.fields
     monkeypatch.setattr(case, "fields", counted)

@@ -97,13 +97,16 @@ def test_constants_span_gradient_nullspace(scheme):
 def test_value_load_matches_cell_coupling():
     # Loading the constant 1 through quadrature equals the exact
     # per-cell coupling integrals: the basis is affine on each cell, so
-    # its mean there is its value_center entry.
+    # its mean there is its value_center entry.  Loads built together
+    # are the loads built one at a time, bit for bit.
     for scheme in SCHEMES:
         gd = make_gd(scheme, 3, "neumann")
-        cells, pts, wts = cell_quadrature(gd.mesh, "gauss3")
-        load = gd.value_load(cells, pts, wts, np.ones(len(wts)))
+        _, pts, wts = cell_quadrature(gd.mesh, "gauss3")
+        load, ramp = gd.value_load("gauss3", [np.ones(len(wts)), pts[:, 0] - 0.3])
         exact = gd.value_center.T @ gd.mesh.cell_area
         np.testing.assert_allclose(load, exact, atol=1e-13)
+        (alone,) = gd.value_load("gauss3", [pts[:, 0] - 0.3])
+        assert np.array_equal(ramp, alone)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -252,21 +252,31 @@ OPERATORS = ("value_center", "value_slope_x", "value_slope_y", "grad_x", "grad_y
              "trace_mid", "trace_slope")
 
 
-def perturbed_triangulation(domain, m, seed):
-    """Triangulation of the unit square or the L-shape with every interior
-    vertex moved by up to 0.2 h per coordinate, h = 1/m the grid step."""
-    build = build_unit_square_triangulation if domain == "square" else build_lshape_triangulation
-    mesh = build(m)
+def perturbed(mesh, m, seed):
+    """mesh with every interior vertex moved by up to 0.2 h per
+    coordinate, h = 1/m the grid step."""
     move = np.random.default_rng(seed).uniform(-0.2 / m, 0.2 / m, mesh.vertices.shape)
     move[mesh.boundary_vertices] = 0.0
     return PolytopalMesh(mesh.vertices + move, mesh.cells)
+
+
+TRIANGULATIONS = {"square": build_unit_square_triangulation,
+                  "lshape": build_lshape_triangulation}
+
+
+def all_pairs_diameter(mesh):
+    """Largest distance between two vertices of each cell, from the
+    (n, k, k, 2) array of all vertex differences."""
+    loops = mesh.vertices[mesh.cells]
+    diffs = loops[:, :, None, :] - loops[:, None, :, :]
+    return np.sqrt((diffs ** 2).sum(-1)).max(axis=(1, 2))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(domain=st.sampled_from(["square", "lshape"]), m=st.integers(2, 6),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_perturbed_meshes_keep_mesh_and_scheme_identities(domain, m, seed):
-    mesh = perturbed_triangulation(domain, m, seed)
+    mesh = perturbed(TRIANGULATIONS[domain](m), m, seed)
     assert mesh.cell_area.min() >= 0.1 / m ** 2
     assert mesh.cell_area.sum() == pytest.approx(1.0 if domain == "square" else 3.0, rel=1e-13)
     lengths = mesh.face_length[mesh.cell_faces]
@@ -275,6 +285,12 @@ def test_perturbed_meshes_keep_mesh_and_scheme_identities(domain, m, seed):
     actual = (mesh.faces, mesh.face_cells, mesh.cell_faces, mesh.cell_face_sign)
     for got, want in zip(actual, loop_face_table(mesh.cells)):
         np.testing.assert_array_equal(got, want)
+
+    # Cell diameters from vertex pairs equal the all-pairs maximum, bit
+    # for bit, on triangles and rectangles, perturbed or not.
+    cartesian = build_cartesian_mesh(m)
+    for each in (mesh, TRIANGULATIONS[domain](m), cartesian, perturbed(cartesian, m, seed)):
+        assert np.array_equal(each.cell_diameter, all_pairs_diameter(each))
 
     # Interpolated affine functions keep their gradient on every piece.
     boundary_dofs = {
