@@ -10,13 +10,18 @@ constant discrete gradient, control errors use a degree-2 rule, and
 post-processed control errors use the function rule.
 Relative errors are reported; numerator and denominator share a rule.
 ``sample_level`` evaluates a case's exact fields once on each point set
-this protocol reads on a level, and only the fields read there.
+this protocol reads on a level before the solve, and only the fields
+read there; ``compute_errors`` samples u after it.  Cell quadrature
+points are built one block of whole cells at a time, when a pass reaches
+the block (``quadrature_blocks``), so a level keeps no array of a whole
+quadrature point set.
 """
 
 import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -29,9 +34,9 @@ DIAGNOSTICS_HEADER = "level,h,c_d,w_d_y,s_d_y,s_d_p"
 
 _SQRT15 = math.sqrt(15.0)
 
-# Points per block of whole cells (cell_blocks) in which sample_level
-# evaluates the exact fields and GradientDiscretisation.value_load sums
-# its loads: about this many keep the temporaries of a block in a
+# Points per block of whole cells (cell_blocks) in which the quadrature
+# points are built, the exact fields sampled and the loads and error
+# sums taken: about this many keep the temporaries of a block in a
 # core's 2 MB cache.
 BLOCK_POINTS = 16384
 
@@ -96,16 +101,24 @@ def get_rule(name):
     return SimpleNamespace(triangle=_triangle_rule(name), square=_square_rule(name))
 
 
-def _affine_map(origin, e1, e2, ref, wref):
-    """Reference points and weights mapped by x = origin + ref . (e1, e2),
-    flattened to (n * q, 2) points and (n * q,) weights; the weights are
-    scaled by the Jacobian determinant of the map."""
-    jac = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    # One coordinate at a time: half-size temporaries, half the traffic.
-    pts = np.empty((len(origin), len(wref), 2))
-    for c in (0, 1):
-        pts[:, :, c] = (origin[:, None, c] + ref[None, :, 0] * e1[:, None, c]
-                        + ref[None, :, 1] * e2[:, None, c])
+def _affine_map(xs, ys, ref, wref):
+    """Reference points and weights mapped onto n cells, flattened to
+    (n * q, 2) points and (n * q,) weights; the weights are scaled by the
+    Jacobian determinant of the map.
+
+    xs and ys are (n, k) arrays of the x and y coordinates of the cell
+    corners.  The map is x = x_0 + ref . (x_1 - x_0, x_last - x_0): the
+    second and the last corner span the reference cell, the third of a
+    triangle and the fourth of a square.  It runs one coordinate at a
+    time, on half-size temporaries.
+    """
+    e1 = [v[:, 1] - v[:, 0] for v in (xs, ys)]
+    e2 = [v[:, -1] - v[:, 0] for v in (xs, ys)]
+    jac = e1[0] * e2[1] - e1[1] * e2[0]
+    pts = np.empty((len(jac), len(wref), 2))
+    for c, v in enumerate((xs, ys)):
+        pts[:, :, c] = (v[:, 0, None] + ref[None, :, 0] * e1[c][:, None]
+                        + ref[None, :, 1] * e2[c][:, None])
     wts = jac[:, None] * wref[None, :]
     return pts.reshape(-1, 2), wts.reshape(-1)
 
@@ -126,16 +139,20 @@ def triangle_quadrature(tris, rule):
         of each triangle sum to its area.
     """
     tris = np.asarray(tris, dtype=float)
-    return _affine_map(tris[:, 0], tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0],
-                       *get_rule(rule).triangle)
+    return _affine_map(tris[:, :, 0], tris[:, :, 1], *get_rule(rule).triangle)
 
 
-def cell_quadrature(mesh, rule):
-    """Quadrature points of a named rule on every cell of a mesh.
+def reference_rule(mesh, rule):
+    """Points and weights of a named rule on the reference cell of a mesh:
+    the triangle or the square."""
+    ref = get_rule(rule)
+    return ref.triangle if mesh.cells.shape[1] == 3 else ref.square
 
-    The arrays are built once per (mesh, rule), kept in
-    ``mesh.quadrature_cache`` and marked read-only, so repeated calls
-    return the same objects and no caller can alter the cache.
+
+def cell_quadrature(mesh, rule, block=slice(None)):
+    """Quadrature points of a named rule on the cells mesh.cells[block] (a
+    slice; every cell by default), listed cell by cell and built afresh
+    from the reference rule on each call.
 
     Returns
     -------
@@ -143,19 +160,52 @@ def cell_quadrature(mesh, rule):
         Owning cell of each point.
     points : (N, 2), weights : (N,)
     """
-    cached = mesh.quadrature_cache.get(rule)
-    if cached is not None:
-        return cached
-    loops = mesh.vertices[mesh.cells]
-    if mesh.cells.shape[1] == 3:
-        pts, wts = triangle_quadrature(loops, rule)
-    else:
-        pts, wts = _affine_map(loops[:, 0], loops[:, 1] - loops[:, 0],
-                               loops[:, 3] - loops[:, 0], *get_rule(rule).square)
-    cells = np.repeat(np.arange(mesh.n_cells), len(wts) // mesh.n_cells)
-    for a in (cells, pts, wts):
-        a.setflags(write=False)
-    return mesh.quadrature_cache.setdefault(rule, (cells, pts, wts))
+    first, stop, _ = block.indices(mesh.n_cells)
+    cells = mesh.cells[first:stop]
+    # Corner coordinates gathered one coordinate at a time, which is
+    # several times faster than gathering vertex rows.
+    ref, wref = reference_rule(mesh, rule)
+    pts, wts = _affine_map(mesh.vertices[:, 0][cells], mesh.vertices[:, 1][cells], ref, wref)
+    return np.repeat(np.arange(first, stop), len(wref)), pts, wts
+
+
+def quadrature_blocks(mesh, rule):
+    """The points of a named rule on the cells of a mesh, one cell_blocks
+    block of whole cells at a time, each built when it is reached, so no
+    array of the whole point set is made.
+
+    Yields (span, block, cells, points, weights) per block: span is the
+    slice of the whole point set (cell_quadrature's order) that the block
+    takes, block the slice of its cells, and the rest cell_quadrature of
+    block.
+    """
+    q = len(reference_rule(mesh, rule)[1])
+    for span in cell_blocks(q * mesh.n_cells, mesh.n_cells):
+        block = slice(span.start // q, span.stop // q)
+        yield (span, block) + cell_quadrature(mesh, rule, block)
+
+
+def block_sums(block, cells, values):
+    """Sums of values over each cell of a block of whole cells, in point
+    order, as one bincount over all points would add them."""
+    return np.bincount(cells - block.start, values, block.stop - block.start)
+
+
+def centroid_offsets(mesh, cells, pts):
+    """Coordinates x - x_K and y - y_K of points from the centroids of
+    their cells K, gathered one coordinate at a time, which is several
+    times faster than gathering centroid rows."""
+    c = mesh.cell_centroid
+    return pts[:, 0] - c[:, 0][cells], pts[:, 1] - c[:, 1][cells]
+
+
+def affine_at(coefficients, cells, offsets):
+    """Values at points inside cells of the cellwise affine function with
+    coefficients (c, sx, sy): c[K] + sx[K] dx + sy[K] dy, with (dx, dy)
+    the centroid_offsets of the points."""
+    c, sx, sy = coefficients
+    dx, dy = offsets
+    return c[cells] + sx[cells] * dx + sy[cells] * dy
 
 
 def segment_quadrature(a, b):
@@ -213,25 +263,28 @@ def function_rule(gd):
 
 @dataclass(frozen=True)
 class LevelSamples:
-    """The exact fields of a case that one level reads, each at the point
-    set its consumer reads: source f and target y_d at the points of
-    ``function_rule(gd)`` (the loads), y and p for the function errors,
-    grad_y and grad_p at the gradient piece centres, u at the gauss3
-    points (the control error), and post_p, post_u for the
-    post-processed control.  post_p and post_u are at the load points
-    for every scheme; nodal schemes take y and p there too, cell-centred
-    schemes take them at the cell points.
+    """What a level keeps of the exact fields of a case between its
+    sampling pass and its error pass (sample_level).
+
+    loads holds the source and target loads, assembled while f and y_d
+    were sampled.  y and p are at the points the function errors read:
+    those of ``function_rule(gd)`` for nodal schemes, the cell points for
+    cell-centred ones.  post_p and post_u are p and u at the points of
+    ``function_rule(gd)``, which the post-processed control reads; for
+    nodal schemes post_p is p.  grad_y and grad_p are at the gradient
+    piece centres.  fields is the case's ``fields``, which the error pass
+    samples u from at the gauss3 points.  Fields that the case gives as
+    one array stay one array here.
     """
 
-    source: np.ndarray
-    target: np.ndarray
+    loads: np.ndarray
     y: np.ndarray
     p: np.ndarray
     grad_y: np.ndarray
     grad_p: np.ndarray
-    u: np.ndarray
     post_p: np.ndarray
     post_u: np.ndarray
+    fields: Callable
 
 
 def cell_blocks(n_points, n_cells):
@@ -240,16 +293,17 @@ def cell_blocks(n_points, n_cells):
     BLOCK_POINTS points (one cell at least)."""
     per_cell = n_points // n_cells
     step = max(BLOCK_POINTS // per_cell, 1) * per_cell
-    return [slice(start, start + step) for start in range(0, n_points, step)]
+    return [slice(start, min(start + step, n_points)) for start in range(0, n_points, step)]
 
 
-def _sample(fields, pts, names, n_cells):
-    """The arrays of fields(pts, names) by name, evaluated over the
-    cell_blocks of pts and written into arrays allocated once.  Names
-    that fields gives one array share one array here too."""
+def _keeper(names, n_points):
+    """A dict out and a function keep(span, part) that writes the entries
+    of part (a case's Fields) named in names into out[name][span].  The
+    arrays of out have n_points rows and are allocated on the first call;
+    names whose entries are one array in part share one array."""
     out, distinct = {}, []
-    for block in cell_blocks(len(pts), n_cells):
-        part = fields(pts[block], names)
+
+    def keep(span, part):
         if not out:
             for name in names:
                 entry = getattr(part, name)
@@ -257,43 +311,48 @@ def _sample(fields, pts, names, n_cells):
                 if same:
                     out[name] = out[same[0]]
                 else:
-                    out[name] = np.empty((len(pts),) + entry.shape[1:], dtype=entry.dtype)
+                    out[name] = np.empty((n_points,) + entry.shape[1:], dtype=entry.dtype)
                     distinct.append(name)
         for name in distinct:
-            out[name][block] = getattr(part, name)
+            out[name][span] = getattr(part, name)
+
+    return out, keep
+
+
+def _sample(fields, pts, names, n_cells):
+    """The arrays of fields(pts, names) by name, evaluated over the
+    cell_blocks of pts and written into arrays allocated once."""
+    out, keep = _keeper(names, len(pts))
+    for span in cell_blocks(len(pts), n_cells):
+        keep(span, fields(pts[span], names))
     return out
 
 
 def sample_level(gd, fields):
-    """Sample fields(pts, names) once on each distinct point set of a
-    level, asking for the fields LevelSamples keeps from it: the values
-    (not y for cell-centred schemes) at the load points, y and p at the
-    cell points of cell-centred schemes, the gradients at the piece
-    centres and u at the gauss3 points."""
+    """The LevelSamples of a level: one pass over the blocks of the load
+    rule's points samples the values there (not y for cell-centred
+    schemes), sums f and y_d into the loads (GradientDiscretisation.
+    value_load) and keeps y, p and u; then y and p are sampled at the
+    cell points of cell-centred schemes and the gradients at the piece
+    centres."""
     mesh = gd.mesh
     n = mesh.n_cells
-    values = ("p", "u", "f", "y_d") if gd.cell_centred else ("y", "p", "u", "f", "y_d")
-    load = _sample(fields, cell_quadrature(mesh, function_rule(gd))[1], values, n)
+    rule = function_rule(gd)
+    kept = ("p", "u") if gd.cell_centred else ("y", "p", "u")
+    load, keep = _keeper(kept, n * len(reference_rule(mesh, rule)[1]))
+
+    def sample(span, pts):
+        part = fields(pts, kept + ("f", "y_d"))
+        keep(span, part)
+        return [part.f, part.y_d]
+
+    loads = gd.value_load(rule, sample)
     value = _sample(fields, mesh.cell_point, ("y", "p"), n) if gd.cell_centred else load
     gradient = _sample(fields, gd.piece_center, ("grad_y", "grad_p"), n)
-    u = _sample(fields, cell_quadrature(mesh, "gauss3")[1], ("u",), n)["u"]
     return LevelSamples(
-        source=load["f"], target=load["y_d"], y=value["y"], p=value["p"],
-        grad_y=gradient["grad_y"], grad_p=gradient["grad_p"], u=u,
-        post_p=load["p"], post_u=load["u"],
+        loads=loads, y=value["y"], p=value["p"], grad_y=gradient["grad_y"],
+        grad_p=gradient["grad_p"], post_p=load["p"], post_u=load["u"], fields=fields,
     )
-
-
-def function_error(gd, vec, target):
-    """Relative L2 distance between the reconstructed function and target
-    values at the points of ``function_rule(gd)``.
-
-    Nodal schemes sample the target at the rule's points themselves;
-    cell-centred schemes sample it at the cell points.
-    """
-    cells, pts, wts = cell_quadrature(gd.mesh, function_rule(gd))
-    approx = gd.value_at(vec, cells, pts)
-    return _relative(wts @ (approx - target) ** 2, wts @ target ** 2)
 
 
 def gradient_error(gd, vec, target):
@@ -308,26 +367,6 @@ def gradient_error(gd, vec, target):
     return _relative(num, den)
 
 
-def control_error(mesh, u_cells, target):
-    """Relative L2 distance of a piecewise-constant control from target
-    values at the gauss3 points (degree-2 rule)."""
-    cells, _, wts = cell_quadrature(mesh, "gauss3")
-    num = wts @ (u_cells[cells] - target) ** 2
-    return _relative(float(num), float(wts @ target ** 2))
-
-
-def postprocessed_error(gd, post, u):
-    """Relative L2 distance between the two post-processed controls.
-
-    post is the (discrete, exact) pair of ``control.postprocess``, both at
-    the points of ``function_rule(gd)``; u is the exact control there,
-    whose norm under the same rule is the denominator.
-    """
-    w = cell_quadrature(gd.mesh, function_rule(gd))[2]
-    discrete, exact = post
-    return _relative(float(w @ (discrete - exact) ** 2), float(w @ u ** 2))
-
-
 def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, *, level, pdas_iters):
     """Assemble the full error report for one solved problem.
 
@@ -337,18 +376,49 @@ def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, *, level, pdas_iters)
     exact : LevelSamples of the exact fields on this level (sample_level)
     y_vec, p_vec : DOF vectors of state and adjoint
     u_cells : (n_cells,) control values
-    post : (discrete, exact) post-processed controls (control.postprocess)
+    post : function (cells, p, exact_p) -> (discrete, exact) giving the
+        post-processed controls at points inside cells from the discrete
+        and the exact adjoint there (control.postprocess of the problem)
+
+    The function errors of y and p and the post-processed control error
+    come from one pass over the blocks of the load rule's points, which
+    reconstructs y and p from one gather of centroid offsets; the control
+    error from one pass over the gauss3 blocks, which samples u.  Both
+    passes sum per cell (block_sums) and then over the cells, so the
+    report does not depend on the block size.
     """
+    mesh = gd.mesh
+    coefficients = [(gd.value_center @ v, gd.value_slope_x @ v, gd.value_slope_y @ v)
+                    for v in (y_vec, p_vec)]
+    # Per cell: squared errors and squared targets of y, p and u_tilde.
+    sums = np.empty((6, mesh.n_cells))
+    for span, block, cells, pts, wts in quadrature_blocks(mesh, function_rule(gd)):
+        # One point per cell for cell-centred schemes: span is block.
+        offsets = centroid_offsets(mesh, cells, pts)
+        y_h, p_h = (affine_at(c, cells, offsets) for c in coefficients)
+        y, p = exact.y[span], exact.p[span]
+        discrete, exact_post = post(cells, p_h, exact.post_p[span])
+        u = exact.post_u[span]
+        for row, part in enumerate(((y_h - y) ** 2, y ** 2, (p_h - p) ** 2, p ** 2,
+                                    (discrete - exact_post) ** 2, u ** 2)):
+            sums[row, block] = block_sums(block, cells, wts * part)
+    control = np.empty((2, mesh.n_cells))
+    for _, block, cells, pts, wts in quadrature_blocks(mesh, "gauss3"):
+        u = exact.fields(pts, ("u",)).u
+        control[0, block] = block_sums(block, cells, wts * (u_cells[cells] - u) ** 2)
+        control[1, block] = block_sums(block, cells, wts * u ** 2)
+    err_y, err_p, err_u_tilde = (
+        _relative(float(sums[i].sum()), float(sums[i + 1].sum())) for i in (0, 2, 4))
     return ErrorReport(
         level=level,
-        h=gd.mesh.h,
+        h=mesh.h,
         dofs=gd.n_free,
-        err_y=function_error(gd, y_vec, exact.y),
+        err_y=err_y,
         err_grad_y=gradient_error(gd, y_vec, exact.grad_y),
-        err_p=function_error(gd, p_vec, exact.p),
+        err_p=err_p,
         err_grad_p=gradient_error(gd, p_vec, exact.grad_p),
-        err_u=control_error(gd.mesh, u_cells, exact.u),
-        err_u_tilde=postprocessed_error(gd, post, exact.post_u),
+        err_u=_relative(float(control[0].sum()), float(control[1].sum())),
+        err_u_tilde=err_u_tilde,
         pdas_iters=pdas_iters,
     )
 

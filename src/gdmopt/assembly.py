@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .analysis import cell_quadrature, function_rule
+from .analysis import function_rule, reference_rule
 
 # Backward error accepted from a direct solve, after refinement:
 # ||b - A x||_inf <= SOLVE_TOL * (||A||_inf ||x||_inf + ||b||_inf).
@@ -22,6 +22,12 @@ CG_MAX_STEPS = 100
 
 class SolverError(RuntimeError):
     """A linear or optimisation solve failed its accuracy contract."""
+
+
+def _inf_norm(v):
+    """max |v_i| without an |v| temporary, 0 for an empty v and nan when v
+    holds a nan (np.maximum propagates it, as max would not)."""
+    return np.maximum(v.max(initial=0.0), -v.min(initial=0.0))
 
 
 def check_symmetry(a):
@@ -65,7 +71,7 @@ class SPDFactor:
         solve of b, or returns zero when b is zero.
         """
         b = np.asarray(b, dtype=float)
-        bnorm = np.abs(b).max(initial=0.0)
+        bnorm = _inf_norm(b)
         if x0 is not None and np.all(np.isfinite(x0)):
             x, solves = np.array(x0, dtype=float), 0
         elif bnorm == 0.0:
@@ -73,11 +79,12 @@ class SPDFactor:
         else:
             x, solves = self._lu.solve(b), 1
         while True:
-            xnorm = np.abs(x).max(initial=0.0)
+            xnorm = _inf_norm(x)
             if not np.isfinite(xnorm):
                 raise SolverError("sparse solve produced non-finite values")
-            r = b - self.matrix @ x
-            err = np.abs(r).max(initial=0.0)
+            r = self.matrix @ x
+            np.subtract(b, r, out=r)
+            err = _inf_norm(r)
             scale = self._norm * xnorm + bnorm
             if err <= SOLVE_TOL * scale:
                 return x
@@ -86,7 +93,7 @@ class SPDFactor:
                     f"backward error {err / scale:.3e} exceeds {SOLVE_TOL:.1e} "
                     f"after {REFINE_STEPS} refinement steps"
                 )
-            x = x + self._lu.solve(r)
+            x += self._lu.solve(r)
             solves += 1
 
     def cg_solve(self, a, b):
@@ -102,14 +109,14 @@ class SPDFactor:
         the preconditioned condition number is at most 1 + c.
         """
         b = np.asarray(b, dtype=float)
-        bnorm = np.abs(b).max(initial=0.0)
+        bnorm = _inf_norm(b)
         anorm = np.asarray(abs(a).sum(axis=1)).max(initial=0.0)
         x, r, d = np.zeros_like(b), b, np.zeros_like(b)
         rz_old = np.inf  # no previous direction: the first one is z
         steps = 0
         while True:
-            err = np.abs(r).max(initial=0.0)
-            scale = anorm * np.abs(x).max(initial=0.0) + bnorm
+            err = _inf_norm(r)
+            scale = anorm * _inf_norm(x) + bnorm
             if err <= SOLVE_TOL * scale:
                 return x
             if steps == CG_MAX_STEPS:
@@ -131,22 +138,30 @@ class SPDFactor:
 def assemble_loads(gd, sources):
     """Load vectors on the unknowns of gd, one row per volume source: a
     callable, its values at the points of ``analysis.function_rule(gd)``
-    (the rule of the error measurement protocol), or None for a zero
-    load.  The loads share one pass over the rule's points.
+    (the rule of the error measurement protocol, listed cell by cell), or
+    None for a zero load.  The loads share one pass over the rule's
+    points, block by block (GradientDiscretisation.value_load), in which
+    each callable is evaluated on the points of the block.
     """
     out = np.zeros((len(sources), gd.n_free))
     given = [i for i, s in enumerate(sources) if s is not None]
     if given:
         rule = function_rule(gd)
-        pts = cell_quadrature(gd.mesh, rule)[1]
-        vals = []
-        for i in given:
-            source = sources[i]
-            v = np.asarray(source(pts) if callable(source) else source, dtype=float)
-            if v.shape != (len(pts),):
-                raise ValueError(f"volume source has shape {v.shape}, not ({len(pts)},)")
-            vals.append(v)
-        out[given] += gd.value_load(rule, vals)
+        n = gd.mesh.n_cells * len(reference_rule(gd.mesh, rule)[1])
+        data = [sources[i] if callable(sources[i]) else np.asarray(sources[i], dtype=float)
+                for i in given]
+        for v in data:
+            if not callable(v) and v.shape != (n,):
+                raise ValueError(f"volume source has shape {v.shape}, not ({n},)")
+
+        def sample(span, pts):
+            vals = [np.asarray(v(pts), dtype=float) if callable(v) else v[span] for v in data]
+            for v in vals:
+                if v.shape != (len(pts),):
+                    raise ValueError(f"volume source has shape {v.shape} on {len(pts)} points")
+            return vals
+
+        out[given] += gd.value_load(rule, sample)
     return out
 
 

@@ -99,21 +99,23 @@ class TestCase:
             raise ValueError("cell-point shift only applies to Cartesian meshes")
         return build_unit_square_triangulation(m)
 
-    def build_problem(self, gd, source=None, target=None):
+    def build_problem(self, gd, loads=None):
         """Control problem of this case on a discretisation.
 
-        source and target, if given, are the values of f and y_d at the
-        points of the load rule (``analysis.function_rule``); otherwise
-        the closures are evaluated there.
+        loads, if given, are the source and target loads already
+        assembled (the ``loads`` of ``analysis.sample_level``); otherwise
+        the closures f and y_d are evaluated at the points of the load
+        rule (``analysis.function_rule``).
         """
         return OptimalControlProblem(
             gd,
             alpha=self.alpha,
             bounds=self.bounds,
-            y_target=self.y_d if target is None else target,
-            volume_source=self.f if source is None else source,
+            y_target=self.y_d,
+            volume_source=self.f,
             control_target=self.u_d,
             reaction=self.reaction,
+            loads=loads,
         )
 
 

@@ -8,6 +8,7 @@ runs with the same configuration are byte-identical.
 """
 
 import argparse
+import functools
 import sys
 
 from .analysis import compute_errors, render_csv, render_diagnostics_csv, sample_level
@@ -25,34 +26,38 @@ MAX_LEVEL = 10
 
 
 class LevelFailure(Exception):
-    """Solver breakdown at one study or diagnostics level; carries the mesh
-    size."""
+    """Solver breakdown, or memory running out, at one study or diagnostics
+    level; carries the mesh size and the reason, "out of memory" or
+    "solver failure"."""
 
     def __init__(self, level, h, cause):
-        super().__init__(f"level {level} (h={h:.3e}): {cause}")
+        super().__init__(f"level {level} (h={h:.3e}): {str(cause) or type(cause).__name__}")
         self.level = level
         self.h = h
+        self.reason = "out of memory" if isinstance(cause, MemoryError) else "solver failure"
 
 
 def run_level(case, scheme, level, shift=0.0):
     """Solve one study level and return its error report.
 
-    The exact fields are sampled once per point set of the level and
-    serve both the loads and the error report.
+    The exact fields are sampled once per point set of the level: the
+    loads are summed as they are sampled, and what the error report reads
+    is kept.  A solver breakdown or running out of memory after the mesh
+    is built raises LevelFailure.
     """
     mesh = case.build_mesh(scheme, 2 ** level, shift=shift)
-    gd = build_scheme(scheme, mesh, case.bc)
-    exact = sample_level(gd, case.fields)
-    problem = case.build_problem(gd, source=exact.source, target=exact.target)
     try:
+        gd = build_scheme(scheme, mesh, case.bc)
+        exact = sample_level(gd, case.fields)
+        problem = case.build_problem(gd, loads=exact.loads)
         solution = solve_kkt_pdas(problem)
-    except SolverError as exc:
+        return compute_errors(
+            gd, exact, solution.y, solution.p, solution.u,
+            functools.partial(postprocess, problem),
+            level=level, pdas_iters=solution.iterations,
+        )
+    except (SolverError, MemoryError) as exc:
         raise LevelFailure(level, mesh.h, exc) from exc
-    post = postprocess(problem, solution, exact.post_p)
-    return compute_errors(
-        gd, exact, solution.y, solution.p, solution.u, post,
-        level=level, pdas_iters=solution.iterations,
-    )
 
 
 def run_study(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0):
@@ -83,13 +88,13 @@ def run_diagnostics(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0):
     rows = []
     for level in range(levels[0], levels[1] + 1):
         mesh = case.build_mesh(scheme, 2 ** level, shift=shift)
-        gd = build_scheme(scheme, mesh, case.bc)
         try:
+            gd = build_scheme(scheme, mesh, case.bc)
             cd, wd = compute_cd(gd), compute_wd(gd, case.grad_y)
             # The adjoint of every case equals its state, so the state's
             # S_D serves both columns.
             sd = compute_sd_upper(gd, case.y, case.grad_y)
-        except SolverError as exc:
+        except (SolverError, MemoryError) as exc:
             return rows, LevelFailure(level, mesh.h, exc)
         rows.append((level, mesh.h, cd, wd, sd, sd))
     return rows, None
@@ -166,7 +171,7 @@ def main(argv=None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     if failure is not None:
-        print(f"solver failure: {failure}", file=sys.stderr)
+        print(f"{failure.reason}: {failure}", file=sys.stderr)
         return 1
     return 0
 

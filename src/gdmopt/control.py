@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .analysis import cell_quadrature, function_rule
+from .analysis import block_sums, quadrature_blocks
 from .assembly import SolverError, SPDFactor, assemble_loads, check_symmetry
 
 # Active-set iterations solve_kkt_pdas may take; PDAS ends in finitely
@@ -62,11 +62,13 @@ def project_box(values, lower, upper):
 
 
 def project_onto_cells(mesh, fn):
-    """Cell averages of a function under the degree-5 gauss7 rule."""
-    cells, pts, wts = cell_quadrature(mesh, "gauss7")
-    vals = np.asarray(fn(pts), dtype=float)
-    sums = np.bincount(cells, wts * vals, mesh.n_cells)
-    return sums / np.bincount(cells, wts, mesh.n_cells)
+    """Cell averages of a function under the degree-5 gauss7 rule, which
+    is evaluated one block of cells at a time."""
+    sums, areas = np.empty((2, mesh.n_cells))
+    for _, block, cells, pts, wts in quadrature_blocks(mesh, "gauss7"):
+        sums[block] = block_sums(block, cells, wts * np.asarray(fn(pts), dtype=float))
+        areas[block] = block_sums(block, cells, wts)
+    return sums / areas
 
 
 @dataclass(eq=False)
@@ -90,6 +92,10 @@ class OptimalControlProblem:
     reaction : float
         Zero-order coefficient c0 of the state equation -lap y + c0 y =
         f + u; must be positive for Neumann problems.
+    loads : (2, n_free) array or None
+        The source and target loads, when the caller has assembled them
+        already (analysis.sample_level does, while it samples a level);
+        volume_source and y_target are then not read.
     """
 
     gd: Any
@@ -99,6 +105,7 @@ class OptimalControlProblem:
     volume_source: Any = None
     control_target: Optional[Callable] = None
     reaction: float = 0.0
+    loads: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.lower, self.upper = float(self.bounds[0]), float(self.bounds[1])
@@ -108,6 +115,9 @@ class OptimalControlProblem:
             raise ValueError("empty box: lower bound exceeds upper bound")
         if self.gd.bc == "neumann" and not self.reaction > 0.0:
             raise ValueError("Neumann problems need a positive reaction coefficient")
+        if self.loads is not None and np.shape(self.loads) != (2, self.gd.n_free):
+            raise ValueError(f"loads have shape {np.shape(self.loads)}, "
+                             f"not (2, {self.gd.n_free})")
         self.alpha = float(self.alpha)
         self.reaction = float(self.reaction)
         self._asm = None
@@ -132,8 +142,10 @@ class _Assembly:
         gd = problem.gd
         self.stiffness = gd.stiffness(problem.reaction)
         self.mass = gd.mass_matrix()
-        self.source_load, self.target_load = assemble_loads(
-            gd, [problem.volume_source, problem.y_target])
+        loads = problem.loads
+        if loads is None:
+            loads = assemble_loads(gd, [problem.volume_source, problem.y_target])
+        self.source_load, self.target_load = loads
         if problem.control_target is None:
             self.control_target = np.zeros(gd.mesh.n_cells)
         else:
@@ -249,10 +261,21 @@ def solve_kkt_pdas(problem):
     b_t = b_mat.T.tocsr()
     root_w = np.sqrt(w)
     lam = None
+    # The vectors of the CG steps, one entry per control, updated in
+    # place.  The margin to an infinite box edge is inf, so margin keeps
+    # inf where no finite edge is measured.
+    x, q, z, d, work = (np.empty(len(w)) for _ in range(5))
+    margin = np.full(len(w), np.inf)
+    edges = [e for e in (lower, upper) if math.isfinite(e)]
 
     def proven(candidate, rz):
-        margin = np.minimum(np.abs(candidate - lower), np.abs(candidate - upper))
-        return bool(np.min(margin * root_w) > math.sqrt(lam * rz))
+        for i, edge in enumerate(edges):
+            gap = work if i else margin
+            np.abs(np.subtract(candidate, edge, out=gap), out=gap)
+            if i:
+                np.minimum(margin, gap, out=margin)
+        np.multiply(margin, root_w, out=margin)
+        return bool(margin.min() > math.sqrt(lam * rz))
 
     def unchanged(candidate):
         return bool(np.array_equal(candidate < lower, lo)
@@ -272,18 +295,18 @@ def solve_kkt_pdas(problem):
         y = factor.solve(asm.source_load + b_mat @ u)
         p = factor.solve(asm.mass @ y - asm.target_load)
         candidate = asm.control_target - (b_t @ p) / w
-        # CG vectors have one entry per control, zero on the active ones.
+        # CG vectors are zero on the active controls.
         r = free * w * (candidate - u)
-        z = r / w
+        np.divide(r, w, out=z)
         rz = float(r @ z)
-        d = z
+        d[:] = z
         steps, betas = [], []
         certified = False
         while True:
             if it == 1 and steps:
                 lam = LAMBDA_INFLATION * max(_largest_ritz_value(steps, betas) - 1.0, 0.0)
-            x = free * u
-            res, norm = math.sqrt(rz), math.sqrt(x @ (w * x))
+            np.multiply(free, u, out=x)
+            res, norm = math.sqrt(rz), math.sqrt(x @ np.multiply(w, x, out=work))
             if res <= PCG_TOL * (norm - res):
                 exact = True
                 break
@@ -303,18 +326,27 @@ def solve_kkt_pdas(problem):
             s = factor.solve(b_mat @ d)
             t = factor.solve(asm.mass @ s)
             bt = b_t @ t
-            q = free * (w * d + bt)
+            np.multiply(w, d, out=q)
+            q += bt
+            q *= free
             step = rz / float(d @ q)
-            u += step * d
-            y += step * s
-            p += step * t
-            candidate -= step * bt / w
-            r -= step * q
-            z = r / w
+            # Each update scales its step vector, then adds it.
+            u += np.multiply(d, step, out=work)
+            s *= step
+            y += s
+            t *= step
+            p += t
+            bt *= step
+            bt /= w
+            candidate -= bt
+            q *= step
+            r -= q
+            np.divide(r, w, out=z)
             rz, rz_old = float(r @ z), rz
             betas.append(rz / rz_old)
             steps.append(step)
-            d = z + betas[-1] * d
+            d *= betas[-1]
+            d += z
         history.append((int(lo.sum()), int(hi.sum()), len(steps), certified))
         if exact:
             y = factor.solve(asm.source_load + b_mat @ u, x0=y)
@@ -417,18 +449,16 @@ def solve_kkt_reference(problem):
     return KKTSolution(y, p, u, it, u <= lower, u >= upper)
 
 
-def postprocess(problem, solution, exact_p):
-    """Projection-formula controls P(cell_avg(u_d) - p / alpha) at the
-    points of ``analysis.function_rule(gd)``.
+def postprocess(problem, cells, p, exact_p):
+    """Projection-formula controls P(cell_avg(u_d) - p / alpha) at points
+    inside cells, such as those of one block of the load rule
+    (``analysis.function_rule(gd)``).
 
-    Returns (discrete, exact): the first from the reconstructed discrete
-    adjoint, the second from ``exact_p``, the exact adjoint at those
-    points.  For cell-centred schemes the discrete one coincides with the
-    optimal control itself.
+    Returns (discrete, exact): the first from p, the reconstructed
+    discrete adjoint at the points, the second from ``exact_p``, the exact
+    adjoint there.  For cell-centred schemes the discrete one at the
+    centroids coincides with the optimal control itself.
     """
-    gd = problem.gd
-    cells, pts, _ = cell_quadrature(gd.mesh, function_rule(gd))
     ud = problem.assembled().control_target[cells]
-    return tuple(project_box(ud - p / problem.alpha, problem.lower, problem.upper)
-                 for p in (gd.value_at(solution.p, cells, pts), exact_p))
-
+    return tuple(project_box(ud - v / problem.alpha, problem.lower, problem.upper)
+                 for v in (p, exact_p))

@@ -18,7 +18,14 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
-from .analysis import cell_blocks, cell_quadrature, segment_quadrature, triangle_quadrature
+from .analysis import (
+    affine_at,
+    block_sums,
+    centroid_offsets,
+    quadrature_blocks,
+    segment_quadrature,
+    triangle_quadrature,
+)
 from .assembly import SolverError, SPDFactor
 
 # compute_cd solves its pencils by power iteration, which stops once the
@@ -35,14 +42,6 @@ def _face_rule(mesh, ids):
     pts, wts, arc = segment_quadrature(mesh.vertices[mesh.faces[ids, 0]],
                                        mesh.vertices[mesh.faces[ids, 1]])
     return np.repeat(np.arange(len(ids)), 3), pts, wts, arc
-
-
-def _centroid_offsets(mesh, cells, pts):
-    """Coordinates x - x_K and y - y_K of points from the centroids of
-    their cells K, gathered one coordinate at a time, which is several
-    times faster than gathering centroid rows."""
-    c = mesh.cell_centroid
-    return pts[:, 0] - c[:, 0][cells], pts[:, 1] - c[:, 1][cells]
 
 
 @dataclass(eq=False, kw_only=True)
@@ -118,13 +117,11 @@ class GradientDiscretisation:
 
     # -- reconstruction operators ------------------------------------
 
-    def value_at(self, vec, cells, pts):
-        """Function reconstruction of a DOF vector at points inside cells."""
-        c = self.value_center @ vec
-        sx = self.value_slope_x @ vec
-        sy = self.value_slope_y @ vec
-        dx, dy = _centroid_offsets(self.mesh, cells, pts)
-        return c[cells] + sx[cells] * dx + sy[cells] * dy
+    def cell_coefficients(self, vec):
+        """Per-cell coefficients (c, sx, sy) of the function reconstruction
+        of a DOF vector: on cell K it is c[K] + sx[K] dx + sy[K] dy, with
+        (dx, dy) the offset from the centroid of K (analysis.affine_at)."""
+        return self.value_center @ vec, self.value_slope_x @ vec, self.value_slope_y @ vec
 
     def gradient_table(self, vec):
         """Gradient reconstruction per piece, shape (n_pieces, 2)."""
@@ -176,11 +173,13 @@ class GradientDiscretisation:
         """Exact L2 Gram matrix of the function reconstruction."""
         if self._mass is None:
             mesh = self.mesh
-            cells, pts, wts = cell_quadrature(mesh, "gauss3")
-            dx, dy = _centroid_offsets(mesh, cells, pts)
-            jxx = np.bincount(cells, wts * dx ** 2, mesh.n_cells)
-            jxy = np.bincount(cells, wts * dx * dy, mesh.n_cells)
-            jyy = np.bincount(cells, wts * dy ** 2, mesh.n_cells)
+            # Second moments about the centroid per cell, by the gauss3 rule.
+            jxx, jxy, jyy = np.empty((3, mesh.n_cells))
+            for _, block, cells, pts, wts in quadrature_blocks(mesh, "gauss3"):
+                dx, dy = centroid_offsets(mesh, cells, pts)
+                jxx[block] = block_sums(block, cells, wts * dx ** 2)
+                jxy[block] = block_sums(block, cells, wts * dx * dy)
+                jyy[block] = block_sums(block, cells, wts * dy ** 2)
             c, sx, sy = self.value_center, self.value_slope_x, self.value_slope_y
             m = c.T @ sp.diags(mesh.cell_area) @ c
             m += sx.T @ sp.diags(jxx) @ sx + sy.T @ sp.diags(jyy) @ sy
@@ -230,30 +229,30 @@ class GradientDiscretisation:
             a = a + reaction * self.mass_matrix()
         return a.tocsc()
 
-    def value_load(self, rule, vals):
+    def value_load(self, rule, sample):
         """Load vectors sum(w * v * basis) over the points of the named
-        cell quadrature rule, one row per array v of values at those
-        points in the sequence vals.
+        cell quadrature rule, one row per array v that sample gives.
 
-        The per-cell sums run over the cell_blocks of the points, whose
-        offsets from the cell centroids all loads share; within a cell
-        they add its points in order, as one pass over all points would.
-        Each operator then takes one product for all loads.
+        The points are built one block of whole cells at a time
+        (analysis.quadrature_blocks), and sample(span, pts) returns the
+        list of value arrays at the points pts of a block, which take the
+        slice span of the whole point set; it gives the same number of
+        arrays for every block.  Each cell's sums add its points in
+        order, as one pass over all points would, and the loads share
+        each block's offsets from the cell centroids.  Each operator then
+        takes one product for all loads.
         """
         mesh = self.mesh
-        cells, pts, wts = cell_quadrature(mesh, rule)
-        per_cell = len(wts) // mesh.n_cells
-        sums = np.empty((3, mesh.n_cells, len(vals)))
-        for block in cell_blocks(len(wts), mesh.n_cells):
-            first = block.start // per_cell
-            local = cells[block] - first
-            count = len(local) // per_cell
-            dx, dy = _centroid_offsets(mesh, cells[block], pts[block])
-            w = wts[block]
+        sums = None
+        for span, block, cells, pts, wts in quadrature_blocks(mesh, rule):
+            vals = sample(span, pts)
+            if sums is None:
+                sums = np.empty((3, mesh.n_cells, len(vals)))
+            dx, dy = centroid_offsets(mesh, cells, pts)
             for j, v in enumerate(vals):
-                wv = w * v[block]
+                wv = wts * v
                 for row, part in enumerate((wv, wv * dx, wv * dy)):
-                    sums[row, first:first + count, j] = np.bincount(local, part, count)
+                    sums[row, block, j] = block_sums(block, cells, part)
         loads = (self.value_center.T @ sums[0] + self.value_slope_x.T @ sums[1]
                  + self.value_slope_y.T @ sums[2])
         return loads.T
@@ -385,14 +384,23 @@ def compute_sd_upper(gd, fn, grad_fn):
     norm Gram matrix plus the mass (Dirichlet) or the trace Gram
     (Neumann), which C_D^2 times the norm Gram bounds, so the
     preconditioned condition number is at most 1 + C_D^2 on every mesh.
+
+    The gauss7 points are built one block at a time, for the load and
+    again for the function misfit; only the target's values there are
+    kept between the two passes.
     """
     if gd.n_free == 0:
         raise ValueError("no free DOFs: consistency defect undefined")
-    cells, pts, wts = cell_quadrature(gd.mesh, "gauss7")
-    fvals = np.asarray(fn(pts), dtype=float)
+    # The target values of each gauss7 block, kept for the misfit pass.
+    fvals = []
+
+    def sample(span, pts):
+        fvals.append(np.asarray(fn(pts), dtype=float))
+        return fvals[-1:]
+
     pieces, ppts, pwts = gd.piece_quadrature()
     gvals = np.asarray(grad_fn(ppts), dtype=float)
-    b = gd.value_load("gauss7", [fvals])[0] + gd.gradient_load(gvals)
+    b = gd.value_load("gauss7", sample)[0] + gd.gradient_load(gvals)
     if gd.bc == "neumann":
         bfaces, bpts, bwts, _ = gd.boundary_quadrature()
         bvals = np.asarray(fn(bpts), dtype=float)
@@ -406,8 +414,12 @@ def compute_sd_upper(gd, fn, grad_fn):
     # Misfit norms by direct quadrature of the reconstructions; this
     # avoids the cancellation a quadratic-form expansion would suffer
     # when the target is exactly representable.
-    dval = gd.value_at(z, cells, pts) - fvals
-    total = math.sqrt(float(wts @ dval ** 2))
+    coefficients = gd.cell_coefficients(z)
+    sq = 0.0
+    for (_, _, cells, pts, wts), f in zip(quadrature_blocks(gd.mesh, "gauss7"), fvals):
+        dval = affine_at(coefficients, cells, centroid_offsets(gd.mesh, cells, pts)) - f
+        sq += float(wts @ dval ** 2)
+    total = math.sqrt(sq)
     dgrad = gd.gradient_table(z)[pieces] - gvals
     total += math.sqrt(float(pwts @ (dgrad ** 2).sum(1)))
     if gd.bc == "neumann":

@@ -74,22 +74,40 @@ class PolytopalMesh:
         for i, j in combinations(range(k), 2):
             np.maximum(sq, (x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2, out=sq)
         self.cell_diameter = np.sqrt(sq)
+        # The cell loops and their products are not needed from here on.
+        del loops, x, y, xn, yn, cross, sq
 
         # Face table: one entry per undirected edge of the cell loops,
-        # numbered by first appearance in (cell, local edge) order.
+        # numbered by first appearance in (cell, local edge) order.  The
+        # keys are int64, as is the cells array: min * n_vertices + max
+        # outgrows int32 from about 46k vertices.
         a = self.cells.ravel()
         b = np.roll(self.cells, -1, axis=1).ravel()
-        keys = np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
-        _, first, inverse, counts = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True
-        )
-        if np.any(counts > 2):
+        keys = np.minimum(a, b)
+        keys *= self.n_vertices
+        keys += np.maximum(a, b)
+        # Equal keys are one face.  A stable sort lists them in edge order,
+        # so the first of each run is the face's first appearance.
+        perm = np.argsort(keys, kind="stable")
+        sorted_keys = keys[perm]
+        del keys
+        starts = np.empty(len(perm), dtype=bool)
+        starts[:1] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+        del sorted_keys
+        if np.any(~starts[1:-1] & ~starts[2:]):
             raise ValueError("face shared by more than two cells")
+        first = perm[starts]
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        edge_face = rank[inverse]
-        is_first = np.zeros(len(keys), dtype=bool)
+        # Face of each edge: the rank of its run of equal keys.
+        run = np.cumsum(starts)
+        run -= 1
+        edge_face = np.empty_like(perm)
+        edge_face[perm] = rank[run]
+        del perm, run, rank
+        is_first = np.zeros(len(a), dtype=bool)
         is_first[first] = True
         first = first[order]
         second = np.flatnonzero(~is_first)
@@ -114,10 +132,6 @@ class PolytopalMesh:
         self.boundary_faces = self.face_cells[:, 1] == -1
         self.boundary_vertices = np.zeros(self.n_vertices, dtype=bool)
         self.boundary_vertices[self.faces[self.boundary_faces].ravel()] = True
-
-        # Read-only (cells, points, weights) per quadrature rule name,
-        # filled by analysis.cell_quadrature.
-        self.quadrature_cache = {}
 
     @property
     def h(self):
@@ -182,11 +196,14 @@ def _grid_triangulation(nodes, keep=None):
     cells[0::2] = corners[:, [0, 1, 2]]
     cells[1::2] = corners[:, [0, 2, 3]]
 
-    # Drop unused vertices, keeping the original ordering.
+    # Drop unused vertices, keeping the original ordering; the grid
+    # arrays are released before the mesh is built.
     used = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(vertices)))
     remap = -np.ones(vertices.shape[0], dtype=int)
     remap[used] = np.arange(len(used))
-    return PolytopalMesh(vertices[used], remap[cells])
+    vertices, cells = vertices[used], remap[cells]
+    del corners, centers, used, remap
+    return PolytopalMesh(vertices, cells)
 
 
 def build_unit_square_triangulation(m):

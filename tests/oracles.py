@@ -1,6 +1,7 @@
 """Quantities the tests check that the method itself never computes.
 
-The gradient seminorm of a DOF vector, and the two optimality-system
+The function reconstruction of a DOF vector at given points, its
+gradient seminorm, and the two optimality-system
 residuals of a computed KKT solution: ``solve_kkt_pdas`` meets the
 projection formula by construction, and these measure how well a
 returned solution does.
@@ -10,7 +11,13 @@ import math
 
 import numpy as np
 
+from gdmopt.analysis import affine_at, centroid_offsets
 from gdmopt.control import project_box
+
+
+def value_at(gd, vec, cells, pts):
+    """Function reconstruction of a DOF vector at points inside cells."""
+    return affine_at(gd.cell_coefficients(vec), cells, centroid_offsets(gd.mesh, cells, pts))
 
 
 def gradient_norm(gd, vec):

@@ -1,6 +1,7 @@
 """Quadrature exactness, EOC arithmetic and CSV rendering."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -11,9 +12,9 @@ from gdmopt.analysis import (
     CSV_HEADER,
     DIAGNOSTICS_HEADER,
     ErrorReport,
-    LevelSamples,
     cell_quadrature,
     compute_eoc,
+    compute_errors,
     get_rule,
     render_csv,
     render_diagnostics_csv,
@@ -21,8 +22,8 @@ from gdmopt.analysis import (
     segment_quadrature,
     triangle_quadrature,
 )
-from gdmopt.assembly import assemble_loads
 from gdmopt.cases import get_case
+from gdmopt.control import postprocess, solve_kkt_pdas
 from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
 from gdmopt.schemes import build_scheme
 
@@ -94,16 +95,13 @@ def test_cell_quadrature_squares():
 
 
 @pytest.mark.parametrize("rule", ["midpoint", "gauss3", "gauss7", "degree10"])
-def test_cell_quadrature_cached_read_only(rule):
-    # Repeat calls return the very same read-only arrays, bit-identical
-    # to the reference rule mapped onto the cells afresh.
+def test_quadrature_blocks_match_fresh_map(monkeypatch, rule):
+    # The whole-mesh points are the reference rule mapped onto the cells,
+    # bit for bit, and the blocks of whole cells tile them in order, bit
+    # for bit, whatever the block size.
+    monkeypatch.setattr(analysis, "BLOCK_POINTS", 8)
     for mesh in (build_unit_square_triangulation(3), build_cartesian_mesh(3, shift=0.2)):
-        first = cell_quadrature(mesh, rule)
-        second = cell_quadrature(mesh, rule)
-        assert all(a is b for a, b in zip(first, second))
-        for a in first:
-            with pytest.raises(ValueError):
-                a[0] = 0
+        whole = cell_quadrature(mesh, rule)
         loops = mesh.vertices[mesh.cells]
         if mesh.cells.shape[1] == 3:
             pts, wts = triangle_quadrature(loops, rule)
@@ -115,8 +113,18 @@ def test_cell_quadrature_cached_read_only(rule):
                    + ref[None, :, 1, None] * e2[:, None, :]).reshape(-1, 2)
             wts = np.outer(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0], wref).ravel()
         cells = np.repeat(np.arange(mesh.n_cells), len(wts) // mesh.n_cells)
-        for cached, fresh in zip(first, (cells, pts, wts)):
-            assert np.array_equal(cached, fresh)
+        for built, fresh in zip(whole, (cells, pts, wts)):
+            assert np.array_equal(built, fresh)
+        blocks = list(analysis.quadrature_blocks(mesh, rule))
+        assert len(blocks) > 1
+        assert blocks[0][0].start == blocks[0][1].start == 0
+        assert blocks[-1][0].stop == len(wts) and blocks[-1][1].stop == mesh.n_cells
+        for (span, block, *_), (after, next_block, *_) in zip(blocks, blocks[1:]):
+            assert span.stop == after.start and block.stop == next_block.start
+        for i, fresh in enumerate((cells, pts, wts)):
+            assert np.array_equal(np.concatenate([b[2 + i] for b in blocks]), fresh)
+        for span, block, *arrays in blocks:
+            assert np.array_equal(arrays[0], cells[span])
 
 
 def test_segment_quadrature():
@@ -221,16 +229,27 @@ def test_render_csv_deterministic():
     assert render_csv(reports) == render_csv(reports)
 
 
-@pytest.mark.parametrize("name,scheme", [("example2-lshape", "p1"), ("example3-neumann", "hmm")])
+@pytest.mark.parametrize("name,scheme", [
+    ("example2-lshape", "p1"), ("example3-neumann", "hmm"), ("example3-neumann", "ncp1"),
+])
 def test_blocks_match_one_block(monkeypatch, name, scheme):
     # At level 3 each point set is one block.  Blocks of 40 points hold
     # a few whole cells and divide none of the point sets, and still
-    # give the same samples and loads bit for bit; samples that one
-    # block shares stay shared.
+    # give the same loads, mass matrix and error report bit for bit;
+    # samples that one block shares stay shared.
     case = get_case(name)
-    gd = build_scheme(scheme, case.build_mesh(scheme, 2 ** 3), case.bc)
-    whole = sample_level(gd, case.fields)
-    loads = assemble_loads(gd, [whole.source, whole.target])
+
+    def level(fields):
+        gd = build_scheme(scheme, case.build_mesh(scheme, 2 ** 3), case.bc)
+        exact = sample_level(gd, fields)
+        problem = case.build_problem(gd, loads=exact.loads)
+        sol = solve_kkt_pdas(problem)
+        report = compute_errors(gd, exact, sol.y, sol.p, sol.u,
+                                functools.partial(postprocess, problem),
+                                level=3, pdas_iters=sol.iterations)
+        return exact, gd.mass_matrix(), report
+
+    whole = level(case.fields)
     calls = []
 
     def counted(pts, names):
@@ -238,9 +257,53 @@ def test_blocks_match_one_block(monkeypatch, name, scheme):
         return case.fields(pts, names)
 
     monkeypatch.setattr(analysis, "BLOCK_POINTS", 40)
-    blocked = sample_level(gd, counted)
+    blocked = level(counted)
     assert len(calls) > 4 and max(calls) <= 40
-    for field in dataclasses.fields(LevelSamples):
-        assert np.array_equal(getattr(blocked, field.name), getattr(whole, field.name))
-    assert (blocked.y is blocked.p) == (whole.y is whole.p)
-    assert np.array_equal(assemble_loads(gd, [whole.source, whole.target]), loads)
+    assert np.array_equal(blocked[0].loads, whole[0].loads)
+    assert (blocked[0].y is blocked[0].p) == (whole[0].y is whole[0].p)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(blocked[1], attr), getattr(whole[1], attr))
+    assert dataclasses.astuple(blocked[2]) == dataclasses.astuple(whole[2])
+
+
+def test_run_level_maps_one_block_at_a_time(monkeypatch):
+    # A study level builds no quadrature point set larger than a block:
+    # every map of a reference rule returns one block of whole cells.
+    # At level 5 the L-shape's gauss7 and gauss3 point sets span several
+    # blocks each, so its four passes over them map more than four times.
+    from gdmopt import cli
+
+    sizes = []
+
+    def counted(*args):
+        pts, wts = real(*args)
+        sizes.append(len(wts))
+        return pts, wts
+
+    real = analysis._affine_map
+    monkeypatch.setattr(analysis, "_affine_map", counted)
+    for name, scheme in (("example2-lshape", "p1"), ("example1", "p1"),
+                         ("example3-neumann", "ncp1"), ("example3-neumann", "hmm")):
+        sizes.clear()
+        cli.run_level(get_case(name), scheme, 5)
+        assert max(sizes) <= analysis.BLOCK_POINTS
+        assert name != "example2-lshape" or len(sizes) > 4
+
+
+def test_run_level_memory_bound():
+    # Traced peak of one level-5 L-shape p1 level, mesh to error report.
+    # Streaming the quadrature block by block took it from 9.60 MB (whole
+    # point sets cached on the mesh) to 7.55 MB.
+    import tracemalloc
+
+    from gdmopt import cli
+
+    case = get_case("example2-lshape")
+    cli.run_level(case, "p1", 3)
+    tracemalloc.start()
+    try:
+        cli.run_level(case, "p1", 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5e6, f"{peak / 1e6:.2f} MB"

@@ -4,10 +4,9 @@ of the optimality systems, boundary behaviour, projection structure."""
 import numpy as np
 import pytest
 
-from gdmopt.analysis import sample_level
 from gdmopt.cases import CASE_NAMES, Fields, _corner_singular_parts, get_case
 from gdmopt.control import project_box
-from gdmopt.schemes import SCHEMES, build_scheme
+from gdmopt.schemes import SCHEMES
 
 
 def fd_gradient(fn, pts, h=1e-6):
@@ -245,23 +244,28 @@ def test_lshape_closures_reevaluate_writeable_points():
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
-def test_single_closures_match_fields(name):
+def test_single_closures_match_fields(monkeypatch, name):
     case = get_case(name)
     pts = interior_points(case, np.random.default_rng(12), n=200)
     sample = case.fields(pts)
     for field in Fields._fields:
         assert np.array_equal(getattr(case, field)(pts), getattr(sample, field))
 
-    # Every subset of names sample_level asks for, on nodal and on
-    # cell-centred schemes, gives the same arrays and None for the rest.
+    # Every subset of names a study level asks for (sample_level before
+    # the solve, compute_errors after it), on nodal and on cell-centred
+    # schemes, gives the same arrays and None for the rest.
+    from gdmopt import cli
+
     requested = set()
 
     def record(p, names):
         requested.add(tuple(names))
-        return case.fields(p, names)
+        return real(p, names)
 
+    real = case.fields
+    monkeypatch.setattr(case, "fields", record)
     for scheme in SCHEMES:
-        sample_level(build_scheme(scheme, case.build_mesh(scheme, 4), case.bc), record)
+        cli.run_level(case, scheme, 3)
     assert len(requested) == 5
     for names in requested:
         part = case.fields(pts, names)

@@ -186,6 +186,32 @@ def test_diagnostics_failure_partial_csv(tmp_path, capsys, monkeypatch):
     assert "solver failure: level 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("diagnostics", [False, True], ids=["study", "diagnostics"])
+def test_memory_error_ends_table(tmp_path, capsys, monkeypatch, diagnostics):
+    # Memory running out inside a level ends the table as a solver
+    # failure does, with the cause on stderr.  A patched step raises
+    # MemoryError at the second level; nothing is allocated.
+    name = "compute_cd" if diagnostics else "solve_kkt_pdas"
+    real, calls = getattr(cli, name), []
+
+    def fail_second(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise MemoryError
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, fail_second)
+    args = ["--case", "example1", "--scheme", "p1", "--levels", "2..4"]
+    code, text = run_cli(tmp_path, args + ["--diagnostics"] * diagnostics)
+    assert code == 1
+    lines = text.strip().split("\n")
+    assert len(lines) == 3 and lines[1].startswith("2,")
+    marker = lines[2].split(",")
+    assert marker[0] == "3" and marker[3 if not diagnostics else 2] == "FAILED"
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: level 3 (h=") and "MemoryError" in err
+
+
 def test_run_diagnostics_keeps_rows_before_failure(monkeypatch):
     def sd_then_cap(*args):
         value = compute_sd_upper(*args)

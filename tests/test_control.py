@@ -25,7 +25,7 @@ from gdmopt.control import (
 from gdmopt.gd_core import GradientDiscretisation
 from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
 from gdmopt.schemes import build_scheme
-from oracles import projection_identity_gap, variational_inequality_gap
+from oracles import projection_identity_gap, value_at, variational_inequality_gap
 
 
 def synthetic_problem(gd, bounds=(0.0, np.inf), alpha=1.0):
@@ -136,8 +136,8 @@ def test_postprocess_cell_centred_identity():
     gd = build_scheme("hmm", case.build_mesh("hmm", 4), case.bc)
     problem = case.build_problem(gd)
     sol = solve_kkt_pdas(problem)
-    pts = cell_quadrature(gd.mesh, function_rule(gd))[1]
-    discrete, _ = postprocess(problem, sol, case.p(pts))
+    cells, pts, _ = cell_quadrature(gd.mesh, function_rule(gd))
+    discrete, _ = postprocess(problem, cells, value_at(gd, sol.p, cells, pts), case.p(pts))
     np.testing.assert_array_equal(discrete, sol.u)
 
 
@@ -146,8 +146,8 @@ def test_postprocess_pointwise_clamps():
     gd = build_scheme("p1", case.build_mesh("p1", 4), case.bc)
     problem = case.build_problem(gd)
     sol = solve_kkt_pdas(problem)
-    pts = cell_quadrature(gd.mesh, function_rule(gd))[1]
-    for vals in postprocess(problem, sol, case.p(pts)):
+    cells, pts, _ = cell_quadrature(gd.mesh, function_rule(gd))
+    for vals in postprocess(problem, cells, value_at(gd, sol.p, cells, pts), case.p(pts)):
         assert np.all(vals >= problem.lower) and np.all(vals <= problem.upper)
         assert vals.shape == (len(pts),)
 
@@ -161,7 +161,8 @@ def test_postprocess_clamp_is_projection_formula(scheme):
     problem = case.build_problem(gd)
     cells, pts, _ = cell_quadrature(gd.mesh, function_rule(gd))
     p = case.p(pts)
-    _, exact = postprocess(problem, solve_kkt_pdas(problem), p)
+    sol = solve_kkt_pdas(problem)
+    _, exact = postprocess(problem, cells, value_at(gd, sol.p, cells, pts), p)
     ud = problem.assembled().control_target[cells]
     want = project_box(ud - p / problem.alpha, problem.lower, problem.upper)
     assert np.array_equal(exact, want)

@@ -16,7 +16,7 @@ from gdmopt.cases import get_case
 from gdmopt.gd_core import compute_cd, compute_sd_upper, compute_wd
 from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
 from gdmopt.schemes import SCHEMES, build_scheme
-from oracles import gradient_norm
+from oracles import gradient_norm, value_at
 
 
 def make_gd(scheme, m, bc="dirichlet", shift=0.0):
@@ -45,8 +45,8 @@ def test_reconstructions_linear(scheme):
     a, b = 0.7, -1.3
     cells = np.arange(gd.mesh.n_cells)
     pts = gd.mesh.cell_point
-    lhs = gd.value_at(a * v + b * w, cells, pts)
-    rhs = a * gd.value_at(v, cells, pts) + b * gd.value_at(w, cells, pts)
+    lhs = value_at(gd, a * v + b * w, cells, pts)
+    rhs = a * value_at(gd, v, cells, pts) + b * value_at(gd, w, cells, pts)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
     lhs = gd.gradient_table(a * v + b * w)
     rhs = a * gd.gradient_table(v) + b * gd.gradient_table(w)
@@ -61,7 +61,7 @@ def test_mass_matrix_matches_quadrature(scheme):
     rng = np.random.default_rng(4)
     v = rng.standard_normal(gd.n_dofs)
     cells, pts, wts = cell_quadrature(gd.mesh, "gauss7")
-    vals = gd.value_at(v, cells, pts)
+    vals = value_at(gd, v, cells, pts)
     direct = float(wts @ vals ** 2)
     assert v @ (gd.mass_matrix() @ v) == pytest.approx(direct, rel=1e-12)
 
@@ -98,15 +98,19 @@ def test_value_load_matches_cell_coupling():
     # Loading the constant 1 through quadrature equals the exact
     # per-cell coupling integrals: the basis is affine on each cell, so
     # its mean there is its value_center entry.  Loads built together
-    # are the loads built one at a time, bit for bit.
+    # are the loads built one at a time, bit for bit, and values read
+    # from a whole-point-set array by span are the values at the points.
     for scheme in SCHEMES:
         gd = make_gd(scheme, 3, "neumann")
-        _, pts, wts = cell_quadrature(gd.mesh, "gauss3")
-        load, ramp = gd.value_load("gauss3", [np.ones(len(wts)), pts[:, 0] - 0.3])
+        load, ramp = gd.value_load("gauss3", lambda span, p: [np.ones(len(p)), p[:, 0] - 0.3])
         exact = gd.value_center.T @ gd.mesh.cell_area
         np.testing.assert_allclose(load, exact, atol=1e-13)
-        (alone,) = gd.value_load("gauss3", [pts[:, 0] - 0.3])
+        (alone,) = gd.value_load("gauss3", lambda span, p: [p[:, 0] - 0.3])
         assert np.array_equal(ramp, alone)
+        # span places each block in the whole point set.
+        whole = cell_quadrature(gd.mesh, "gauss3")[1][:, 0] - 0.3
+        (sliced,) = gd.value_load("gauss3", lambda span, p: [whole[span]])
+        assert np.array_equal(ramp, sliced)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -262,7 +266,7 @@ def test_wd_matches_dense_oracle(scheme, bc):
         bflux = bwts * (flux_field(bpts) * bnormals).sum(1)
         r = np.empty(gd.n_free)
         for j, e in enumerate(np.eye(gd.n_free)):
-            r[j] = wflux @ gd.value_at(e, cells, pts)
+            r[j] = wflux @ value_at(gd, e, cells, pts)
             if gd.cell_centred:
                 r[j] += pwts @ (gd.gradient_table(e)[pieces] * flux_field(ppts)).sum(1)
             if bc == "neumann":

@@ -12,6 +12,7 @@ from gdmopt.mesh import (
     build_unit_square_triangulation,
 )
 from gdmopt.schemes import build_scheme
+from oracles import value_at
 
 
 def uniform_refine(mesh):
@@ -319,6 +320,6 @@ def test_perturbed_meshes_keep_mesh_and_scheme_identities(domain, m, seed):
     vec = np.random.default_rng(seed).standard_normal(gd.n_dofs)
     interior = np.flatnonzero(~mesh.boundary_faces)
     mids = mesh.face_center[interior]
-    left = gd.value_at(vec, mesh.face_cells[interior, 0], mids)
-    right = gd.value_at(vec, mesh.face_cells[interior, 1], mids)
+    left = value_at(gd, vec, mesh.face_cells[interior, 0], mids)
+    right = value_at(gd, vec, mesh.face_cells[interior, 1], mids)
     assert np.max(np.abs(left - right)) <= 1e-12
