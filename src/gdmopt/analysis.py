@@ -388,8 +388,7 @@ def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, *, level, pdas_iters)
     report does not depend on the block size.
     """
     mesh = gd.mesh
-    coefficients = [(gd.value_center @ v, gd.value_slope_x @ v, gd.value_slope_y @ v)
-                    for v in (y_vec, p_vec)]
+    coefficients = [gd.cell_coefficients(v) for v in (y_vec, p_vec)]
     # Per cell: squared errors and squared targets of y, p and u_tilde.
     sums = np.empty((6, mesh.n_cells))
     for span, block, cells, pts, wts in quadrature_blocks(mesh, function_rule(gd)):
@@ -442,11 +441,16 @@ def _fmt(x):
     return f"{x:.9e}"
 
 
+def _fmt_h(h):
+    return "" if h is None else _fmt(h)
+
+
 def render_csv(reports, failure=None):
     """Render study reports as CSV text (10 significant digits).
 
     failure, if given, is a (level, h) pair appended as a trailing marker
-    row whose err_y field carries the literal FAILED.
+    row whose err_y field carries the literal FAILED; h is None, and its
+    field empty, when the level failed before its mesh was built.
     """
     lines = [CSV_HEADER]
     hs = [r.h for r in reports]
@@ -459,7 +463,7 @@ def render_csv(reports, failure=None):
         lines.append(",".join(row))
     if failure is not None:
         level, h = failure
-        lines.append(",".join([str(level), _fmt(h), "", "FAILED"] + [""] * 12))
+        lines.append(",".join([str(level), _fmt_h(h), "", "FAILED"] + [""] * 12))
     return "\n".join(lines) + "\n"
 
 
@@ -467,7 +471,7 @@ def render_diagnostics_csv(rows, failure=None):
     """Render diagnostics rows (level, h, c_d, w_d_y, s_d_y, s_d_p) as CSV.
 
     failure, if given, is a (level, h) pair appended as a trailing marker
-    row whose c_d field carries the literal FAILED.
+    row whose c_d field carries the literal FAILED (h as in render_csv).
     """
     lines = [DIAGNOSTICS_HEADER]
     for level, h, cd, wd, sdy, sdp in rows:
@@ -476,5 +480,5 @@ def render_diagnostics_csv(rows, failure=None):
         )
     if failure is not None:
         level, h = failure
-        lines.append(",".join([str(level), _fmt(h), "FAILED"] + [""] * 3))
+        lines.append(",".join([str(level), _fmt_h(h), "FAILED"] + [""] * 3))
     return "\n".join(lines) + "\n"

@@ -155,10 +155,15 @@ def assemble_loads(gd, sources):
                 raise ValueError(f"volume source has shape {v.shape}, not ({n},)")
 
         def sample(span, pts):
-            vals = [np.asarray(v(pts), dtype=float) if callable(v) else v[span] for v in data]
-            for v in vals:
-                if v.shape != (len(pts),):
-                    raise ValueError(f"volume source has shape {v.shape} on {len(pts)} points")
+            vals = []
+            for v in data:
+                if callable(v):
+                    v = np.asarray(v(pts), dtype=float)
+                    if v.shape != (len(pts),):
+                        raise ValueError(f"volume source has shape {v.shape} on {len(pts)} points")
+                    vals.append(v)
+                else:
+                    vals.append(v[span])
             return vals
 
         out[given] += gd.value_load(rule, sample)

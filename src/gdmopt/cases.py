@@ -111,8 +111,8 @@ class TestCase:
             gd,
             alpha=self.alpha,
             bounds=self.bounds,
-            y_target=self.y_d,
-            volume_source=self.f,
+            y_target=self.y_d if loads is None else None,
+            volume_source=self.f if loads is None else None,
             control_target=self.u_d,
             reaction=self.reaction,
             loads=loads,

@@ -27,11 +27,12 @@ MAX_LEVEL = 10
 
 class LevelFailure(Exception):
     """Solver breakdown, or memory running out, at one study or diagnostics
-    level; carries the mesh size and the reason, "out of memory" or
-    "solver failure"."""
+    level; carries the mesh size (None if the mesh was not built) and the
+    reason, "out of memory" or "solver failure"."""
 
     def __init__(self, level, h, cause):
-        super().__init__(f"level {level} (h={h:.3e}): {str(cause) or type(cause).__name__}")
+        where = f"level {level}" if h is None else f"level {level} (h={h:.3e})"
+        super().__init__(f"{where}: {str(cause) or type(cause).__name__}")
         self.level = level
         self.h = h
         self.reason = "out of memory" if isinstance(cause, MemoryError) else "solver failure"
@@ -42,11 +43,12 @@ def run_level(case, scheme, level, shift=0.0):
 
     The exact fields are sampled once per point set of the level: the
     loads are summed as they are sampled, and what the error report reads
-    is kept.  A solver breakdown or running out of memory after the mesh
-    is built raises LevelFailure.
+    is kept.  A solver breakdown or running out of memory raises
+    LevelFailure.
     """
-    mesh = case.build_mesh(scheme, 2 ** level, shift=shift)
+    mesh = None
     try:
+        mesh = case.build_mesh(scheme, 2 ** level, shift=shift)
         gd = build_scheme(scheme, mesh, case.bc)
         exact = sample_level(gd, case.fields)
         problem = case.build_problem(gd, loads=exact.loads)
@@ -57,7 +59,7 @@ def run_level(case, scheme, level, shift=0.0):
             level=level, pdas_iters=solution.iterations,
         )
     except (SolverError, MemoryError) as exc:
-        raise LevelFailure(level, mesh.h, exc) from exc
+        raise LevelFailure(level, None if mesh is None else mesh.h, exc) from exc
 
 
 def run_study(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0):
@@ -87,15 +89,16 @@ def run_diagnostics(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0):
     case = get_case(case_name)
     rows = []
     for level in range(levels[0], levels[1] + 1):
-        mesh = case.build_mesh(scheme, 2 ** level, shift=shift)
+        mesh = None
         try:
+            mesh = case.build_mesh(scheme, 2 ** level, shift=shift)
             gd = build_scheme(scheme, mesh, case.bc)
             cd, wd = compute_cd(gd), compute_wd(gd, case.grad_y)
             # The adjoint of every case equals its state, so the state's
             # S_D serves both columns.
             sd = compute_sd_upper(gd, case.y, case.grad_y)
         except (SolverError, MemoryError) as exc:
-            return rows, LevelFailure(level, mesh.h, exc)
+            return rows, LevelFailure(level, None if mesh is None else mesh.h, exc)
         rows.append((level, mesh.h, cd, wd, sd, sd))
     return rows, None
 

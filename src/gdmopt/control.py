@@ -95,7 +95,7 @@ class OptimalControlProblem:
     loads : (2, n_free) array or None
         The source and target loads, when the caller has assembled them
         already (analysis.sample_level does, while it samples a level);
-        volume_source and y_target are then not read.
+        volume_source and y_target must then be None.
     """
 
     gd: Any
@@ -115,9 +115,12 @@ class OptimalControlProblem:
             raise ValueError("empty box: lower bound exceeds upper bound")
         if self.gd.bc == "neumann" and not self.reaction > 0.0:
             raise ValueError("Neumann problems need a positive reaction coefficient")
-        if self.loads is not None and np.shape(self.loads) != (2, self.gd.n_free):
-            raise ValueError(f"loads have shape {np.shape(self.loads)}, "
-                             f"not (2, {self.gd.n_free})")
+        if self.loads is not None:
+            if np.shape(self.loads) != (2, self.gd.n_free):
+                raise ValueError(f"loads have shape {np.shape(self.loads)}, "
+                                 f"not (2, {self.gd.n_free})")
+            if self.volume_source is not None or self.y_target is not None:
+                raise ValueError("loads replace volume_source and y_target; give one or the other")
         self.alpha = float(self.alpha)
         self.reaction = float(self.reaction)
         self._asm = None

@@ -12,6 +12,7 @@ from gdmopt.analysis import (
     CSV_HEADER,
     DIAGNOSTICS_HEADER,
     ErrorReport,
+    LevelSamples,
     cell_quadrature,
     compute_eoc,
     compute_errors,
@@ -222,6 +223,8 @@ def test_render_diagnostics_csv():
     assert len(lines[1].split(",")) == 6
     marker = render_diagnostics_csv(rows, failure=(4, 0.125)).strip().split("\n")[-1]
     assert marker == "4,1.250000000e-01,FAILED,,,"
+    marker = render_diagnostics_csv(rows, failure=(4, None)).strip().split("\n")[-1]
+    assert marker == "4,,FAILED,,,"
 
 
 def test_render_csv_deterministic():
@@ -235,8 +238,8 @@ def test_render_csv_deterministic():
 def test_blocks_match_one_block(monkeypatch, name, scheme):
     # At level 3 each point set is one block.  Blocks of 40 points hold
     # a few whole cells and divide none of the point sets, and still
-    # give the same loads, mass matrix and error report bit for bit;
-    # samples that one block shares stay shared.
+    # give the same loads, kept samples, mass matrix and error report
+    # bit for bit; samples that one block shares stay shared.
     case = get_case(name)
 
     def level(fields):
@@ -259,7 +262,9 @@ def test_blocks_match_one_block(monkeypatch, name, scheme):
     monkeypatch.setattr(analysis, "BLOCK_POINTS", 40)
     blocked = level(counted)
     assert len(calls) > 4 and max(calls) <= 40
-    assert np.array_equal(blocked[0].loads, whole[0].loads)
+    for field in dataclasses.fields(LevelSamples):
+        if field.name != "fields":
+            assert np.array_equal(getattr(blocked[0], field.name), getattr(whole[0], field.name))
     assert (blocked[0].y is blocked[0].p) == (whole[0].y is whole[0].p)
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(blocked[1], attr), getattr(whole[1], attr))

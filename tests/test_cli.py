@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gdmopt
-from gdmopt import assembly, cli, control
+from gdmopt import assembly, cases, cli, control
 from gdmopt.cli import MAX_LEVEL, build_parser, main, run_diagnostics, run_study
 from gdmopt.gd_core import compute_sd_upper
 
@@ -186,21 +186,24 @@ def test_diagnostics_failure_partial_csv(tmp_path, capsys, monkeypatch):
     assert "solver failure: level 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("diagnostics", [False, True], ids=["study", "diagnostics"])
-def test_memory_error_ends_table(tmp_path, capsys, monkeypatch, diagnostics):
+@pytest.mark.parametrize("diagnostics,step", [
+    (False, "solve_kkt_pdas"), (True, "compute_cd"), (False, "build_mesh"), (True, "build_mesh"),
+], ids=["study", "diagnostics", "study-mesh", "diagnostics-mesh"])
+def test_memory_error_ends_table(tmp_path, capsys, monkeypatch, diagnostics, step):
     # Memory running out inside a level ends the table as a solver
     # failure does, with the cause on stderr.  A patched step raises
-    # MemoryError at the second level; nothing is allocated.
-    name = "compute_cd" if diagnostics else "solve_kkt_pdas"
-    real, calls = getattr(cli, name), []
+    # MemoryError at the second level; nothing is allocated.  A level
+    # whose mesh was not built has no h: its field stays empty.
+    owner = cases.TestCase if step == "build_mesh" else cli
+    real, calls = getattr(owner, step), []
 
-    def fail_second(*args):
+    def fail_second(*args, **kwargs):
         calls.append(None)
         if len(calls) == 2:
             raise MemoryError
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, fail_second)
+    monkeypatch.setattr(owner, step, fail_second)
     args = ["--case", "example1", "--scheme", "p1", "--levels", "2..4"]
     code, text = run_cli(tmp_path, args + ["--diagnostics"] * diagnostics)
     assert code == 1
@@ -209,7 +212,9 @@ def test_memory_error_ends_table(tmp_path, capsys, monkeypatch, diagnostics):
     marker = lines[2].split(",")
     assert marker[0] == "3" and marker[3 if not diagnostics else 2] == "FAILED"
     err = capsys.readouterr().err
-    assert err.startswith("out of memory: level 3 (h=") and "MemoryError" in err
+    where = "level 3: " if step == "build_mesh" else "level 3 (h="
+    assert err.startswith("out of memory: " + where) and "MemoryError" in err
+    assert (marker[1] == "") == (step == "build_mesh")
 
 
 def test_run_diagnostics_keeps_rows_before_failure(monkeypatch):

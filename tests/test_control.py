@@ -507,3 +507,10 @@ def test_problem_validations():
     gdn = build_scheme("p1", build_unit_square_triangulation(2), "neumann")
     with pytest.raises(ValueError):
         OptimalControlProblem(gdn, alpha=1.0, bounds=(0, 1), y_target=target)
+    # Assembled loads replace the source and the target.
+    loads = np.zeros((2, gd.n_free))
+    with pytest.raises(ValueError):
+        OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), y_target=target, loads=loads)
+    with pytest.raises(ValueError):
+        OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), y_target=None, loads=loads[:1])
+    OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), y_target=None, loads=loads)
