@@ -9,12 +9,13 @@ constant), gradient errors always use one centroid point per region of
 constant discrete gradient, control errors use a degree-2 rule, and
 post-processed control errors use the function rule.
 Relative errors are reported; numerator and denominator share a rule.
-``sample_level`` evaluates a case's exact fields once on each point set
-this protocol reads on a level before the solve, and only the fields
-read there; ``compute_errors`` samples u after it.  Cell quadrature
-points are built one block of whole cells at a time, when a pass reaches
-the block (``quadrature_blocks``), so a level keeps no array of a whole
-quadrature point set.
+Each point set this protocol reads on a level is sampled once, and only
+for the fields read there: ``sample_level`` samples the load rule's
+points before the solve and keeps, block by block, what the errors read
+there; ``compute_errors`` samples the other point sets after it.  Cell
+quadrature points are built one block of whole cells at a time, when a
+pass reaches the block (``quadrature_blocks``), so a level keeps no
+array of a whole quadrature point set.
 """
 
 import functools
@@ -263,27 +264,19 @@ def function_rule(gd):
 
 @dataclass(frozen=True)
 class LevelSamples:
-    """What a level keeps of the exact fields of a case between its
-    sampling pass and its error pass (sample_level).
+    """What a level keeps of the exact fields of a case between its load
+    pass and its error pass (sample_level).
 
     loads holds the source and target loads, assembled while f and y_d
-    were sampled.  y and p are at the points the function errors read:
-    those of ``function_rule(gd)`` for nodal schemes, the cell points for
-    cell-centred ones.  post_p and post_u are p and u at the points of
-    ``function_rule(gd)``, which the post-processed control reads; for
-    nodal schemes post_p is p.  grad_y and grad_p are at the gradient
-    piece centres.  fields is the case's ``fields``, which the error pass
-    samples u from at the gauss3 points.  Fields that the case gives as
-    one array stay one array here.
+    were sampled.  blocks holds one Fields per block of the points of
+    ``function_rule(gd)``, in quadrature_blocks' order, with p and u, and
+    y for nodal schemes; fields that the case gives as one array stay
+    one array.  fields is the case's ``fields``, which the error pass
+    samples at the other points it reads.
     """
 
     loads: np.ndarray
-    y: np.ndarray
-    p: np.ndarray
-    grad_y: np.ndarray
-    grad_p: np.ndarray
-    post_p: np.ndarray
-    post_u: np.ndarray
+    blocks: list
     fields: Callable
 
 
@@ -296,75 +289,74 @@ def cell_blocks(n_points, n_cells):
     return [slice(start, min(start + step, n_points)) for start in range(0, n_points, step)]
 
 
-def _keeper(names, n_points):
-    """A dict out and a function keep(span, part) that writes the entries
-    of part (a case's Fields) named in names into out[name][span].  The
-    arrays of out have n_points rows and are allocated on the first call;
-    names whose entries are one array in part share one array."""
-    out, distinct = {}, []
-
-    def keep(span, part):
-        if not out:
-            for name in names:
-                entry = getattr(part, name)
-                same = [m for m in out if getattr(part, m) is entry]
-                if same:
-                    out[name] = out[same[0]]
-                else:
-                    out[name] = np.empty((n_points,) + entry.shape[1:], dtype=entry.dtype)
-                    distinct.append(name)
-        for name in distinct:
-            out[name][span] = getattr(part, name)
-
-    return out, keep
-
-
-def _sample(fields, pts, names, n_cells):
-    """The arrays of fields(pts, names) by name, evaluated over the
-    cell_blocks of pts and written into arrays allocated once."""
-    out, keep = _keeper(names, len(pts))
-    for span in cell_blocks(len(pts), n_cells):
-        keep(span, fields(pts[span], names))
-    return out
-
-
 def sample_level(gd, fields):
     """The LevelSamples of a level: one pass over the blocks of the load
     rule's points samples the values there (not y for cell-centred
     schemes), sums f and y_d into the loads (GradientDiscretisation.
-    value_load) and keeps y, p and u; then y and p are sampled at the
-    cell points of cell-centred schemes and the gradients at the piece
-    centres."""
-    mesh = gd.mesh
-    n = mesh.n_cells
-    rule = function_rule(gd)
+    value_load) and keeps the other values of each block."""
     kept = ("p", "u") if gd.cell_centred else ("y", "p", "u")
-    load, keep = _keeper(kept, n * len(reference_rule(mesh, rule)[1]))
+    blocks = []
 
     def sample(span, pts):
         part = fields(pts, kept + ("f", "y_d"))
-        keep(span, part)
+        blocks.append(part._replace(f=None, y_d=None))
         return [part.f, part.y_d]
 
-    loads = gd.value_load(rule, sample)
-    value = _sample(fields, mesh.cell_point, ("y", "p"), n) if gd.cell_centred else load
-    gradient = _sample(fields, gd.piece_center, ("grad_y", "grad_p"), n)
-    return LevelSamples(
-        loads=loads, y=value["y"], p=value["p"], grad_y=gradient["grad_y"],
-        grad_p=gradient["grad_p"], post_p=load["p"], post_u=load["u"], fields=fields,
-    )
+    return LevelSamples(gd.value_load(function_rule(gd), sample), blocks, fields)
 
 
-def gradient_error(gd, vec, target):
-    """Relative L2 distance between the reconstructed gradient and target
-    values at the piece centres: one centroid point per region of
-    constant discrete gradient.
-    """
-    g = gd.gradient_table(vec)
-    w = gd.piece_area
-    num = float(w @ ((g - target) ** 2).sum(1))
-    den = float(w @ (target ** 2).sum(1))
-    return _relative(num, den)
+def _gradient_errors(gd, fields, vecs):
+    """Relative errors of the gradients of the DOF vectors vecs (state,
+    adjoint) at the piece centres: one centroid point per region of
+    constant discrete gradient, sampled block by block."""
+    centers = gd.piece_center
+    tables = [gd.gradient_table(v) for v in vecs]
+    # Per piece: squared errors and squared targets of grad y and grad p.
+    sq = np.empty((4, len(centers)))
+    for span in cell_blocks(len(centers), gd.mesh.n_cells):
+        part = fields(centers[span], ("grad_y", "grad_p"))
+        gy, gp = part.grad_y, part.grad_p
+        for row, v in enumerate((tables[0][span] - gy, gy, tables[1][span] - gp,
+                                 None if gp is gy else gp)):
+            sq[row, span] = sq[1, span] if v is None else (v ** 2).sum(1)
+    return [_relative(float(gd.piece_area @ sq[i]), float(gd.piece_area @ sq[i + 1]))
+            for i in (0, 2)]
+
+
+def _function_errors(gd, exact, vecs, post):
+    """Relative errors of y, p and the post-processed control over the
+    load rule's blocks, beside the samples kept there (cell-centred
+    schemes sample y and p at the cell points); y and p are
+    reconstructed from one gather of centroid offsets per block."""
+    mesh = gd.mesh
+    coefficients = [gd.cell_coefficients(v) for v in vecs]
+    # Per cell: squared errors and squared targets of y, p and u_tilde.
+    sums = np.empty((6, mesh.n_cells))
+    blocks = zip(quadrature_blocks(mesh, function_rule(gd)), exact.blocks, strict=True)
+    for (_, block, cells, pts, wts), kept in blocks:
+        offsets = centroid_offsets(mesh, cells, pts)
+        y_h, p_h = (affine_at(c, cells, offsets) for c in coefficients)
+        # One point per cell for cell-centred schemes: block is the span.
+        value = exact.fields(mesh.cell_point[block], ("y", "p")) if gd.cell_centred else kept
+        y, p = value.y, value.p
+        discrete, exact_post = post(cells, p_h, kept.p)
+        for row, part in enumerate(((y_h - y) ** 2, y ** 2, (p_h - p) ** 2,
+                                    None if p is y else p ** 2,
+                                    (discrete - exact_post) ** 2, kept.u ** 2)):
+            sums[row, block] = (sums[1, block] if part is None
+                                else block_sums(block, cells, wts * part))
+    return [_relative(float(sums[i].sum()), float(sums[i + 1].sum())) for i in (0, 2, 4)]
+
+
+def _control_error(mesh, fields, u_cells):
+    """Relative error of the cellwise control against u, sampled at the
+    gauss3 points block by block."""
+    sums = np.empty((2, mesh.n_cells))
+    for _, block, cells, pts, wts in quadrature_blocks(mesh, "gauss3"):
+        u = fields(pts, ("u",)).u
+        sums[0, block] = block_sums(block, cells, wts * (u_cells[cells] - u) ** 2)
+        sums[1, block] = block_sums(block, cells, wts * u ** 2)
+    return _relative(float(sums[0].sum()), float(sums[1].sum()))
 
 
 def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, *, level, pdas_iters):
@@ -380,43 +372,24 @@ def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, *, level, pdas_iters)
         post-processed controls at points inside cells from the discrete
         and the exact adjoint there (control.postprocess of the problem)
 
-    The function errors of y and p and the post-processed control error
-    come from one pass over the blocks of the load rule's points, which
-    reconstructs y and p from one gather of centroid offsets; the control
-    error from one pass over the gauss3 blocks, which samples u.  Both
-    passes sum per cell (block_sums) and then over the cells, so the
-    report does not depend on the block size.
+    Three passes, each over blocks and each freeing its tables before
+    the next, sum every error per piece or per cell and then over them
+    all, so the report does not depend on the block size.  The exact
+    adjoint is the state in every case: where a block's p is its y, the
+    sums of y serve p.
     """
-    mesh = gd.mesh
-    coefficients = [gd.cell_coefficients(v) for v in (y_vec, p_vec)]
-    # Per cell: squared errors and squared targets of y, p and u_tilde.
-    sums = np.empty((6, mesh.n_cells))
-    for span, block, cells, pts, wts in quadrature_blocks(mesh, function_rule(gd)):
-        # One point per cell for cell-centred schemes: span is block.
-        offsets = centroid_offsets(mesh, cells, pts)
-        y_h, p_h = (affine_at(c, cells, offsets) for c in coefficients)
-        y, p = exact.y[span], exact.p[span]
-        discrete, exact_post = post(cells, p_h, exact.post_p[span])
-        u = exact.post_u[span]
-        for row, part in enumerate(((y_h - y) ** 2, y ** 2, (p_h - p) ** 2, p ** 2,
-                                    (discrete - exact_post) ** 2, u ** 2)):
-            sums[row, block] = block_sums(block, cells, wts * part)
-    control = np.empty((2, mesh.n_cells))
-    for _, block, cells, pts, wts in quadrature_blocks(mesh, "gauss3"):
-        u = exact.fields(pts, ("u",)).u
-        control[0, block] = block_sums(block, cells, wts * (u_cells[cells] - u) ** 2)
-        control[1, block] = block_sums(block, cells, wts * u ** 2)
-    err_y, err_p, err_u_tilde = (
-        _relative(float(sums[i].sum()), float(sums[i + 1].sum())) for i in (0, 2, 4))
+    vecs = (y_vec, p_vec)
+    err_grad_y, err_grad_p = _gradient_errors(gd, exact.fields, vecs)
+    err_y, err_p, err_u_tilde = _function_errors(gd, exact, vecs, post)
     return ErrorReport(
         level=level,
-        h=mesh.h,
+        h=gd.mesh.h,
         dofs=gd.n_free,
         err_y=err_y,
-        err_grad_y=gradient_error(gd, y_vec, exact.grad_y),
+        err_grad_y=err_grad_y,
         err_p=err_p,
-        err_grad_p=gradient_error(gd, p_vec, exact.grad_p),
-        err_u=_relative(float(control[0].sum()), float(control[1].sum())),
+        err_grad_p=err_grad_p,
+        err_u=_control_error(gd.mesh, exact.fields, u_cells),
         err_u_tilde=err_u_tilde,
         pdas_iters=pdas_iters,
     )

@@ -9,11 +9,12 @@ never coincide with the corner, which is always a mesh vertex.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .assembly import assemble_loads
 from .control import OptimalControlProblem, project_box
 from .mesh import (
     build_cartesian_mesh,
@@ -57,9 +58,8 @@ class TestCase:
     ``fields(pts, names)`` returns the exact fields named in names (all
     of them by default) as a ``Fields``, and computes only what those
     need; each entry is the same whichever names are asked for with it.
-    A single-field closure (y, grad_y, p, grad_p, u, f, y_d) that is not
-    given reads its entry of ``fields``; one that is given must agree
-    with that entry bit for bit.
+    Each single-field closure (y, grad_y, p, grad_p, u, f, y_d) reads
+    its entry of ``fields``.
 
     f_b is None on every case and nothing in the package reads it; it
     stays while the benchmark tracer wraps the case closures by name.
@@ -72,20 +72,19 @@ class TestCase:
     bounds: tuple
     reaction: float
     fields: Callable
-    y: Optional[Callable] = None
-    grad_y: Optional[Callable] = None
-    p: Optional[Callable] = None
-    grad_p: Optional[Callable] = None
-    u: Optional[Callable] = None
-    f: Optional[Callable] = None
-    y_d: Optional[Callable] = None
     u_d: Optional[Callable] = None
     f_b: Optional[Callable] = None
+    y: Callable = field(init=False)
+    grad_y: Callable = field(init=False)
+    p: Callable = field(init=False)
+    grad_p: Callable = field(init=False)
+    u: Callable = field(init=False)
+    f: Callable = field(init=False)
+    y_d: Callable = field(init=False)
 
     def __post_init__(self):
         for name in Fields._fields:
-            if getattr(self, name) is None:
-                setattr(self, name, functools.partial(_entry, self.fields, name))
+            setattr(self, name, functools.partial(_entry, self.fields, name))
 
     def build_mesh(self, scheme, m, shift=0.0):
         """Mesh family used by a scheme on this case's domain."""
@@ -104,18 +103,17 @@ class TestCase:
 
         loads, if given, are the source and target loads already
         assembled (the ``loads`` of ``analysis.sample_level``); otherwise
-        the closures f and y_d are evaluated at the points of the load
-        rule (``analysis.function_rule``).
+        the closures f and y_d are summed into them (assemble_loads).
         """
+        if loads is None:
+            loads = assemble_loads(gd, [self.f, self.y_d])
         return OptimalControlProblem(
             gd,
             alpha=self.alpha,
             bounds=self.bounds,
-            y_target=self.y_d if loads is None else None,
-            volume_source=self.f if loads is None else None,
+            loads=loads,
             control_target=self.u_d,
             reaction=self.reaction,
-            loads=loads,
         )
 
 
@@ -123,14 +121,6 @@ def smooth_dirichlet_case():
     """Distributed control on the unit square, one-sided box [0, inf)."""
     alpha = 1.0
     lower, upper = 0.0, np.inf
-
-    def y(pts):
-        return np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
-
-    def grad_y(pts):
-        sx, cx = np.sin(np.pi * pts[:, 0]), np.cos(np.pi * pts[:, 0])
-        sy, cy = np.sin(np.pi * pts[:, 1]), np.cos(np.pi * pts[:, 1])
-        return np.pi * np.column_stack([cx * sy, sx * cy])
 
     def u_d(pts):
         return (
@@ -141,17 +131,19 @@ def smooth_dirichlet_case():
 
     def fields(pts, names=Fields._fields):
         need = set(names)
-        yv = y(pts) if need - GRADIENTS else None
-        gv = grad_y(pts) if need & GRADIENTS else None
+        px, py = np.pi * pts[:, 0], np.pi * pts[:, 1]
+        yv = np.sin(px) * np.sin(py) if need - GRADIENTS else None
+        gv = None
+        if need & GRADIENTS:
+            gv = np.pi * np.column_stack([np.cos(px) * np.sin(py), np.sin(px) * np.cos(py)])
         u = project_box(u_d(pts) - yv / alpha, lower, upper) if need & {"u", "f"} else None
         f = 2.0 * np.pi ** 2 * yv - u if "f" in need else None
         y_d = (1.0 - 2.0 * np.pi ** 2) * yv if "y_d" in need else None
         return _only(need, yv, gv, yv, gv, u, f, y_d)
 
-    # The adjoint is the state.  y and grad_y stay direct closures, since
-    # the diagnostics sample them alone on large point sets.
+    # The adjoint is the state.
     return TestCase("example1", "dirichlet", "unit-square", alpha, (lower, upper), 0.0,
-                    fields, y=y, grad_y=grad_y, p=y, grad_p=grad_y, u_d=u_d)
+                    fields, u_d=u_d)
 
 
 def _corner_singular_parts(pts, order=2):
@@ -237,27 +229,20 @@ def smooth_neumann_case():
     alpha = 1e-3
     lower, upper = -750.0, -50.0
 
-    def y(pts):
-        return -(np.cos(np.pi * pts[:, 0]) + np.cos(np.pi * pts[:, 1])) / np.pi
-
-    def grad_y(pts):
-        return np.column_stack(
-            [np.sin(np.pi * pts[:, 0]), np.sin(np.pi * pts[:, 1])]
-        )
-
     def fields(pts, names=Fields._fields):
         need = set(names)
-        yv = y(pts) if need - GRADIENTS else None
-        gv = grad_y(pts) if need & GRADIENTS else None
+        px, py = np.pi * pts[:, 0], np.pi * pts[:, 1]
+        yv = -(np.cos(px) + np.cos(py)) / np.pi if need - GRADIENTS else None
+        gv = np.column_stack([np.sin(px), np.sin(py)]) if need & GRADIENTS else None
         u = project_box(-yv / alpha, lower, upper) if need & {"u", "f"} else None
         # f = -lap(y) + y - u with lap(y) = -pi^2 y
         f = (np.pi ** 2 + 1.0) * yv - u if "f" in need else None
         y_d = -np.pi ** 2 * yv if "y_d" in need else None
         return _only(need, yv, gv, yv, gv, u, f, y_d)
 
-    # As in example1, the adjoint is the state and y, grad_y stay direct.
+    # As in example1, the adjoint is the state.
     return TestCase("example3-neumann", "neumann", "unit-square", alpha, (lower, upper),
-                    1.0, fields, y=y, grad_y=grad_y, p=y, grad_p=grad_y)
+                    1.0, fields)
 
 
 def get_case(name):

@@ -28,7 +28,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .analysis import block_sums, quadrature_blocks
-from .assembly import SolverError, SPDFactor, assemble_loads, check_symmetry
+from .assembly import SolverError, SPDFactor, check_symmetry
 
 # Active-set iterations solve_kkt_pdas may take; PDAS ends in finitely
 # many steps, so this is only a safety net.
@@ -83,29 +83,23 @@ class OptimalControlProblem:
     bounds : (float, float)
         Box constraints; infinite entries disable a side.  They are also
         available as ``lower`` and ``upper``.
-    y_target : callable or array
-        Desired state, evaluated at quadrature points (see assemble_loads).
-    volume_source : callable, array or None
-        Fixed source of the state equation (see assemble_loads).
+    loads : (2, n_free) array
+        The loads of the fixed source of the state equation and of the
+        desired state (assembly.assemble_loads; analysis.sample_level
+        sums them while it samples a level).
     control_target : callable or None
         Distributed control shift u_d (defaults to zero).
     reaction : float
         Zero-order coefficient c0 of the state equation -lap y + c0 y =
         f + u; must be positive for Neumann problems.
-    loads : (2, n_free) array or None
-        The source and target loads, when the caller has assembled them
-        already (analysis.sample_level does, while it samples a level);
-        volume_source and y_target must then be None.
     """
 
     gd: Any
     alpha: float
     bounds: tuple
-    y_target: Any
-    volume_source: Any = None
+    loads: np.ndarray
     control_target: Optional[Callable] = None
     reaction: float = 0.0
-    loads: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.lower, self.upper = float(self.bounds[0]), float(self.bounds[1])
@@ -115,12 +109,9 @@ class OptimalControlProblem:
             raise ValueError("empty box: lower bound exceeds upper bound")
         if self.gd.bc == "neumann" and not self.reaction > 0.0:
             raise ValueError("Neumann problems need a positive reaction coefficient")
-        if self.loads is not None:
-            if np.shape(self.loads) != (2, self.gd.n_free):
-                raise ValueError(f"loads have shape {np.shape(self.loads)}, "
-                                 f"not (2, {self.gd.n_free})")
-            if self.volume_source is not None or self.y_target is not None:
-                raise ValueError("loads replace volume_source and y_target; give one or the other")
+        if np.shape(self.loads) != (2, self.gd.n_free):
+            raise ValueError(f"loads have shape {np.shape(self.loads)}, "
+                             f"not (2, {self.gd.n_free})")
         self.alpha = float(self.alpha)
         self.reaction = float(self.reaction)
         self._asm = None
@@ -145,10 +136,7 @@ class _Assembly:
         gd = problem.gd
         self.stiffness = gd.stiffness(problem.reaction)
         self.mass = gd.mass_matrix()
-        loads = problem.loads
-        if loads is None:
-            loads = assemble_loads(gd, [problem.volume_source, problem.y_target])
-        self.source_load, self.target_load = loads
+        self.source_load, self.target_load = problem.loads
         if problem.control_target is None:
             self.control_target = np.zeros(gd.mesh.n_cells)
         else:

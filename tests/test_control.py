@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gdmopt import assembly, control
 from gdmopt.analysis import cell_quadrature, function_rule
-from gdmopt.assembly import SolverError
+from gdmopt.assembly import SolverError, assemble_loads
 from gdmopt.cases import get_case
 from gdmopt.control import (
     OptimalControlProblem,
@@ -31,8 +31,8 @@ from oracles import projection_identity_gap, value_at, variational_inequality_ga
 def synthetic_problem(gd, bounds=(0.0, np.inf), alpha=1.0):
     target = lambda pts: np.sin(np.pi * pts[:, 0]) * pts[:, 1]
     shift = lambda pts: 1.0 - pts[:, 0]
-    return OptimalControlProblem(gd, alpha=alpha, bounds=bounds, y_target=target,
-                                 control_target=shift)
+    return OptimalControlProblem(gd, alpha=alpha, bounds=bounds,
+                                 loads=assemble_loads(gd, [None, target]), control_target=shift)
 
 
 def case_problem(name, scheme, m):
@@ -176,7 +176,7 @@ def test_unbounded_solution_is_linear_in_data():
     target = lambda pts: np.sin(np.pi * pts[:, 0]) * pts[:, 1]
     make = lambda c: OptimalControlProblem(
         gd, alpha=0.5, bounds=(-np.inf, np.inf),
-        y_target=lambda pts: c * target(pts),
+        loads=assemble_loads(gd, [None, lambda pts: c * target(pts)]),
     )
     base = solve_kkt_pdas(make(1.0))
     scaled = solve_kkt_pdas(make(3.0))
@@ -277,10 +277,12 @@ def test_pdas_matches_reference_on_random_boxes(case_name, scheme, log_alpha, cu
     case = get_case(case_name)
     gd = build_scheme(scheme, case.build_mesh(scheme, 4), case.bc)
 
+    loads = assemble_loads(gd, [case.f, case.y_d])
+
     def problem(bounds):
         return OptimalControlProblem(
-            gd, alpha=10.0 ** log_alpha, bounds=bounds, y_target=case.y_d,
-            volume_source=case.f, control_target=case.u_d, reaction=case.reaction,
+            gd, alpha=10.0 ** log_alpha, bounds=bounds, loads=loads,
+            control_target=case.u_d, reaction=case.reaction,
         )
 
     free = solve_kkt_pdas(problem((-np.inf, np.inf))).u
@@ -325,7 +327,8 @@ def test_pdas_zero_data_returns_zeros_without_cg_steps(monkeypatch):
     monkeypatch.setattr(control, "PCG_MAX_ITER", 0)
     gd = build_scheme("p1", build_unit_square_triangulation(4), "dirichlet")
     zero = lambda pts: np.zeros(len(pts))
-    problem = OptimalControlProblem(gd, alpha=1.0, bounds=(-1.0, 1.0), y_target=zero)
+    problem = OptimalControlProblem(gd, alpha=1.0, bounds=(-1.0, 1.0),
+                                    loads=assemble_loads(gd, [None, zero]))
     sol = solve_kkt_pdas(problem)
     assert not sol.u.any() and not sol.y.any() and not sol.p.any()
     assert sol.history == [(0, 0, 0, False)]
@@ -428,10 +431,12 @@ def test_certified_pdas_follows_exact_active_sets(case_name, scheme, log_alpha, 
     case = get_case(case_name)
     gd = build_scheme(scheme, case.build_mesh(scheme, 8), case.bc)
 
+    loads = assemble_loads(gd, [case.f, case.y_d])
+
     def problem(bounds):
         return OptimalControlProblem(
-            gd, alpha=10.0 ** log_alpha, bounds=bounds, y_target=case.y_d,
-            volume_source=case.f, control_target=case.u_d, reaction=case.reaction,
+            gd, alpha=10.0 ** log_alpha, bounds=bounds, loads=loads,
+            control_target=case.u_d, reaction=case.reaction,
         )
 
     free = solve_kkt_pdas(problem((-np.inf, np.inf))).u
@@ -499,18 +504,15 @@ def test_reference_step_eigenvalue_matches_full_eigh():
 
 def test_problem_validations():
     gd = build_scheme("p1", build_unit_square_triangulation(2), "dirichlet")
-    target = lambda pts: pts[:, 0]
-    with pytest.raises(ValueError):
-        OptimalControlProblem(gd, alpha=0.0, bounds=(0, 1), y_target=target)
-    with pytest.raises(ValueError):
-        OptimalControlProblem(gd, alpha=1.0, bounds=(1, 0), y_target=target)
-    gdn = build_scheme("p1", build_unit_square_triangulation(2), "neumann")
-    with pytest.raises(ValueError):
-        OptimalControlProblem(gdn, alpha=1.0, bounds=(0, 1), y_target=target)
-    # Assembled loads replace the source and the target.
     loads = np.zeros((2, gd.n_free))
     with pytest.raises(ValueError):
-        OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), y_target=target, loads=loads)
+        OptimalControlProblem(gd, alpha=0.0, bounds=(0, 1), loads=loads)
     with pytest.raises(ValueError):
-        OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), y_target=None, loads=loads[:1])
-    OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), y_target=None, loads=loads)
+        OptimalControlProblem(gd, alpha=1.0, bounds=(1, 0), loads=loads)
+    gdn = build_scheme("p1", build_unit_square_triangulation(2), "neumann")
+    with pytest.raises(ValueError):
+        OptimalControlProblem(gdn, alpha=1.0, bounds=(0, 1), loads=np.zeros((2, gdn.n_free)))
+    # One row per load, one column per unknown.
+    with pytest.raises(ValueError):
+        OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), loads=loads[:1])
+    OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), loads=loads)
