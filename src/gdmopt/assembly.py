@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .analysis import function_rule, reference_rule
+from .analysis import function_rule
 
 # Backward error accepted from a direct solve, after refinement:
 # ||b - A x||_inf <= SOLVE_TOL * (||A||_inf ||x||_inf + ||b||_inf).
@@ -28,6 +28,14 @@ def _inf_norm(v):
     """max |v_i| without an |v| temporary, 0 for an empty v and nan when v
     holds a nan (np.maximum propagates it, as max would not)."""
     return np.maximum(v.max(initial=0.0), -v.min(initial=0.0))
+
+
+def _matrix_inf_norm(a):
+    """||A||_inf = max_i sum_j |a_ij| of a CSR or CSC matrix: |data| on the
+    matrix's own index arrays, times a vector of ones, so no copy or
+    64-bit cast of its indices is made."""
+    absolute = type(a)((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
+    return (absolute @ np.ones(a.shape[1])).max(initial=0.0)
 
 
 def check_symmetry(a):
@@ -60,7 +68,7 @@ class SPDFactor:
             )
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SolverError(f"sparse factorisation failed: {exc}") from exc
-        self._norm = np.asarray(abs(self.matrix).sum(axis=1)).max(initial=0.0)
+        self._norm = _matrix_inf_norm(self.matrix)
 
     def solve(self, b, x0=None):
         """Solution of A x = b, refined to the backward-error tolerance.
@@ -97,8 +105,8 @@ class SPDFactor:
             solves += 1
 
     def cg_solve(self, a, b):
-        """Solution of A x = b for an SPD matrix A near the factored one,
-        by conjugate gradients preconditioned with the factor.
+        """Solution of A x = b for an SPD matrix A (CSR or CSC) near the
+        factored one, by conjugate gradients preconditioned with the factor.
 
         It stops on the backward-error contract of solve, checked on the
         true residual: ||b - A x||_inf <= SOLVE_TOL (||A||_inf ||x||_inf +
@@ -110,7 +118,7 @@ class SPDFactor:
         """
         b = np.asarray(b, dtype=float)
         bnorm = _inf_norm(b)
-        anorm = np.asarray(abs(a).sum(axis=1)).max(initial=0.0)
+        anorm = _matrix_inf_norm(a)
         x, r, d = np.zeros_like(b), b, np.zeros_like(b)
         rz_old = np.inf  # no previous direction: the first one is z
         steps = 0
@@ -137,36 +145,17 @@ class SPDFactor:
 
 def assemble_loads(gd, sources):
     """Load vectors on the unknowns of gd, one row per volume source: a
-    callable, its values at the points of ``analysis.function_rule(gd)``
-    (the rule of the error measurement protocol, listed cell by cell), or
-    None for a zero load.  The loads share one pass over the rule's
-    points, block by block (GradientDiscretisation.value_load), in which
-    each callable is evaluated on the points of the block.
+    callable or None for a zero load.  The loads share one pass over the
+    points of ``analysis.function_rule(gd)`` (the rule of the error
+    measurement protocol), block by block (GradientDiscretisation.
+    value_load), in which each callable is evaluated on the points of
+    the block.
     """
     out = np.zeros((len(sources), gd.n_free))
     given = [i for i, s in enumerate(sources) if s is not None]
     if given:
-        rule = function_rule(gd)
-        n = gd.mesh.n_cells * len(reference_rule(gd.mesh, rule)[1])
-        data = [sources[i] if callable(sources[i]) else np.asarray(sources[i], dtype=float)
-                for i in given]
-        for v in data:
-            if not callable(v) and v.shape != (n,):
-                raise ValueError(f"volume source has shape {v.shape}, not ({n},)")
-
-        def sample(span, pts):
-            vals = []
-            for v in data:
-                if callable(v):
-                    v = np.asarray(v(pts), dtype=float)
-                    if v.shape != (len(pts),):
-                        raise ValueError(f"volume source has shape {v.shape} on {len(pts)} points")
-                    vals.append(v)
-                else:
-                    vals.append(v[span])
-            return vals
-
-        out[given] += gd.value_load(rule, sample)
+        out[given] += gd.value_load(function_rule(gd), lambda span, pts: [
+            np.asarray(sources[i](pts), dtype=float) for i in given])
     return out
 
 

@@ -14,8 +14,11 @@ of the candidate control (from the CG residual and a Lanczos estimate
 of the Hessian's spectrum) proves the next active sets, except for a
 final run to full accuracy once they repeat, so the iteration visits the
 same active sets as one with exact inner solves.  The second solver is a
-dense accelerated projected-gradient reference (FISTA with adaptive
-restart) used to cross-check it on small meshes.
+dense reference used to cross-check it on small meshes: accelerated
+projected gradient (FISTA with adaptive restart) identifies the active
+sets, and once they repeat a dense Cholesky solve on their inactive set
+is tried as a finish.  Either way it returns only a control that passed
+its natural-residual test.
 """
 
 import functools
@@ -381,10 +384,24 @@ def solve_kkt_reference(problem):
     gradient step) runs in the control-cost metric with the step
     1 / (1 + largest eigenvalue), until the natural residual
     max|u - P(u_d - W^-1 B^T p)| is at most REFERENCE_TOL * max(1,
-    max|u|); it returns that u, the iterate whose residual it checked,
-    and raises SolverError with the residual it reached after
-    REFERENCE_MAX_ITER iterations.  Shares no code path with the
-    active-set solver beyond problem assembly.
+    max|u|).
+
+    Verified dense finish.  When the active sets of the raw candidate
+    u_d - W^-1 B^T p (entries below lower, entries above upper) equal
+    those of the previous iteration, and that pair has not been tried,
+    the controls on them are pinned to their bounds and the stationarity
+    equations on the inactive set I,
+
+        (W_I + H_II) u_I = W_I u_d,I - shift_I - H_IA u_A,
+
+    are solved by a dense Cholesky factorisation; the box projection of
+    that control is returned if it passes the same residual test, and
+    otherwise FISTA goes on from its own unchanged state.  So the
+    returned u is always one whose natural residual was checked, a FISTA
+    iterate or a finish, and the iteration count is that of the FISTA
+    loop when it stopped.  SolverError, with the residual reached, is
+    raised after REFERENCE_MAX_ITER iterations.  Shares no code path with
+    the active-set solver beyond problem assembly.
     """
     if problem.gd.n_dofs > 500:
         raise ValueError("reference solver is restricted to at most 500 DOFs")
@@ -407,18 +424,45 @@ def solve_kkt_reference(problem):
     shift = state_map.T @ (m @ y0 - asm.target_load)
     step = 1.0 / (1.0 + _largest_weighted_eig(hess, w))
 
+    def residual(u, hu):
+        """Raw candidate u_d - W^-1 B^T p(u) and the natural residual
+        max|u - P(candidate)| relative to max(1, max|u|)."""
+        raw = u_target - (hu + shift) / w
+        gap = np.max(np.abs(u - project_box(raw, lower, upper)))
+        return raw, gap / max(1.0, np.max(np.abs(u)))
+
+    def finish(lo, hi):
+        """Exact minimiser with the controls of lo and hi pinned to their
+        bounds, solved densely on the inactive set I, then box-projected."""
+        pinned = lo | hi
+        free = ~pinned
+        u = np.where(lo, lower, np.where(hi, upper, 0.0))
+        rhs = w[free] * u_target[free] - shift[free] - hess[np.ix_(free, pinned)] @ u[pinned]
+        cho_i = la.cho_factor(np.diag(w[free]) + hess[np.ix_(free, free)])
+        u[free] = la.cho_solve(cho_i, rhs)
+        return project_box(u, lower, upper)
+
     # u is the projected iterate, z the extrapolated point the gradient
     # step starts from; their Hessian products are carried along, so
-    # an iteration costs the single product hess @ u.
+    # an iteration costs the single product hess @ u.  pair is the packed
+    # active-set pair of the raw candidate, tried the pairs finished once.
     u = project_box(u_target, lower, upper)
     hu = hess @ u
     z, hz = u, hu
     t = 1.0
+    pair, tried = None, set()
     for it in range(1, REFERENCE_MAX_ITER + 1):
-        candidate = project_box(u_target - (hu + shift) / w, lower, upper)
-        residual, scale = np.max(np.abs(u - candidate)), max(1.0, np.max(np.abs(u)))
-        if residual <= REFERENCE_TOL * scale:
+        raw, res = residual(u, hu)
+        if res <= REFERENCE_TOL:
             break
+        lo, hi = raw < lower, raw > upper
+        last, pair = pair, np.packbits(np.r_[lo, hi]).tobytes()
+        if pair == last and pair not in tried:
+            tried.add(pair)
+            trial = finish(lo, hi)
+            if residual(trial, hess @ trial)[1] <= REFERENCE_TOL:
+                u = trial
+                break
         u_new = project_box(z - step * ((hz + shift) / w + (z - u_target)), lower, upper)
         hu_new = hess @ u_new
         if (z - u_new) @ (w * (u_new - u)) > 0.0:
@@ -430,7 +474,7 @@ def solve_kkt_reference(problem):
         u, hu, t = u_new, hu_new, t_new
     else:
         raise SolverError(
-            f"projected gradient reached natural residual {residual / scale:.3e} "
+            f"projected gradient reached natural residual {res:.3e} "
             f"relative to max(1, max|u|), above {REFERENCE_TOL:.1e}, "
             f"in {REFERENCE_MAX_ITER} iterations"
         )

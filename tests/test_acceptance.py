@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from gdmopt.analysis import ErrorReport, cell_quadrature, function_rule, render_csv
-from gdmopt.assembly import solve_pde
+from gdmopt.assembly import SPDFactor, solve_pde
 from gdmopt.cases import get_case
 from gdmopt.cli import run_study
 from gdmopt.control import solve_kkt_pdas, solve_kkt_reference
@@ -169,7 +169,8 @@ def test_criterion_08_property_suite():
         cells = cell_quadrature(mesh, function_rule(gdd))[0]
         for _ in range(20):
             f_cells = rng.standard_normal(mesh.n_cells)
-            psi = solve_pde(gdd, volume_source=f_cells[cells])
+            psi = SPDFactor(gdd.stiffness()).solve(
+                gdd.value_load(function_rule(gdd), lambda span, pts: [f_cells[cells[span]]])[0])
             fnorm = np.sqrt(float(mesh.cell_area @ f_cells ** 2))
             assert gradient_norm(gdd, psi) <= cd * fnorm * (1.0 + 1e-10)
 

@@ -111,18 +111,6 @@ def test_constant_load_p1():
     assert total == pytest.approx(1.0, rel=1e-13)
 
 
-@pytest.mark.parametrize("scheme", ["p1", "hmm"])
-def test_load_from_sampled_values(scheme):
-    # Values at the load rule's points give the very same load as the
-    # callable; a wrong number of values is refused.
-    gd = make_gd(scheme, 3)
-    fn = lambda pts: np.sin(3.0 * pts[:, 0]) + pts[:, 1] ** 2
-    _, pts, _ = cell_quadrature(gd.mesh, function_rule(gd))
-    assert np.array_equal(assemble_load(gd, fn(pts)), assemble_load(gd, fn))
-    with pytest.raises(ValueError):
-        assemble_load(gd, fn(pts)[:-1])
-
-
 def test_spd_factor_contract():
     rng = np.random.default_rng(1)
     n = 30
@@ -255,6 +243,7 @@ def test_stability_bound(scheme):
     cells = cell_quadrature(gd.mesh, function_rule(gd))[0]
     for _ in range(20):
         f_cells = rng.standard_normal(gd.mesh.n_cells)
-        psi = solve_pde(gd, volume_source=f_cells[cells])
+        psi = SPDFactor(gd.stiffness()).solve(
+            gd.value_load(function_rule(gd), lambda span, pts: [f_cells[cells[span]]])[0])
         fnorm = np.sqrt(float(area @ f_cells ** 2))
         assert gradient_norm(gd, psi) <= cd * fnorm * (1.0 + 1e-10)
