@@ -143,25 +143,13 @@ class SPDFactor:
             steps += 1
 
 
-def assemble_loads(gd, sources):
-    """Load vectors on the unknowns of gd, one row per volume source: a
-    callable or None for a zero load.  The loads share one pass over the
-    points of ``analysis.function_rule(gd)`` (the rule of the error
-    measurement protocol), block by block (GradientDiscretisation.
-    value_load), in which each callable is evaluated on the points of
-    the block.
-    """
-    out = np.zeros((len(sources), gd.n_free))
-    given = [i for i, s in enumerate(sources) if s is not None]
-    if given:
-        out[given] += gd.value_load(function_rule(gd), lambda span, pts: [
-            np.asarray(sources[i](pts), dtype=float) for i in given])
-    return out
-
-
 def assemble_load(gd, volume_source):
-    """Load vector of one volume source (see assemble_loads)."""
-    return assemble_loads(gd, [volume_source])[0]
+    """Load vector of a volume source (a callable) on the unknowns of gd,
+    summed over the points of ``analysis.function_rule(gd)`` (the rule of
+    the error measurement protocol) block by block
+    (GradientDiscretisation.value_load)."""
+    return gd.value_load(function_rule(gd), lambda span, pts: [
+        np.asarray(volume_source(pts), dtype=float)])[0]
 
 
 def solve_pde(gd, volume_source, reaction=0.0):

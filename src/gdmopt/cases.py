@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .assembly import assemble_loads
+from .analysis import sample_level
 from .control import OptimalControlProblem, project_box
 from .mesh import (
     build_cartesian_mesh,
@@ -101,12 +101,12 @@ class TestCase:
     def build_problem(self, gd, loads=None):
         """Control problem of this case on a discretisation.
 
-        loads, if given, are the source and target loads already
-        assembled (the ``loads`` of ``analysis.sample_level``); otherwise
-        the closures f and y_d are summed into them (assemble_loads).
+        loads are the source and target loads, the ``loads`` of
+        ``analysis.sample_level``; that is called for them when they are
+        not given.
         """
         if loads is None:
-            loads = assemble_loads(gd, [self.f, self.y_d])
+            loads = sample_level(gd, self.fields).loads
         return OptimalControlProblem(
             gd,
             alpha=self.alpha,

@@ -1,10 +1,13 @@
 """Command line driver for convergence studies and diagnostics tables.
 
-Runs a (case, scheme, level range) study, writes the error/EOC table as
-CSV, and optionally a per-level diagnostics table with the coercivity,
-conformity-defect and consistency-defect numbers.  Level l uses a mesh
-with 2^l subdivisions per direction.  Output is deterministic: repeated
-runs with the same configuration are byte-identical.
+Runs a (case, scheme, level range) table and writes it as CSV: the
+error/EOC table of a study, or with --diagnostics the per-level
+coercivity, conformity-defect and consistency-defect numbers.  One level
+driver, run_table, builds each level's mesh and discretisation, passes
+them to the table's row function (run_level or diagnostics_row) and ends
+the table at the first level that fails.  Level l uses a mesh with 2^l
+subdivisions per direction.  Output is deterministic: repeated runs with
+the same configuration are byte-identical.
 """
 
 import argparse
@@ -38,68 +41,54 @@ class LevelFailure(Exception):
         self.reason = "out of memory" if isinstance(cause, MemoryError) else "solver failure"
 
 
-def run_level(case, scheme, level, shift=0.0):
-    """Solve one study level and return its error report.
+def run_level(case, gd, level):
+    """Error report of one study level on the discretisation gd.
 
     The exact fields are sampled once per point set of the level: the
     loads are summed as they are sampled, and what the error report reads
-    is kept.  A solver breakdown or running out of memory raises
-    LevelFailure.
+    is kept.
     """
-    mesh = None
-    try:
-        mesh = case.build_mesh(scheme, 2 ** level, shift=shift)
-        gd = build_scheme(scheme, mesh, case.bc)
-        exact = sample_level(gd, case.fields)
-        problem = case.build_problem(gd, loads=exact.loads)
-        solution = solve_kkt_pdas(problem)
-        return compute_errors(
-            gd, exact, solution.y, solution.p, solution.u,
-            functools.partial(postprocess, problem),
-            level=level, pdas_iters=solution.iterations,
-        )
-    except (SolverError, MemoryError) as exc:
-        raise LevelFailure(level, None if mesh is None else mesh.h, exc) from exc
+    exact = sample_level(gd, case.fields)
+    problem = case.build_problem(gd, loads=exact.loads)
+    solution = solve_kkt_pdas(problem)
+    return compute_errors(
+        gd, exact, solution.y, solution.p, solution.u,
+        functools.partial(postprocess, problem),
+        level=level, pdas_iters=solution.iterations,
+    )
 
 
-def run_study(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0):
-    """Run the levels of a study in order, up to the first failed one.
-
-    Returns (reports, failure) where failure is None or the LevelFailure
-    of the level whose solve broke down.  Levels run independently, so
-    rows are identical whether levels are run together or one at a time.
-    """
-    case = get_case(case_name)
-    reports = []
-    for level in range(levels[0], levels[1] + 1):
-        try:
-            reports.append(run_level(case, scheme, level, shift=shift))
-        except LevelFailure as exc:
-            return reports, exc
-    return reports, None
+def diagnostics_row(case, gd, level):
+    """Coercivity / conformity / consistency row of one level:
+    (level, h, C_D, W_D of y, S_D of y, S_D of p)."""
+    cd, wd = compute_cd(gd), compute_wd(gd, case.grad_y)
+    # The adjoint of every case equals its state, so the state's S_D
+    # serves both columns.
+    sd = compute_sd_upper(gd, case.y, case.grad_y)
+    return (level, gd.mesh.h, cd, wd, sd, sd)
 
 
-def run_diagnostics(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0):
-    """Per-level coercivity / conformity / consistency table rows, up to
-    the first failed level.
+def run_table(case_name, scheme, levels=DEFAULT_LEVELS, shift=0.0, diagnostics=False):
+    """Rows of a study (run_level) or diagnostics (diagnostics_row) table,
+    level by level in order, up to the first failed level.
 
-    Returns (rows, failure) as run_study does: failure is None or the
-    LevelFailure of the level whose solve broke down.
+    Returns (rows, failure) where failure is None or the LevelFailure of
+    the level at which a solve broke down or memory ran out.  Levels run
+    independently, so rows are identical whether levels are run together
+    or one at a time.
     """
     case = get_case(case_name)
+    row = diagnostics_row if diagnostics else run_level
     rows = []
     for level in range(levels[0], levels[1] + 1):
-        mesh = None
+        # The previous level's mesh and discretisation are freed first.
+        mesh = gd = None
         try:
             mesh = case.build_mesh(scheme, 2 ** level, shift=shift)
             gd = build_scheme(scheme, mesh, case.bc)
-            cd, wd = compute_cd(gd), compute_wd(gd, case.grad_y)
-            # The adjoint of every case equals its state, so the state's
-            # S_D serves both columns.
-            sd = compute_sd_upper(gd, case.y, case.grad_y)
+            rows.append(row(case, gd, level))
         except (SolverError, MemoryError) as exc:
             return rows, LevelFailure(level, None if mesh is None else mesh.h, exc)
-        rows.append((level, mesh.h, cd, wd, sd, sd))
     return rows, None
 
 
@@ -160,13 +149,9 @@ def main(argv=None):
         except OSError as exc:
             parser.error(f"--out {args.out} is not writable: {exc.strerror}")
 
-    if args.diagnostics:
-        rows, failure = run_diagnostics(args.case, args.scheme, args.levels,
-                                        shift=args.shift)
-        render = render_diagnostics_csv
-    else:
-        rows, failure = run_study(args.case, args.scheme, args.levels, shift=args.shift)
-        render = render_csv
+    rows, failure = run_table(args.case, args.scheme, args.levels, shift=args.shift,
+                              diagnostics=args.diagnostics)
+    render = render_diagnostics_csv if args.diagnostics else render_csv
     text = render(rows, failure=None if failure is None else (failure.level, failure.h))
     if args.out is None:
         sys.stdout.write(text)

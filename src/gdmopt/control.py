@@ -88,8 +88,8 @@ class OptimalControlProblem:
         available as ``lower`` and ``upper``.
     loads : (2, n_free) array
         The loads of the fixed source of the state equation and of the
-        desired state (assembly.assemble_loads; analysis.sample_level
-        sums them while it samples a level).
+        desired state (analysis.sample_level sums them while it samples a
+        level).
     control_target : callable or None
         Distributed control shift u_d (defaults to zero).
     reaction : float
@@ -226,10 +226,11 @@ def solve_kkt_pdas(problem):
     later iterations keep the value it ends with.  From the second CG
     step of iteration 1 on, CG stops as soon as every candidate lies
     farther than its bound from each finite box edge: the next active
-    sets are then those an exact solve would give.  When they equal the current sets, the same CG run
-    goes on to the full stopping rule (the exact finish) and the loop
-    ends if they still repeat.  Without a CG step in iteration 1 there
-    is no estimate and every iteration is exact.
+    sets are then those an exact solve would give.  When they equal the
+    current sets, or those of an earlier iteration, the same CG run goes
+    on to the full stopping rule (the exact finish), and the loop ends if
+    they still repeat the current ones.  Without a CG step in iteration
+    1 there is no estimate and every iteration is exact.
 
     The full stopping rule is ||r||_{W_I^-1} <= tau (||u_I||_{W_I} -
     ||r||_{W_I^-1}) with tau the constant PCG_TOL.  The bracket is a
@@ -242,7 +243,11 @@ def solve_kkt_pdas(problem):
     The active sets are refreshed from the candidate; termination is
     reached when they repeat, and SolverError is raised if they still
     change after PDAS_MAX_ITER iterations.  A return to any earlier pair
-    is a cycle and raises SolverError with the |A-|/|A+| history.  The
+    is a cycle and raises SolverError with the |A-|/|A+| history, unless
+    the control u of the (exact) iteration that returns meets the
+    projection formula to the CG tolerance, ||u - P(c(u))||_W <= tau
+    ||u||_W: the sets then flip only in controls whose candidates lie on
+    a bound to rounding (a degenerate box), and u is a solution.  The
     carried state and adjoint are checked against the backward-error
     contract of the factor (refined where they miss it), and the
     returned control is the box projection of their candidate, so it
@@ -308,7 +313,8 @@ def solve_kkt_pdas(problem):
             if (lam is not None and (it > 1 or len(steps) > 1) and not certified
                     and proven(candidate, rz)):
                 certified = True
-                if not unchanged(candidate):
+                if not (unchanged(candidate)
+                        or key(candidate < lower, candidate > upper) in seen):
                     exact = False
                     break
             if len(steps) == PCG_MAX_ITER:
@@ -350,13 +356,18 @@ def solve_kkt_pdas(problem):
         new_lo = candidate < lower
         new_hi = candidate > upper
         if not done and key(new_lo, new_hi) in seen:
-            sizes = [f"{a}/{b}" for a, b, _, _ in history]
-            raise SolverError(
-                f"active sets cycle: iteration {it + 1} would repeat those of "
-                f"iteration {seen[key(new_lo, new_hi)]}; "
-                f"|A-|/|A+| by iteration: {', '.join(sizes)}, "
-                f"{new_lo.sum()}/{new_hi.sum()}"
-            )
+            # Candidates on a bound to rounding (a degenerate box) flip the
+            # sets of an exact iterate that is already a solution.
+            gap = u - project_box(candidate, lower, upper)
+            done = math.sqrt(gap @ (w * gap)) <= PCG_TOL * math.sqrt(u @ (w * u))
+            if not done:
+                sizes = [f"{a}/{b}" for a, b, _, _ in history]
+                raise SolverError(
+                    f"active sets cycle: iteration {it + 1} would repeat those of "
+                    f"iteration {seen[key(new_lo, new_hi)]}; "
+                    f"|A-|/|A+| by iteration: {', '.join(sizes)}, "
+                    f"{new_lo.sum()}/{new_hi.sum()}"
+                )
         lo, hi = new_lo, new_hi
         if done:
             return KKTSolution(y, p, project_box(candidate, lower, upper), it,
@@ -366,9 +377,11 @@ def solve_kkt_pdas(problem):
 
 def _largest_weighted_eig(hess, weight):
     """Largest eigenvalue of hess x = lambda diag(weight) x, for a dense
-    symmetric hess and positive weights; only that one is computed."""
+    symmetric hess and positive weights; only that one is computed, as
+    the largest of the standard problem for S hess S, S = diag(weight)^-1/2."""
     n = len(weight)
-    return la.eigh(hess, np.diag(weight), eigvals_only=True,
+    s = 1.0 / np.sqrt(weight)
+    return la.eigh(hess * np.outer(s, s), eigvals_only=True,
                    subset_by_index=[n - 1, n - 1])[0]
 
 

@@ -204,20 +204,15 @@ class GradientDiscretisation:
             self._trace_gram = t.tocsr()
         return self._trace_gram
 
-    def norm_gram(self):
-        """Discretisation-norm Gram matrix: gradient Gram, plus mass under
-        Neumann conditions (a quadratic surrogate)."""
-        a = self.gradient_gram()
-        if self.bc == "neumann":
-            a = a + self.mass_matrix()
-        return a
-
     def norm_factor(self):
-        """Factor of norm_gram(), built once per discretisation.  It is the
-        only factor a diagnostics row makes: the C_D pencils and W_D solve
-        with it, and it preconditions the misfit solve of S_D."""
+        """Factor of the discretisation-norm Gram matrix, built once per
+        discretisation: the gradient Gram, plus the mass under Neumann
+        conditions (a quadratic surrogate), i.e. stiffness(1) or
+        stiffness(0).  It is the only factor a diagnostics row makes: the
+        C_D pencils and W_D solve with it, and it preconditions the misfit
+        solve of S_D."""
         if self._factor is None:
-            self._factor = SPDFactor(self.norm_gram())
+            self._factor = SPDFactor(self.stiffness(1.0 if self.bc == "neumann" else 0.0))
         return self._factor
 
     def stiffness(self, reaction=0.0):

@@ -16,7 +16,7 @@ import numpy as np
 from gdmopt.analysis import ErrorReport, cell_quadrature, function_rule, render_csv
 from gdmopt.assembly import SPDFactor, solve_pde
 from gdmopt.cases import get_case
-from gdmopt.cli import run_study
+from gdmopt.cli import run_table
 from gdmopt.control import solve_kkt_pdas, solve_kkt_reference
 from gdmopt.gd_core import compute_cd, compute_wd
 from gdmopt.mesh import (
@@ -33,7 +33,7 @@ _CACHE = {}
 def study(case, scheme, levels, shift=0.0):
     key = (case, scheme, levels, shift)
     if key not in _CACHE:
-        reports, failure = run_study(case, scheme, levels, shift=shift)
+        reports, failure = run_table(case, scheme, levels, shift=shift)
         assert failure is None, f"study broke down: {failure}"
         _CACHE[key] = reports
     return _CACHE[key]
@@ -221,8 +221,8 @@ def test_criterion_08_property_suite():
 
 
 def test_criterion_09_repeated_studies_byte_identical():
-    first, _ = run_study("example1", "hmm", (2, 4), shift=0.3)
-    second, _ = run_study("example1", "hmm", (2, 4), shift=0.3)
+    first, _ = run_table("example1", "hmm", (2, 4), shift=0.3)
+    second, _ = run_table("example1", "hmm", (2, 4), shift=0.3)
     assert render_csv(first) == render_csv(second)
 
 

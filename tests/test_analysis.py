@@ -296,24 +296,23 @@ def test_run_level_maps_one_block_at_a_time(monkeypatch):
     for name, scheme in (("example2-lshape", "p1"), ("example1", "p1"),
                          ("example3-neumann", "ncp1"), ("example3-neumann", "hmm")):
         sizes.clear()
-        cli.run_level(get_case(name), scheme, 5)
+        cli.run_table(name, scheme, (5, 5))
         assert max(sizes) <= analysis.BLOCK_POINTS
         assert name != "example2-lshape" or len(sizes) > 4
 
 
 def test_run_level_memory_bound():
-    # Traced peak of one level-5 L-shape p1 level, mesh to error report.
-    # Streaming the quadrature block by block took it from 9.60 MB (whole
-    # point sets cached on the mesh) to 7.55 MB.
+    # Traced peak of a one-level L-shape p1 study table at level 5, mesh
+    # to error report.  Streaming the quadrature block by block took it
+    # from 9.60 MB (whole point sets cached on the mesh) to 7.55 MB.
     import tracemalloc
 
     from gdmopt import cli
 
-    case = get_case("example2-lshape")
-    cli.run_level(case, "p1", 3)
+    cli.run_table("example2-lshape", "p1", (3, 3))
     tracemalloc.start()
     try:
-        cli.run_level(case, "p1", 5)
+        cli.run_table("example2-lshape", "p1", (5, 5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,9 +4,11 @@ of the optimality systems, boundary behaviour, projection structure."""
 import numpy as np
 import pytest
 
+from gdmopt import cli
+from gdmopt.assembly import assemble_load
 from gdmopt.cases import CASE_NAMES, Fields, _corner_singular_parts, get_case
 from gdmopt.control import project_box
-from gdmopt.schemes import SCHEMES
+from gdmopt.schemes import SCHEMES, build_scheme
 
 
 def fd_gradient(fn, pts, h=1e-6):
@@ -23,6 +25,12 @@ def fd_laplacian(fn, pts, h=1e-4):
     for step in ([h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]):
         total = total + fn(pts + np.asarray(step))
     return total / h ** 2
+
+
+def run_level(case, scheme, level):
+    """One study level of case, through cli.run_level on the level's mesh."""
+    gd = build_scheme(scheme, case.build_mesh(scheme, 2 ** level), case.bc)
+    return cli.run_level(case, gd, level)
 
 
 def interior_points(case, rng, n=20):
@@ -163,8 +171,6 @@ def test_shift_rejections():
 
 
 def test_problem_wiring():
-    from gdmopt.schemes import build_scheme
-
     case = get_case("example3-neumann")
     gd = build_scheme("p1", case.build_mesh("p1", 2), case.bc)
     problem = case.build_problem(gd)
@@ -174,6 +180,14 @@ def test_problem_wiring():
     gd1 = build_scheme("p1", case1.build_mesh("p1", 2), case1.bc)
     p1 = case1.build_problem(gd1)
     assert p1.alpha == 1.0 and np.isinf(p1.upper)
+    # Without loads a problem takes those of sample_level, which equal
+    # the source and target loads summed one at a time.
+    for name in CASE_NAMES:
+        case = get_case(name)
+        for scheme in SCHEMES:
+            gd = build_scheme(scheme, case.build_mesh(scheme, 8), case.bc)
+            loads = case.build_problem(gd).loads
+            assert np.array_equal(loads, [assemble_load(gd, case.f), assemble_load(gd, case.y_d)])
 
 
 def polar_corner_parts(pts):
@@ -219,7 +233,7 @@ def test_corner_singular_parts_match_polar_form():
 def test_lshape_level_samples_corner_parts_three_times(monkeypatch):
     # One study level samples the exact solution on three point sets:
     # the gauss7 and gauss3 points and the gradient piece centres.
-    from gdmopt import cases, cli
+    from gdmopt import cases
 
     calls = []
 
@@ -229,7 +243,7 @@ def test_lshape_level_samples_corner_parts_three_times(monkeypatch):
 
     real = cases._corner_singular_parts
     monkeypatch.setattr(cases, "_corner_singular_parts", counted)
-    cli.run_level(get_case("example2-lshape"), "p1", 3)
+    cli.run_table("example2-lshape", "p1", (3, 3))
     assert 0 < len(calls) <= 3
 
 
@@ -254,8 +268,6 @@ def test_single_closures_match_fields(monkeypatch, name):
     # Every subset of names a study level asks for (sample_level before
     # the solve, compute_errors after it), on nodal and on cell-centred
     # schemes, gives the same arrays and None for the rest.
-    from gdmopt import cli
-
     requested = set()
 
     def record(p, names):
@@ -265,7 +277,7 @@ def test_single_closures_match_fields(monkeypatch, name):
     real = case.fields
     monkeypatch.setattr(case, "fields", record)
     for scheme in SCHEMES:
-        cli.run_level(case, scheme, 3)
+        run_level(case, scheme, 3)
     assert len(requested) == 5
     for names in requested:
         part = case.fields(pts, names)
@@ -286,8 +298,6 @@ def test_level_samples_each_point_set_once(monkeypatch, name, scheme, calls):
     # Nodal schemes read the gauss7 and gauss3 points and the gradient
     # piece centres; the cell-centred scheme reads the centroid-rule
     # points instead of the gauss7 ones, and the cell points on top.
-    from gdmopt import cli
-
     case = get_case(name)
     seen = []
 
@@ -297,6 +307,6 @@ def test_level_samples_each_point_set_once(monkeypatch, name, scheme, calls):
 
     real = case.fields
     monkeypatch.setattr(case, "fields", counted)
-    cli.run_level(case, scheme, 3)
+    run_level(case, scheme, 3)
     assert len(seen) == calls
     assert len({id(pts) for pts in seen}) == calls

@@ -10,7 +10,7 @@ import pytest
 
 import gdmopt
 from gdmopt import assembly, cases, cli, control
-from gdmopt.cli import MAX_LEVEL, build_parser, main, run_diagnostics, run_study
+from gdmopt.cli import MAX_LEVEL, build_parser, main, run_table
 from gdmopt.gd_core import compute_sd_upper
 
 HEADER = (
@@ -93,8 +93,7 @@ def test_usage_errors_exit_2(args, monkeypatch):
     def no_work(*_args, **_kwargs):
         raise AssertionError("work started despite a usage error")
 
-    monkeypatch.setattr(cli, "run_study", no_work)
-    monkeypatch.setattr(cli, "run_diagnostics", no_work)
+    monkeypatch.setattr(cli, "run_table", no_work)
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
@@ -188,12 +187,15 @@ def test_diagnostics_failure_partial_csv(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("diagnostics,step", [
     (False, "solve_kkt_pdas"), (True, "compute_cd"), (False, "build_mesh"), (True, "build_mesh"),
-], ids=["study", "diagnostics", "study-mesh", "diagnostics-mesh"])
+    (False, "build_scheme"), (True, "build_scheme"),
+], ids=["study", "diagnostics", "study-mesh", "diagnostics-mesh", "study-scheme",
+        "diagnostics-scheme"])
 def test_memory_error_ends_table(tmp_path, capsys, monkeypatch, diagnostics, step):
     # Memory running out inside a level ends the table as a solver
     # failure does, with the cause on stderr.  A patched step raises
     # MemoryError at the second level; nothing is allocated.  A level
-    # whose mesh was not built has no h: its field stays empty.
+    # whose mesh was not built has no h: its field stays empty.  A level
+    # whose scheme build fails has its mesh, and so its h.
     owner = cases.TestCase if step == "build_mesh" else cli
     real, calls = getattr(owner, step), []
 
@@ -224,7 +226,7 @@ def test_run_diagnostics_keeps_rows_before_failure(monkeypatch):
         return value
 
     monkeypatch.setattr(cli, "compute_sd_upper", sd_then_cap)
-    rows, failure = run_diagnostics("example1", "p1", (2, 4))
+    rows, failure = run_table("example1", "p1", (2, 4), diagnostics=True)
     assert [row[0] for row in rows] == [2]
     assert failure is not None and failure.level == 3
     assert "conjugate gradients reached backward error" in str(failure)
@@ -233,10 +235,10 @@ def test_run_diagnostics_keeps_rows_before_failure(monkeypatch):
 def test_run_study_failure_reports(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(control, "PDAS_MAX_ITER", 1)
-        reports, failure = run_study("example1", "p1", (2, 4))
+        reports, failure = run_table("example1", "p1", (2, 4))
     assert reports == []
     assert failure is not None and failure.level == 2
-    reports, failure = run_study("example1", "p1", (2, 3))
+    reports, failure = run_table("example1", "p1", (2, 3))
     assert failure is None and len(reports) == 2
     assert np.isfinite(reports[0].err_y)
 

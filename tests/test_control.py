@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gdmopt import assembly, control
 from gdmopt.analysis import cell_quadrature, function_rule
-from gdmopt.assembly import SolverError, assemble_loads
+from gdmopt.assembly import SolverError, assemble_load
 from gdmopt.cases import get_case
 from gdmopt.control import (
     OptimalControlProblem,
@@ -28,11 +28,16 @@ from gdmopt.schemes import build_scheme
 from oracles import projection_identity_gap, value_at, variational_inequality_gap
 
 
+def target_loads(gd, target):
+    """Loads of a zero source and of the desired state target."""
+    return np.stack([np.zeros(gd.n_free), assemble_load(gd, target)])
+
+
 def synthetic_problem(gd, bounds=(0.0, np.inf), alpha=1.0):
     target = lambda pts: np.sin(np.pi * pts[:, 0]) * pts[:, 1]
     shift = lambda pts: 1.0 - pts[:, 0]
     return OptimalControlProblem(gd, alpha=alpha, bounds=bounds,
-                                 loads=assemble_loads(gd, [None, target]), control_target=shift)
+                                 loads=target_loads(gd, target), control_target=shift)
 
 
 def case_problem(name, scheme, m):
@@ -179,7 +184,7 @@ def test_unbounded_solution_is_linear_in_data():
     target = lambda pts: np.sin(np.pi * pts[:, 0]) * pts[:, 1]
     make = lambda c: OptimalControlProblem(
         gd, alpha=0.5, bounds=(-np.inf, np.inf),
-        loads=assemble_loads(gd, [None, lambda pts: c * target(pts)]),
+        loads=target_loads(gd, lambda pts: c * target(pts)),
     )
     base = solve_kkt_pdas(make(1.0))
     scaled = solve_kkt_pdas(make(3.0))
@@ -215,6 +220,28 @@ def test_pdas_cycle_raises_with_history(monkeypatch):
     message = str(err.value)
     assert "iteration 4 would repeat those of iteration 2" in message
     assert f"0/0, {n}/0, 0/{n}, {n}/0" in message
+
+
+@pytest.mark.parametrize("log_alpha,sides,flips", [
+    (-1.5, "both", "0/0, 0/1, 2/0, 2/2"), (-1.25, "upper", "0/0, 0/2"),
+], ids=["both", "upper"])
+def test_pdas_settles_on_a_degenerate_box(log_alpha, sides, flips):
+    # Box edges on the unconstrained control's extremes: pairs of
+    # candidates sit on a bound to rounding and flip the active sets back
+    # to earlier ones.  The iteration that returns is already a solution.
+    case = get_case("example3-neumann")
+    gd = build_scheme("p1", case.build_mesh("p1", 4), case.bc)
+    loads = case.build_problem(gd).loads
+
+    def problem(bounds):
+        return OptimalControlProblem(gd, alpha=10.0 ** log_alpha, bounds=bounds, loads=loads,
+                                     control_target=case.u_d, reaction=case.reaction)
+
+    free = solve_kkt_pdas(problem((-np.inf, np.inf))).u
+    lower, upper = free.min(), free.min() + 0.9999999999999999 * np.ptp(free)
+    box = problem((lower if sides == "both" else -np.inf, upper))
+    sol, _ = compare_solvers(box)
+    assert ", ".join(f"{a}/{b}" for a, b, _, _ in sol.history) == flips
 
 
 def test_pdas_factors_stiffness_once(monkeypatch):
@@ -280,7 +307,7 @@ def test_pdas_matches_reference_on_random_boxes(case_name, scheme, log_alpha, cu
     case = get_case(case_name)
     gd = build_scheme(scheme, case.build_mesh(scheme, 4), case.bc)
 
-    loads = assemble_loads(gd, [case.f, case.y_d])
+    loads = case.build_problem(gd).loads
 
     def problem(bounds):
         return OptimalControlProblem(
@@ -331,7 +358,7 @@ def test_pdas_zero_data_returns_zeros_without_cg_steps(monkeypatch):
     gd = build_scheme("p1", build_unit_square_triangulation(4), "dirichlet")
     zero = lambda pts: np.zeros(len(pts))
     problem = OptimalControlProblem(gd, alpha=1.0, bounds=(-1.0, 1.0),
-                                    loads=assemble_loads(gd, [None, zero]))
+                                    loads=target_loads(gd, zero))
     sol = solve_kkt_pdas(problem)
     assert not sol.u.any() and not sol.y.any() and not sol.p.any()
     assert sol.history == [(0, 0, 0, False)]
@@ -434,7 +461,7 @@ def test_certified_pdas_follows_exact_active_sets(case_name, scheme, log_alpha, 
     case = get_case(case_name)
     gd = build_scheme(scheme, case.build_mesh(scheme, 8), case.bc)
 
-    loads = assemble_loads(gd, [case.f, case.y_d])
+    loads = case.build_problem(gd).loads
 
     def problem(bounds):
         return OptimalControlProblem(

@@ -171,7 +171,7 @@ def test_sd_samples_the_target_once_per_point_set():
 
 def dense_cd(gd):
     """C_D from every eigenvalue of its pencils, computed densely."""
-    norm = gd.norm_gram().toarray()
+    norm = gd.norm_factor().matrix.toarray()
     pencils = [gd.mass_matrix()] + ([gd.trace_gram()] if gd.bc == "neumann" else [])
     return np.sqrt(max(la.eigh(a.toarray(), norm, eigvals_only=True)[-1] for a in pencils))
 
@@ -271,7 +271,7 @@ def test_wd_matches_dense_oracle(scheme, bc):
                 r[j] += pwts @ (gd.gradient_table(e)[pieces] * flux_field(ppts)).sum(1)
             if bc == "neumann":
                 r[j] -= bflux @ gd.trace_at(e, bfaces, bpts)
-        expected = np.sqrt(r @ np.linalg.solve(gd.norm_gram().toarray(), r))
+        expected = np.sqrt(r @ np.linalg.solve(gd.norm_factor().matrix.toarray(), r))
         # The conforming scheme's defect is round-off on both sides.
         assert compute_wd(gd, flux_field) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
