@@ -15,7 +15,9 @@ points before the solve and keeps, block by block, what the errors read
 there; ``compute_errors`` samples the other point sets after it.  Cell
 quadrature points are built one block of whole cells at a time, when a
 pass reaches the block (``quadrature_blocks``), so a level keeps no
-array of a whole quadrature point set.
+array of a whole quadrature point set.  Neither does a discretisation:
+the diagnostics build their piece and boundary rules where they use
+them (``gd_core.compute_wd`` and ``compute_sd_upper``).
 """
 
 import functools

@@ -58,9 +58,10 @@ REFERENCE_MAX_ITER = 200000
 
 
 def project_box(values, lower, upper):
-    """Pointwise projection onto the box [lower, upper]."""
-    if lower > upper:
-        raise ValueError("empty box: lower bound exceeds upper bound")
+    """Pointwise projection onto the box [lower, upper]; a NaN edge is
+    rejected like an empty box."""
+    if not lower <= upper:
+        raise ValueError("empty box or NaN bound: need lower <= upper")
     return np.clip(values, lower, upper)
 
 
@@ -84,8 +85,8 @@ class OptimalControlProblem:
     alpha : float
         Control cost weight, positive.
     bounds : (float, float)
-        Box constraints; infinite entries disable a side.  They are also
-        available as ``lower`` and ``upper``.
+        Box constraints with lower <= upper, so neither is NaN; infinite
+        entries disable a side.  Also available as ``lower`` and ``upper``.
     loads : (2, n_free) array
         The loads of the fixed source of the state equation and of the
         desired state (analysis.sample_level sums them while it samples a
@@ -108,8 +109,8 @@ class OptimalControlProblem:
         self.lower, self.upper = float(self.bounds[0]), float(self.bounds[1])
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
-        if self.lower > self.upper:
-            raise ValueError("empty box: lower bound exceeds upper bound")
+        if not self.lower <= self.upper:
+            raise ValueError("empty box or NaN bound: need lower <= upper")
         if self.gd.bc == "neumann" and not self.reaction > 0.0:
             raise ValueError("Neumann problems need a positive reaction coefficient")
         if np.shape(self.loads) != (2, self.gd.n_free):
@@ -138,7 +139,7 @@ class _Assembly:
     def __init__(self, problem):
         gd = problem.gd
         self.stiffness = gd.stiffness(problem.reaction)
-        self.mass = gd.mass_matrix()
+        self.mass = gd.mass_matrix
         self.source_load, self.target_load = problem.loads
         if problem.control_target is None:
             self.control_target = np.zeros(gd.mesh.n_cells)

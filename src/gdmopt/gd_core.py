@@ -11,6 +11,7 @@ is built.  All discrete bilinear forms reduce to exact integrals of these
 piecewise polynomials.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -33,6 +34,14 @@ from .assembly import SolverError, SPDFactor
 # POWER_MAX_ITER steps.
 POWER_TOL = 1e-8
 POWER_MAX_ITER = 10000
+
+
+def _piece_rule(gd):
+    """Degree-5 (gauss7) rule on every gradient piece: the owning piece
+    of each point, the points and their weights."""
+    pts, wts = triangle_quadrature(gd.piece_tri, "gauss7")
+    n = len(gd.piece_area)
+    return np.repeat(np.arange(n), len(wts) // n), pts, wts
 
 
 def _face_rule(mesh, ids):
@@ -70,7 +79,9 @@ class GradientDiscretisation:
     reconstruction is piecewise constant (its value slopes store no
     entries).  A reconstruction that is not piecewise constant must be
     affine with its gradient equal to its slope on every cell, which
-    compute_wd's face-only formula relies on.
+    compute_wd's face-only formula relies on.  The Gram matrices and
+    norm_factor are built on first read and then cached; no quadrature
+    point set is kept.
     """
 
     mesh: Any
@@ -108,12 +119,6 @@ class GradientDiscretisation:
             raise ValueError("degenerate gradient piece")
         self.piece_center = self.piece_tri.mean(axis=1)
         self.piece_center.setflags(write=False)
-        self._piece_quadrature = None
-        self._boundary_quadrature = None
-        self._mass = None
-        self._grad_gram = None
-        self._trace_gram = None
-        self._factor = None
 
     # -- reconstruction operators ------------------------------------
 
@@ -137,91 +142,55 @@ class GradientDiscretisation:
         arc = np.sum((pts - mesh.face_center[fids]) * mesh.face_tangent[fids], axis=1)
         return (self.trace_mid @ vec)[bfaces] + arc * (self.trace_slope @ vec)[bfaces]
 
-    def piece_quadrature(self):
-        """Degree-5 rule on every gradient piece, built once and read-only.
-
-        Returns (pieces, points, weights): the owning piece of each point,
-        the points and their weights.
-        """
-        if self._piece_quadrature is None:
-            pts, wts = triangle_quadrature(self.piece_tri, "gauss7")
-            q = len(wts) // len(self.piece_area)
-            pieces = np.repeat(np.arange(len(self.piece_area)), q)
-            for a in (pieces, pts, wts):
-                a.setflags(write=False)
-            self._piece_quadrature = pieces, pts, wts
-        return self._piece_quadrature
-
-    def boundary_quadrature(self):
-        """3-point Gauss rule on every boundary face, built once and
-        read-only.
-
-        Returns (bfaces, points, weights, arc): the owning boundary face of
-        each point (an index into boundary_face_ids), the points, their
-        weights and their arclength offsets from the face midpoints.
-        """
-        if self._boundary_quadrature is None:
-            rule = _face_rule(self.mesh, self.boundary_face_ids)
-            for a in rule:
-                a.setflags(write=False)
-            self._boundary_quadrature = rule
-        return self._boundary_quadrature
-
     # -- exact Gram matrices and couplings ----------------------------
 
+    @functools.cached_property
     def mass_matrix(self):
         """Exact L2 Gram matrix of the function reconstruction."""
-        if self._mass is None:
-            mesh = self.mesh
-            # Second moments about the centroid per cell, by the gauss3 rule.
-            jxx, jxy, jyy = np.empty((3, mesh.n_cells))
-            for _, block, cells, pts, wts in quadrature_blocks(mesh, "gauss3"):
-                dx, dy = centroid_offsets(mesh, cells, pts)
-                jxx[block] = block_sums(block, cells, wts * dx ** 2)
-                jxy[block] = block_sums(block, cells, wts * dx * dy)
-                jyy[block] = block_sums(block, cells, wts * dy ** 2)
-            c, sx, sy = self.value_center, self.value_slope_x, self.value_slope_y
-            m = c.T @ sp.diags(mesh.cell_area) @ c
-            m += sx.T @ sp.diags(jxx) @ sx + sy.T @ sp.diags(jyy) @ sy
-            m += sx.T @ sp.diags(jxy) @ sy + sy.T @ sp.diags(jxy) @ sx
-            self._mass = m.tocsr()
-        return self._mass
+        mesh = self.mesh
+        # Second moments about the centroid per cell, by the gauss3 rule.
+        jxx, jxy, jyy = np.empty((3, mesh.n_cells))
+        for _, block, cells, pts, wts in quadrature_blocks(mesh, "gauss3"):
+            dx, dy = centroid_offsets(mesh, cells, pts)
+            jxx[block] = block_sums(block, cells, wts * dx ** 2)
+            jxy[block] = block_sums(block, cells, wts * dx * dy)
+            jyy[block] = block_sums(block, cells, wts * dy ** 2)
+        c, sx, sy = self.value_center, self.value_slope_x, self.value_slope_y
+        m = c.T @ sp.diags(mesh.cell_area) @ c
+        m += sx.T @ sp.diags(jxx) @ sx + sy.T @ sp.diags(jyy) @ sy
+        m += sx.T @ sp.diags(jxy) @ sy + sy.T @ sp.diags(jxy) @ sx
+        return m.tocsr()
 
+    @functools.cached_property
     def gradient_gram(self):
         """Exact L2 Gram matrix of the gradient reconstruction."""
-        if self._grad_gram is None:
-            w = sp.diags(self.piece_area)
-            g = self.grad_x.T @ w @ self.grad_x + self.grad_y.T @ w @ self.grad_y
-            self._grad_gram = g.tocsr()
-        return self._grad_gram
+        w = sp.diags(self.piece_area)
+        return (self.grad_x.T @ w @ self.grad_x + self.grad_y.T @ w @ self.grad_y).tocsr()
 
+    @functools.cached_property
     def trace_gram(self):
         """Exact L2 Gram matrix of the boundary trace reconstruction."""
-        if self._trace_gram is None:
-            ell = self.mesh.face_length[self.boundary_face_ids]
-            t = self.trace_mid.T @ sp.diags(ell) @ self.trace_mid
-            t += self.trace_slope.T @ sp.diags(ell ** 3 / 12.0) @ self.trace_slope
-            self._trace_gram = t.tocsr()
-        return self._trace_gram
+        ell = self.mesh.face_length[self.boundary_face_ids]
+        t = self.trace_mid.T @ sp.diags(ell) @ self.trace_mid
+        t += self.trace_slope.T @ sp.diags(ell ** 3 / 12.0) @ self.trace_slope
+        return t.tocsr()
 
+    @functools.cached_property
     def norm_factor(self):
-        """Factor of the discretisation-norm Gram matrix, built once per
-        discretisation: the gradient Gram, plus the mass under Neumann
-        conditions (a quadratic surrogate), i.e. stiffness(1) or
-        stiffness(0).  It is the only factor a diagnostics row makes: the
-        C_D pencils and W_D solve with it, and it preconditions the misfit
-        solve of S_D."""
-        if self._factor is None:
-            self._factor = SPDFactor(self.stiffness(1.0 if self.bc == "neumann" else 0.0))
-        return self._factor
+        """Factor of the discretisation-norm Gram matrix: the gradient
+        Gram, plus the mass under Neumann conditions (a quadratic
+        surrogate), i.e. stiffness(1) or stiffness(0).  It is the only
+        factor a diagnostics row makes: the C_D pencils and W_D solve
+        with it, and it preconditions the misfit solve of S_D."""
+        return SPDFactor(self.stiffness(1.0 if self.bc == "neumann" else 0.0))
 
     def stiffness(self, reaction=0.0):
         """Matrix of -lap + reaction: gradient Gram + reaction * mass, in
         CSC format, which SPDFactor factors without a copy.  A zero
         reaction adds no mass term."""
-        a = self.gradient_gram()
+        a = self.gradient_gram
         if reaction != 0.0:
-            a = a + reaction * self.mass_matrix()
+            a = a + reaction * self.mass_matrix
         return a.tocsc()
 
     def value_load(self, rule, sample):
@@ -252,29 +221,20 @@ class GradientDiscretisation:
                  + self.value_slope_y.T @ sums[2])
         return loads.T
 
-    def gradient_load(self, vals):
+    def gradient_load(self, pieces, wts, vals):
         """Load vector sum(w * vals . gradient basis) for (n, 2) values at
-        the points of piece_quadrature()."""
-        pieces, _, wts = self.piece_quadrature()
+        the points of a piece rule (_piece_rule): their owning pieces and
+        weights."""
         n = len(self.piece_area)
         return (self.grad_x.T @ np.bincount(pieces, wts * vals[:, 0], n)
                 + self.grad_y.T @ np.bincount(pieces, wts * vals[:, 1], n))
-
-    def boundary_load(self, vals):
-        """Load vector of the boundary trace basis against values at the
-        points of boundary_quadrature()."""
-        bfaces, _, wts, arc = self.boundary_quadrature()
-        n = len(self.boundary_face_ids)
-        wv = wts * vals
-        return (self.trace_mid.T @ np.bincount(bfaces, wv, n)
-                + self.trace_slope.T @ np.bincount(bfaces, wv * arc, n))
 
 
 def _max_generalized_eig(a, gd):
     """Largest eigenvalue of a x = lambda b x, with b the SPD norm Gram
     matrix of gd (see GradientDiscretisation.norm_factor)."""
     n = a.shape[0]
-    factor = gd.norm_factor()
+    factor = gd.norm_factor
     b, solve = factor.matrix, factor.solve
     # Deterministic start vector with a ramp so it is never orthogonal
     # to the leading eigenvector by symmetry.
@@ -309,9 +269,9 @@ def compute_cd(gd):
     if gd.n_free == 0:
         raise ValueError("no free DOFs: coercivity constant undefined")
     if gd.bc == "dirichlet":
-        return math.sqrt(_max_generalized_eig(gd.mass_matrix(), gd))
-    lam_trace = _max_generalized_eig(gd.trace_gram(), gd)
-    lam_value = _max_generalized_eig(gd.mass_matrix(), gd)
+        return math.sqrt(_max_generalized_eig(gd.mass_matrix, gd))
+    lam_trace = _max_generalized_eig(gd.trace_gram, gd)
+    lam_value = _max_generalized_eig(gd.mass_matrix, gd)
     return math.sqrt(max(lam_trace, lam_value))
 
 
@@ -355,11 +315,12 @@ def compute_wd(gd, flux):
          + gd.value_slope_x.T @ np.bincount(cells, j1 * d[:, 0] + j2 * t[:, 0], mesh.n_cells)
          + gd.value_slope_y.T @ np.bincount(cells, j1 * d[:, 1] + j2 * t[:, 1], mesh.n_cells))
     if gd.cell_centred:
-        r += gd.gradient_load(np.asarray(flux(gd.piece_quadrature()[1]), dtype=float))
+        pieces, pts, wts = _piece_rule(gd)
+        r += gd.gradient_load(pieces, wts, np.asarray(flux(pts), dtype=float))
     if gd.bc == "neumann":
         ids = gd.boundary_face_ids
         r -= gd.trace_mid.T @ i1[ids] + gd.trace_slope.T @ i2[ids]
-    z = gd.norm_factor().solve(r)
+    z = gd.norm_factor.solve(r)
     return math.sqrt(max(float(r @ z), 0.0))
 
 
@@ -375,14 +336,16 @@ def compute_sd_upper(gd, fn, grad_fn):
 
     The minimiser solves the misfit system (mass + gradient Gram, + trace
     Gram under Neumann conditions) by conjugate gradients preconditioned
-    with gd.norm_factor() (SPDFactor.cg_solve).  The misfit matrix is the
+    with gd.norm_factor (SPDFactor.cg_solve).  The misfit matrix is the
     norm Gram matrix plus the mass (Dirichlet) or the trace Gram
     (Neumann), which C_D^2 times the norm Gram bounds, so the
     preconditioned condition number is at most 1 + C_D^2 on every mesh.
 
     The gauss7 points are built one block at a time, for the load and
     again for the function misfit; only the target's values there are
-    kept between the two passes.
+    kept between the two passes.  The piece rule (_piece_rule) and the
+    boundary rule (_face_rule) are built here, serve the load and the
+    misfit, and are dropped on return: gd keeps no point set.
     """
     if gd.n_free == 0:
         raise ValueError("no free DOFs: consistency defect undefined")
@@ -393,18 +356,20 @@ def compute_sd_upper(gd, fn, grad_fn):
         fvals.append(np.asarray(fn(pts), dtype=float))
         return fvals[-1:]
 
-    pieces, ppts, pwts = gd.piece_quadrature()
+    pieces, ppts, pwts = _piece_rule(gd)
     gvals = np.asarray(grad_fn(ppts), dtype=float)
-    b = gd.value_load("gauss7", sample)[0] + gd.gradient_load(gvals)
+    b = gd.value_load("gauss7", sample)[0] + gd.gradient_load(pieces, pwts, gvals)
     if gd.bc == "neumann":
-        bfaces, bpts, bwts, _ = gd.boundary_quadrature()
+        bfaces, bpts, bwts, arc = _face_rule(gd.mesh, gd.boundary_face_ids)
         bvals = np.asarray(fn(bpts), dtype=float)
-        b = b + gd.boundary_load(bvals)
+        n, wv = len(gd.boundary_face_ids), bwts * bvals
+        b = b + (gd.trace_mid.T @ np.bincount(bfaces, wv, n)
+                 + gd.trace_slope.T @ np.bincount(bfaces, wv * arc, n))
 
-    a = gd.mass_matrix() + gd.gradient_gram()
+    a = gd.mass_matrix + gd.gradient_gram
     if gd.bc == "neumann":
-        a = a + gd.trace_gram()
-    z = gd.norm_factor().cg_solve(a, b)
+        a = a + gd.trace_gram
+    z = gd.norm_factor.cg_solve(a, b)
 
     # Misfit norms by direct quadrature of the reconstructions; this
     # avoids the cancellation a quadratic-form expansion would suffer

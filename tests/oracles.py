@@ -22,7 +22,7 @@ def value_at(gd, vec, cells, pts):
 
 def gradient_norm(gd, vec):
     """L2 norm of the gradient reconstruction, summed piece by piece
-    (no cancellation, unlike the quadratic form of gd.gradient_gram())."""
+    (no cancellation, unlike the quadratic form of gd.gradient_gram)."""
     g = gd.gradient_table(vec)
     return math.sqrt(float(gd.piece_area @ (g ** 2).sum(1)))
 

@@ -230,3 +230,33 @@ def test_criterion_10_corner_singular_nonconforming_rates():
     # ncp1 shows the reduced corner rates from level 5 on (slopes 1.006,
     # 0.874 and 1.387 on levels 5..7).
     check_corner_thresholds(slopes(study("example2-lshape", "ncp1", (5, 7))))
+
+
+def test_criterion_11_diagnostics_follow_the_theory():
+    # Example1, levels 3..6.  C_D tends to the Poincare constant
+    # 1/(pi sqrt 2) of the unit square at order 2: p1 from below, which
+    # Rayleigh-Ritz guarantees, ncp1 and hmm from above, as measured.
+    # W_D (zero for the conforming p1) and S_D decay at order 1, and the
+    # gradient error keeps a fixed ratio to W_D + S_D, the paper's
+    # estimate.  The Neumann C_D has no closed form and keeps only its
+    # stability band (test_gd_core).
+    poincare = 1.0 / (np.pi * np.sqrt(2.0))
+    for scheme, sign in (("p1", -1.0), ("ncp1", 1.0), ("hmm", 1.0)):
+        rows, failure = run_table("example1", scheme, (3, 6), diagnostics=True)
+        assert failure is None, failure
+        _, h, cd, wd, sd, _ = np.array(rows, dtype=float).T
+
+        def slope(v):
+            return float(np.polyfit(np.log(h), np.log(v), 1)[0])
+
+        gap = cd - poincare
+        assert np.all(sign * gap > 0.0), (scheme, gap)
+        assert slope(np.abs(gap)) >= 1.8, (scheme, slope(np.abs(gap)))
+        if scheme == "p1":
+            assert wd.max() <= 1e-12, wd
+        else:
+            assert 0.9 <= slope(wd) <= 1.1, (scheme, slope(wd))
+        assert 0.9 <= slope(sd) <= 1.1, (scheme, slope(sd))
+        err = np.array([r.err_grad_y for r in study("example1", scheme, (3, 6))])
+        ratio = err / (wd + sd)
+        assert ratio.max() / ratio.min() <= 1.1, (scheme, ratio)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdmopt import assembly, control
@@ -61,6 +61,10 @@ def test_project_box():
     np.testing.assert_array_equal(project_box(vals, -np.inf, np.inf), vals)
     with pytest.raises(ValueError):
         project_box(vals, 1.0, 0.0)
+    # A NaN edge makes no box; np.clip would spread it over every entry.
+    for lower, upper in ((np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            project_box(vals, lower, upper)
 
 
 def test_project_onto_cells_linear_oracle():
@@ -295,6 +299,12 @@ def test_both_solvers_reject_asymmetric_stiffness(monkeypatch):
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
+# Degenerate boxes, tried on every run: edges on the free control's
+# extremes, and lower == upper.
+@example(case_name="example3-neumann", scheme="p1", log_alpha=-1.5, cuts=(0.0, 1.0), sides="both")
+@example(case_name="example3-neumann", scheme="p1", log_alpha=-1.5, cuts=(0.0, 1.0), sides="upper")
+@example(case_name="example3-neumann", scheme="p1", log_alpha=-1.5, cuts=(0.5, 0.5), sides="both")
+@example(case_name="example3-neumann", scheme="p1", log_alpha=-1.5, cuts=(0.5, 0.5), sides="upper")
 @given(
     case_name=st.sampled_from(["example1", "example3-neumann"]),
     scheme=st.sampled_from(["p1", "ncp1", "hmm"]),
@@ -557,6 +567,14 @@ def test_problem_validations():
         OptimalControlProblem(gd, alpha=0.0, bounds=(0, 1), loads=loads)
     with pytest.raises(ValueError):
         OptimalControlProblem(gd, alpha=1.0, bounds=(1, 0), loads=loads)
+    # A NaN bound makes no box: PDAS would return an all-NaN control and
+    # the reference would run to its iteration cap.
+    for bounds in ((np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            OptimalControlProblem(gd, alpha=1.0, bounds=bounds, loads=loads)
+    # Infinite bounds open a side.
+    for bounds in ((-np.inf, 1.0), (0.0, np.inf), (-np.inf, np.inf)):
+        OptimalControlProblem(gd, alpha=1.0, bounds=bounds, loads=loads)
     gdn = build_scheme("p1", build_unit_square_triangulation(2), "neumann")
     with pytest.raises(ValueError):
         OptimalControlProblem(gdn, alpha=1.0, bounds=(0, 1), loads=np.zeros((2, gdn.n_free)))
@@ -564,3 +582,4 @@ def test_problem_validations():
     with pytest.raises(ValueError):
         OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), loads=loads[:1])
     OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), loads=loads)
+

@@ -1,5 +1,6 @@
 """Reconstruction algebra, coercivity, conformity and consistency defects."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -13,6 +14,7 @@ from gdmopt import assembly, gd_core
 from gdmopt.analysis import cell_quadrature, segment_quadrature
 from gdmopt.assembly import SOLVE_TOL, SolverError, SPDFactor
 from gdmopt.cases import get_case
+from gdmopt.cli import diagnostics_row
 from gdmopt.gd_core import compute_cd, compute_sd_upper, compute_wd
 from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
 from gdmopt.schemes import SCHEMES, build_scheme
@@ -63,7 +65,7 @@ def test_mass_matrix_matches_quadrature(scheme):
     cells, pts, wts = cell_quadrature(gd.mesh, "gauss7")
     vals = value_at(gd, v, cells, pts)
     direct = float(wts @ vals ** 2)
-    assert v @ (gd.mass_matrix() @ v) == pytest.approx(direct, rel=1e-12)
+    assert v @ (gd.mass_matrix @ v) == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -74,10 +76,10 @@ def test_grams_spd_on_free_dofs(scheme):
     # function reconstruction ignores face DOFs, so its mass matrix is
     # only positive semidefinite.
     gd = make_gd(scheme, 3, "dirichlet")
-    g = gd.gradient_gram().toarray()
+    g = gd.gradient_gram.toarray()
     np.testing.assert_allclose(g, g.T, atol=1e-13)
     assert np.linalg.eigvalsh(g)[0] > 0.0
-    m = gd.mass_matrix().toarray()
+    m = gd.mass_matrix.toarray()
     np.testing.assert_allclose(m, m.T, atol=1e-13)
     low = np.linalg.eigvalsh(m)[0]
     if scheme == "hmm":
@@ -114,28 +116,20 @@ def test_value_load_matches_cell_coupling():
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_piece_quadrature_cached_read_only(scheme):
+def test_piece_rule_weights_sum_to_areas(scheme):
     gd = make_gd(scheme, 3)
-    first = gd.piece_quadrature()
-    assert all(a is b for a, b in zip(first, gd.piece_quadrature()))
-    pieces, pts, wts = first
+    pieces, pts, wts = gd_core._piece_rule(gd)
     np.testing.assert_allclose(np.bincount(pieces, wts), gd.piece_area, rtol=1e-13)
-    for a in (*first, gd.piece_center):
-        with pytest.raises(ValueError):
-            a[0] = 0
+    with pytest.raises(ValueError):
+        gd.piece_center[0] = 0
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_boundary_quadrature_cached_read_only(scheme):
+def test_boundary_rule_weights_sum_to_lengths(scheme):
     gd = make_gd(scheme, 3, "neumann")
-    first = gd.boundary_quadrature()
-    assert all(a is b for a, b in zip(first, gd.boundary_quadrature()))
-    bfaces, pts, wts, arc = first
+    bfaces, pts, wts, arc = gd_core._face_rule(gd.mesh, gd.boundary_face_ids)
     ell = gd.mesh.face_length[gd.boundary_face_ids]
     np.testing.assert_allclose(np.bincount(bfaces, wts), ell, rtol=1e-13)
-    for a in first:
-        with pytest.raises(ValueError):
-            a[0] = 0
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -145,12 +139,38 @@ def test_loads_of_reconstructions_match_grams(scheme):
     # own values at the rule's points gives the exact Gram matrix products.
     gd = make_gd(scheme, 3, "neumann")
     vec = np.random.default_rng(4).standard_normal(gd.n_dofs)
-    pieces = gd.piece_quadrature()[0]
-    grad = gd.gradient_load(gd.gradient_table(vec)[pieces])
-    np.testing.assert_allclose(grad, gd.gradient_gram() @ vec, atol=1e-12)
-    bfaces, pts, _, _ = gd.boundary_quadrature()
-    trace = gd.boundary_load(gd.trace_at(vec, bfaces, pts))
-    np.testing.assert_allclose(trace, gd.trace_gram() @ vec, atol=1e-12)
+    pieces, _, wts = gd_core._piece_rule(gd)
+    grad = gd.gradient_load(pieces, wts, gd.gradient_table(vec)[pieces])
+    np.testing.assert_allclose(grad, gd.gradient_gram @ vec, atol=1e-12)
+    bfaces, pts, wts, arc = gd_core._face_rule(gd.mesh, gd.boundary_face_ids)
+    wv, n = wts * gd.trace_at(vec, bfaces, pts), len(gd.boundary_face_ids)
+    trace = (gd.trace_mid.T @ np.bincount(bfaces, wv, n)
+             + gd.trace_slope.T @ np.bincount(bfaces, wv * arc, n))
+    np.testing.assert_allclose(trace, gd.trace_gram @ vec, atol=1e-12)
+
+
+@pytest.mark.parametrize("case_name", ["example1", "example3-neumann"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_diagnostics_row_keeps_no_point_set(case_name, scheme):
+    # A diagnostics row builds its piece, boundary and cell rules where it
+    # uses them: afterwards the discretisation holds its operators, what
+    # it derives on construction and its cached matrices, and neither it
+    # nor its mesh holds a quadrature point or weight array.
+    case = get_case(case_name)
+    gd = build_scheme(scheme, case.build_mesh(scheme, 8), case.bc)
+    on_mesh = set(vars(gd.mesh))
+    diagnostics_row(case, gd, 3)
+    held = vars(gd)
+    derived = {"cell_centred", "n_free", "boundary_face_ids", "piece_area", "piece_center"}
+    cached = {"mass_matrix", "gradient_gram", "norm_factor"}
+    if case.bc == "neumann":
+        cached.add("trace_gram")
+    assert set(held) == {f.name for f in dataclasses.fields(gd)} | derived | cached
+    assert set(vars(gd.mesh)) == on_mesh
+    rule_sizes = {len(gd_core._piece_rule(gd)[2]), 3 * len(gd.boundary_face_ids),
+                  len(cell_quadrature(gd.mesh, "gauss7")[2])}
+    arrays = [a for a in held.values() if isinstance(a, np.ndarray)]
+    assert arrays and not any(len(a) in rule_sizes for a in arrays)
 
 
 def test_sd_samples_the_target_once_per_point_set():
@@ -171,8 +191,8 @@ def test_sd_samples_the_target_once_per_point_set():
 
 def dense_cd(gd):
     """C_D from every eigenvalue of its pencils, computed densely."""
-    norm = gd.norm_factor().matrix.toarray()
-    pencils = [gd.mass_matrix()] + ([gd.trace_gram()] if gd.bc == "neumann" else [])
+    norm = gd.norm_factor.matrix.toarray()
+    pencils = [gd.mass_matrix] + ([gd.trace_gram] if gd.bc == "neumann" else [])
     return np.sqrt(max(la.eigh(a.toarray(), norm, eigvals_only=True)[-1] for a in pencils))
 
 
@@ -260,8 +280,8 @@ def test_wd_matches_dense_oracle(scheme, bc):
         cells = np.repeat(np.arange(mesh.n_cells), mesh.cells.shape[1] * q)
         normals = np.repeat(mesh.outward_normals().reshape(-1, 2), q, axis=0)
         wflux = wts * (flux_field(pts) * normals).sum(1)
-        pieces, ppts, pwts = gd.piece_quadrature()
-        bfaces, bpts, bwts, _ = gd.boundary_quadrature()
+        pieces, ppts, pwts = gd_core._piece_rule(gd)
+        bfaces, bpts, bwts, _ = gd_core._face_rule(mesh, gd.boundary_face_ids)
         bnormals = mesh.face_normal[gd.boundary_face_ids[bfaces]]
         bflux = bwts * (flux_field(bpts) * bnormals).sum(1)
         r = np.empty(gd.n_free)
@@ -271,7 +291,7 @@ def test_wd_matches_dense_oracle(scheme, bc):
                 r[j] += pwts @ (gd.gradient_table(e)[pieces] * flux_field(ppts)).sum(1)
             if bc == "neumann":
                 r[j] -= bflux @ gd.trace_at(e, bfaces, bpts)
-        expected = np.sqrt(r @ np.linalg.solve(gd.norm_factor().matrix.toarray(), r))
+        expected = np.sqrt(r @ np.linalg.solve(gd.norm_factor.matrix.toarray(), r))
         # The conforming scheme's defect is round-off on both sides.
         assert compute_wd(gd, flux_field) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
@@ -361,8 +381,8 @@ def test_cd_and_wd_share_one_factor(monkeypatch, bc):
 
 
 def misfit_gram(gd):
-    a = gd.mass_matrix() + gd.gradient_gram()
-    return a + gd.trace_gram() if gd.bc == "neumann" else a
+    a = gd.mass_matrix + gd.gradient_gram
+    return a + gd.trace_gram if gd.bc == "neumann" else a
 
 
 @functools.lru_cache(maxsize=None)
@@ -381,7 +401,7 @@ def test_misfit_solve_meets_contract_and_matches_direct(scheme, bc, level, seed)
     gd = cached_gd(scheme, bc, level)
     a = misfit_gram(gd)
     b = np.random.default_rng(seed).standard_normal(gd.n_free)
-    x = gd.norm_factor().cg_solve(a, b)
+    x = gd.norm_factor.cg_solve(a, b)
     a_norm = abs(a).sum(axis=1).max()
     assert np.abs(b - a @ x).max() <= SOLVE_TOL * (a_norm * np.abs(x).max() + np.abs(b).max())
     direct = SPDFactor(a).solve(b)
@@ -392,10 +412,10 @@ def test_misfit_solve_cap_raises_with_reached_backward_error(monkeypatch):
     # The Neumann misfit solve takes 8-9 steps, so a cap of 2 is reached.
     gd = make_gd("ncp1", 16, "neumann")
     b = np.random.default_rng(3).standard_normal(gd.n_free)
-    gd.norm_factor().cg_solve(misfit_gram(gd), b)  # meets the contract uncapped
+    gd.norm_factor.cg_solve(misfit_gram(gd), b)  # meets the contract uncapped
     monkeypatch.setattr(assembly, "CG_MAX_STEPS", 2)
     with pytest.raises(SolverError, match="backward error .* in 2 steps") as exc:
-        gd.norm_factor().cg_solve(misfit_gram(gd), b)
+        gd.norm_factor.cg_solve(misfit_gram(gd), b)
     reached = float(str(exc.value).split("backward error ")[1].split(",")[0])
     assert reached > SOLVE_TOL
 
