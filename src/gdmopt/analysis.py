@@ -1,29 +1,33 @@
 """Quadrature rules, discretisation errors, convergence rates and CSV output.
 
 Every integral in the package is evaluated with one of a small set of
-named quadrature rules defined on the reference triangle and the
-reference square.  The error measures follow a fixed protocol: function
-errors use a degree-5 rule for nodal schemes and the one-point centroid
-rule for cell-centred schemes (whose reconstructions are piecewise
-constant), gradient errors always use one centroid point per region of
-constant discrete gradient, control errors use a degree-2 rule, and
+named quadrature rules, held in one table keyed by cell shape:
+``reference_rule(k, name)`` on the reference triangle (k = 3) or square
+(k = 4).  Each rule builder returns the owner of every point first:
+(owners, points, weights) from ``triangle_quadrature`` and
+``cell_quadrature``, plus arclength offsets from ``segment_quadrature``.
+The error measures follow a fixed protocol: function errors use a
+degree-5 rule for nodal schemes and the one-point centroid rule for
+cell-centred schemes (whose reconstructions are piecewise constant),
+gradient errors always use one centroid point per region of constant
+discrete gradient, control errors use a degree-2 rule, and
 post-processed control errors use the function rule.
 Relative errors are reported; numerator and denominator share a rule.
 Each point set this protocol reads on a level is sampled once, and only
 for the fields read there: ``sample_level`` samples the load rule's
 points before the solve and keeps, block by block, what the errors read
-there; ``compute_errors`` samples the other point sets after it.  Cell
-quadrature points are built one block of whole cells at a time, when a
-pass reaches the block (``quadrature_blocks``), so a level keeps no
-array of a whole quadrature point set.  Neither does a discretisation:
-the diagnostics build their piece and boundary rules where they use
-them (``gd_core.compute_wd`` and ``compute_sd_upper``).
+there; ``compute_errors`` samples the other point sets after it.
+``quadrature_blocks`` yields the cell points as (block, cells, points,
+weights), one block of whole cells at a time built when a pass reaches
+it, so a level keeps no array of a whole quadrature point set.  Neither
+does a discretisation: the diagnostics build their piece and boundary
+rules where they use them (``gd_core.compute_wd`` and
+``compute_sd_upper``).
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -35,73 +39,56 @@ CSV_HEADER = (
 
 DIAGNOSTICS_HEADER = "level,h,c_d,w_d_y,s_d_y,s_d_p"
 
-_SQRT15 = math.sqrt(15.0)
-
 # Points per block of whole cells (cell_blocks) in which the quadrature
 # points are built, the exact fields sampled and the loads and error
 # sums taken: about this many keep the temporaries of a block in a
 # core's 2 MB cache.
 BLOCK_POINTS = 16384
 
-
-def _triangle_rule(name):
-    """Points and weights on the reference triangle (area 1/2)."""
-    if name == "midpoint":
-        return np.array([[1 / 3, 1 / 3]]), np.array([0.5])
-    if name == "gauss3":
-        pts = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
-        return pts, np.full(3, 1 / 6)
-    if name == "gauss7":
-        # Degree-5 rule: centroid plus two symmetric orbits.
-        b1 = (6.0 + _SQRT15) / 21.0
-        b2 = (6.0 - _SQRT15) / 21.0
-        w1 = (155.0 + _SQRT15) / 2400.0
-        w2 = (155.0 - _SQRT15) / 2400.0
-        pts = [[1 / 3, 1 / 3]]
-        wts = [9.0 / 80.0]
-        for b, w in ((b1, w1), (b2, w2)):
-            pts += [[b, b], [1.0 - 2.0 * b, b], [b, 1.0 - 2.0 * b]]
-            wts += [w, w, w]
-        return np.array(pts), np.array(wts)
-    if name == "degree10":
-        # Collapsed tensor Gauss rule, exact well beyond degree 10; used
-        # as an oracle against the production rules.
-        u, wu = np.polynomial.legendre.leggauss(8)
-        u = 0.5 * (u + 1.0)
-        wu = 0.5 * wu
-        uu, vv = np.meshgrid(u, u, indexing="ij")
-        ww = np.outer(wu, wu) * (1.0 - uu)
-        pts = np.column_stack([uu.ravel(), (vv * (1.0 - uu)).ravel()])
-        return pts, ww.ravel()
-    raise ValueError(f"unknown quadrature rule {name!r}")
-
-
+# Gauss points per axis of each tensor rule on the reference square.
 _SQUARE_ORDER = {"midpoint": 1, "gauss3": 2, "gauss7": 3, "degree10": 6}
 
 
-def _square_rule(name):
-    """Tensor Gauss points and weights on the reference square (area 1)."""
-    try:
-        n = _SQUARE_ORDER[name]
-    except KeyError:
-        raise ValueError(f"unknown quadrature rule {name!r}") from None
-    u, wu = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (u + 1.0)
-    wu = 0.5 * wu
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    pts = np.column_stack([uu.ravel(), vv.ravel()])
-    return pts, np.outer(wu, wu).ravel()
-
-
 @functools.cache
-def get_rule(name):
-    """Named rule with reference tables ``.triangle`` and ``.square``,
-    each a (points, weights) pair, built once per name.
+def reference_rule(k, name):
+    """Points and weights of a named rule on the reference cell with k
+    corners: the triangle (0, 0), (1, 0), (0, 1) of area 1/2 for k = 3,
+    the unit square for k = 4.
 
     midpoint is exact to degree 1, gauss3 to degree 2, gauss7 to degree 5
-    and degree10 to (at least) degree 10, on both reference cells.
+    and degree10 to (at least) degree 10, on both reference cells.  The
+    arrays are built once per (k, name) and shared by every caller, so
+    they are read-only.
     """
-    return SimpleNamespace(triangle=_triangle_rule(name), square=_square_rule(name))
+    if k == 3 and name == "midpoint":
+        pts, wts = [[1 / 3, 1 / 3]], [0.5]
+    elif k == 3 and name == "gauss3":
+        pts, wts = [[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]], [1 / 6] * 3
+    elif k == 3 and name == "gauss7":
+        # Degree-5 rule: centroid plus two symmetric orbits.
+        pts, wts = [[1 / 3, 1 / 3]], [9.0 / 80.0]
+        for root in (math.sqrt(15.0), -math.sqrt(15.0)):
+            b, w = (6.0 + root) / 21.0, (155.0 + root) / 2400.0
+            pts += [[b, b], [1.0 - 2.0 * b, b], [b, 1.0 - 2.0 * b]]
+            wts += [w, w, w]
+    elif k in (3, 4) and name in _SQUARE_ORDER:
+        # Tensor Gauss rule on the square; on the triangle (degree10
+        # only, an oracle against the production rules) 8 points per
+        # axis collapsed onto it, exact well beyond degree 10.
+        u, wu = np.polynomial.legendre.leggauss(8 if k == 3 else _SQUARE_ORDER[name])
+        u = 0.5 * (u + 1.0)
+        wu = 0.5 * wu
+        uu, vv = np.meshgrid(u, u, indexing="ij")
+        wts = np.outer(wu, wu)
+        if k == 3:
+            vv, wts = vv * (1.0 - uu), wts * (1.0 - uu)
+        pts, wts = np.column_stack([uu.ravel(), vv.ravel()]), wts.ravel()
+    else:
+        raise ValueError(f"unknown quadrature rule {name!r} on cells of {k} corners")
+    pts, wts = np.array(pts, dtype=float), np.array(wts, dtype=float)
+    pts.setflags(write=False)
+    wts.setflags(write=False)
+    return pts, wts
 
 
 def _affine_map(xs, ys, ref, wref):
@@ -137,25 +124,26 @@ def triangle_quadrature(tris, rule):
 
     Returns
     -------
+    owners : (n * q,) int
+        Owning triangle of each point.
     points : (n * q, 2), weights : (n * q,)
         Flattened per-triangle points and physical weights; the weights
         of each triangle sum to its area.
     """
     tris = np.asarray(tris, dtype=float)
-    return _affine_map(tris[:, :, 0], tris[:, :, 1], *get_rule(rule).triangle)
-
-
-def reference_rule(mesh, rule):
-    """Points and weights of a named rule on the reference cell of a mesh:
-    the triangle or the square."""
-    ref = get_rule(rule)
-    return ref.triangle if mesh.cells.shape[1] == 3 else ref.square
+    ref, wref = reference_rule(3, rule)
+    pts, wts = _affine_map(tris[:, :, 0], tris[:, :, 1], ref, wref)
+    return np.repeat(np.arange(len(tris)), len(wref)), pts, wts
 
 
 def cell_quadrature(mesh, rule, block=slice(None)):
     """Quadrature points of a named rule on the cells mesh.cells[block] (a
     slice; every cell by default), listed cell by cell and built afresh
     from the reference rule on each call.
+
+    The square rules map affinely onto parallelograms only: a
+    quadrilateral cell with corners v0..v3 raises ValueError when
+    |v0 + v2 - v1 - v3| exceeds 1e-12 times its diameter.
 
     Returns
     -------
@@ -167,8 +155,13 @@ def cell_quadrature(mesh, rule, block=slice(None)):
     cells = mesh.cells[first:stop]
     # Corner coordinates gathered one coordinate at a time, which is
     # several times faster than gathering vertex rows.
-    ref, wref = reference_rule(mesh, rule)
-    pts, wts = _affine_map(mesh.vertices[:, 0][cells], mesh.vertices[:, 1][cells], ref, wref)
+    xs, ys = mesh.vertices[:, 0][cells], mesh.vertices[:, 1][cells]
+    if cells.shape[1] == 4 and np.any(
+            np.hypot(*(v[:, 0] + v[:, 2] - v[:, 1] - v[:, 3] for v in (xs, ys)))
+            > 1e-12 * mesh.cell_diameter[first:stop]):
+        raise ValueError("quadrilateral cell is not a parallelogram")
+    ref, wref = reference_rule(cells.shape[1], rule)
+    pts, wts = _affine_map(xs, ys, ref, wref)
     return np.repeat(np.arange(first, stop), len(wref)), pts, wts
 
 
@@ -177,15 +170,12 @@ def quadrature_blocks(mesh, rule):
     block of whole cells at a time, each built when it is reached, so no
     array of the whole point set is made.
 
-    Yields (span, block, cells, points, weights) per block: span is the
-    slice of the whole point set (cell_quadrature's order) that the block
-    takes, block the slice of its cells, and the rest cell_quadrature of
-    block.
+    Yields (block, cells, points, weights) per block: block is the slice
+    of its cells and the rest cell_quadrature of block.
     """
-    q = len(reference_rule(mesh, rule)[1])
-    for span in cell_blocks(q * mesh.n_cells, mesh.n_cells):
-        block = slice(span.start // q, span.stop // q)
-        yield (span, block) + cell_quadrature(mesh, rule, block)
+    q = len(reference_rule(mesh.cells.shape[1], rule)[1])
+    for block in cell_blocks(mesh.n_cells, q):
+        yield (block,) + cell_quadrature(mesh, rule, block)
 
 
 def block_sums(block, cells, values):
@@ -215,9 +205,10 @@ def segment_quadrature(a, b):
     """3-point Gauss rule (exact to degree 5) on a batch of segments from
     a to b, both (n, 2) arrays.
 
-    Returns flattened points (n * 3, 2), weights (n * 3,) summing to the
-    segment lengths, and the signed arclength offsets (n * 3,) of the
-    points from the segment midpoints.
+    Returns the owning segment of each point (n * 3,), flattened points
+    (n * 3, 2), weights (n * 3,) summing to the segment lengths, and the
+    signed arclength offsets (n * 3,) of the points from the segment
+    midpoints.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -228,7 +219,8 @@ def segment_quadrature(a, b):
     pts = mid[:, None, :] + u[None, :, None] * half[:, None, :]
     wts = 0.5 * lengths[:, None] * wu[None, :]
     arc = 0.5 * lengths[:, None] * u[None, :]
-    return pts.reshape(-1, 2), wts.reshape(-1), arc.reshape(-1)
+    owners = np.repeat(np.arange(len(a)), len(u))
+    return owners, pts.reshape(-1, 2), wts.reshape(-1), arc.reshape(-1)
 
 
 @dataclass
@@ -282,13 +274,11 @@ class LevelSamples:
     fields: Callable
 
 
-def cell_blocks(n_points, n_cells):
-    """Slices of a point set that lists the same number of points for
-    every cell, cell by cell, into blocks of whole cells of about
-    BLOCK_POINTS points (one cell at least)."""
-    per_cell = n_points // n_cells
-    step = max(BLOCK_POINTS // per_cell, 1) * per_cell
-    return [slice(start, min(start + step, n_points)) for start in range(0, n_points, step)]
+def cell_blocks(n_cells, per_cell):
+    """Slices of n_cells cells, each with per_cell points, into blocks of
+    whole cells of about BLOCK_POINTS points (one cell at least)."""
+    step = max(BLOCK_POINTS // per_cell, 1)
+    return [slice(start, min(start + step, n_cells)) for start in range(0, n_cells, step)]
 
 
 def sample_level(gd, fields):
@@ -299,7 +289,7 @@ def sample_level(gd, fields):
     kept = ("p", "u") if gd.cell_centred else ("y", "p", "u")
     blocks = []
 
-    def sample(span, pts):
+    def sample(pts):
         part = fields(pts, kept + ("f", "y_d"))
         blocks.append(part._replace(f=None, y_d=None))
         return [part.f, part.y_d]
@@ -312,10 +302,12 @@ def _gradient_errors(gd, fields, vecs):
     adjoint) at the piece centres: one centroid point per region of
     constant discrete gradient, sampled block by block."""
     centers = gd.piece_center
+    per_cell = len(centers) // gd.mesh.n_cells
     tables = [gd.gradient_table(v) for v in vecs]
     # Per piece: squared errors and squared targets of grad y and grad p.
     sq = np.empty((4, len(centers)))
-    for span in cell_blocks(len(centers), gd.mesh.n_cells):
+    for block in cell_blocks(gd.mesh.n_cells, per_cell):
+        span = slice(per_cell * block.start, per_cell * block.stop)
         part = fields(centers[span], ("grad_y", "grad_p"))
         gy, gp = part.grad_y, part.grad_p
         for row, v in enumerate((tables[0][span] - gy, gy, tables[1][span] - gp,
@@ -335,10 +327,9 @@ def _function_errors(gd, exact, vecs, post):
     # Per cell: squared errors and squared targets of y, p and u_tilde.
     sums = np.empty((6, mesh.n_cells))
     blocks = zip(quadrature_blocks(mesh, function_rule(gd)), exact.blocks, strict=True)
-    for (_, block, cells, pts, wts), kept in blocks:
+    for (block, cells, pts, wts), kept in blocks:
         offsets = centroid_offsets(mesh, cells, pts)
         y_h, p_h = (affine_at(c, cells, offsets) for c in coefficients)
-        # One point per cell for cell-centred schemes: block is the span.
         value = exact.fields(mesh.cell_point[block], ("y", "p")) if gd.cell_centred else kept
         y, p = value.y, value.p
         discrete, exact_post = post(cells, p_h, kept.p)
@@ -354,7 +345,7 @@ def _control_error(mesh, fields, u_cells):
     """Relative error of the cellwise control against u, sampled at the
     gauss3 points block by block."""
     sums = np.empty((2, mesh.n_cells))
-    for _, block, cells, pts, wts in quadrature_blocks(mesh, "gauss3"):
+    for block, cells, pts, wts in quadrature_blocks(mesh, "gauss3"):
         u = fields(pts, ("u",)).u
         sums[0, block] = block_sums(block, cells, wts * (u_cells[cells] - u) ** 2)
         sums[1, block] = block_sums(block, cells, wts * u ** 2)

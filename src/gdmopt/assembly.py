@@ -148,7 +148,7 @@ def assemble_load(gd, volume_source):
     summed over the points of ``analysis.function_rule(gd)`` (the rule of
     the error measurement protocol) block by block
     (GradientDiscretisation.value_load)."""
-    return gd.value_load(function_rule(gd), lambda span, pts: [
+    return gd.value_load(function_rule(gd), lambda pts: [
         np.asarray(volume_source(pts), dtype=float)])[0]
 
 

@@ -69,7 +69,7 @@ def project_onto_cells(mesh, fn):
     """Cell averages of a function under the degree-5 gauss7 rule, which
     is evaluated one block of cells at a time."""
     sums, areas = np.empty((2, mesh.n_cells))
-    for _, block, cells, pts, wts in quadrature_blocks(mesh, "gauss7"):
+    for block, cells, pts, wts in quadrature_blocks(mesh, "gauss7"):
         sums[block] = block_sums(block, cells, wts * np.asarray(fn(pts), dtype=float))
         areas[block] = block_sums(block, cells, wts)
     return sums / areas

@@ -36,23 +36,6 @@ POWER_TOL = 1e-8
 POWER_MAX_ITER = 10000
 
 
-def _piece_rule(gd):
-    """Degree-5 (gauss7) rule on every gradient piece: the owning piece
-    of each point, the points and their weights."""
-    pts, wts = triangle_quadrature(gd.piece_tri, "gauss7")
-    n = len(gd.piece_area)
-    return np.repeat(np.arange(n), len(wts) // n), pts, wts
-
-
-def _face_rule(mesh, ids):
-    """3-point Gauss rule on the faces ``ids``: the position in ids of
-    each point's face, the points, their weights and their arclength
-    offsets from the face midpoints."""
-    pts, wts, arc = segment_quadrature(mesh.vertices[mesh.faces[ids, 0]],
-                                       mesh.vertices[mesh.faces[ids, 1]])
-    return np.repeat(np.arange(len(ids)), 3), pts, wts, arc
-
-
 @dataclass(eq=False, kw_only=True)
 class GradientDiscretisation:
     """Reconstruction operators of one scheme on one mesh, on its unknowns:
@@ -150,7 +133,7 @@ class GradientDiscretisation:
         mesh = self.mesh
         # Second moments about the centroid per cell, by the gauss3 rule.
         jxx, jxy, jyy = np.empty((3, mesh.n_cells))
-        for _, block, cells, pts, wts in quadrature_blocks(mesh, "gauss3"):
+        for block, cells, pts, wts in quadrature_blocks(mesh, "gauss3"):
             dx, dy = centroid_offsets(mesh, cells, pts)
             jxx[block] = block_sums(block, cells, wts * dx ** 2)
             jxy[block] = block_sums(block, cells, wts * dx * dy)
@@ -198,18 +181,17 @@ class GradientDiscretisation:
         cell quadrature rule, one row per array v that sample gives.
 
         The points are built one block of whole cells at a time
-        (analysis.quadrature_blocks), and sample(span, pts) returns the
-        list of value arrays at the points pts of a block, which take the
-        slice span of the whole point set; it gives the same number of
-        arrays for every block.  Each cell's sums add its points in
-        order, as one pass over all points would, and the loads share
-        each block's offsets from the cell centroids.  Each operator then
-        takes one product for all loads.
+        (analysis.quadrature_blocks), and sample(pts) returns the list of
+        value arrays at the points pts of a block; it gives the same
+        number of arrays for every block.  Each cell's sums add its
+        points in order, as one pass over all points would, and the loads
+        share each block's offsets from the cell centroids.  Each
+        operator then takes one product for all loads.
         """
         mesh = self.mesh
         sums = None
-        for span, block, cells, pts, wts in quadrature_blocks(mesh, rule):
-            vals = sample(span, pts)
+        for block, cells, pts, wts in quadrature_blocks(mesh, rule):
+            vals = sample(pts)
             if sums is None:
                 sums = np.empty((3, mesh.n_cells, len(vals)))
             dx, dy = centroid_offsets(mesh, cells, pts)
@@ -223,8 +205,8 @@ class GradientDiscretisation:
 
     def gradient_load(self, pieces, wts, vals):
         """Load vector sum(w * vals . gradient basis) for (n, 2) values at
-        the points of a piece rule (_piece_rule): their owning pieces and
-        weights."""
+        the points of a rule on the pieces (analysis.triangle_quadrature
+        of piece_tri): their owning pieces and weights."""
         n = len(self.piece_area)
         return (self.grad_x.T @ np.bincount(pieces, wts * vals[:, 0], n)
                 + self.grad_y.T @ np.bincount(pieces, wts * vals[:, 1], n))
@@ -277,7 +259,7 @@ def compute_cd(gd):
 
 def _face_flux_integrals(mesh, flux):
     """Per-face integrals of flux . n0 and of its first arclength moment."""
-    faces, pts, wts, arc = _face_rule(mesh, np.arange(mesh.n_faces))
+    faces, pts, wts, arc = segment_quadrature(*mesh.vertices[mesh.faces.T])
     vals = np.asarray(flux(pts), dtype=float)
     fn = (vals * mesh.face_normal[faces]).sum(1)
     i1 = np.bincount(faces, wts * fn, mesh.n_faces)
@@ -315,7 +297,7 @@ def compute_wd(gd, flux):
          + gd.value_slope_x.T @ np.bincount(cells, j1 * d[:, 0] + j2 * t[:, 0], mesh.n_cells)
          + gd.value_slope_y.T @ np.bincount(cells, j1 * d[:, 1] + j2 * t[:, 1], mesh.n_cells))
     if gd.cell_centred:
-        pieces, pts, wts = _piece_rule(gd)
+        pieces, pts, wts = triangle_quadrature(gd.piece_tri, "gauss7")
         r += gd.gradient_load(pieces, wts, np.asarray(flux(pts), dtype=float))
     if gd.bc == "neumann":
         ids = gd.boundary_face_ids
@@ -343,24 +325,26 @@ def compute_sd_upper(gd, fn, grad_fn):
 
     The gauss7 points are built one block at a time, for the load and
     again for the function misfit; only the target's values there are
-    kept between the two passes.  The piece rule (_piece_rule) and the
-    boundary rule (_face_rule) are built here, serve the load and the
-    misfit, and are dropped on return: gd keeps no point set.
+    kept between the two passes.  The gauss7 rule on the pieces
+    (analysis.triangle_quadrature) and the 3-point rule on the boundary
+    faces (analysis.segment_quadrature) are built here, serve the load
+    and the misfit, and are dropped on return: gd keeps no point set.
     """
     if gd.n_free == 0:
         raise ValueError("no free DOFs: consistency defect undefined")
     # The target values of each gauss7 block, kept for the misfit pass.
     fvals = []
 
-    def sample(span, pts):
+    def sample(pts):
         fvals.append(np.asarray(fn(pts), dtype=float))
         return fvals[-1:]
 
-    pieces, ppts, pwts = _piece_rule(gd)
+    pieces, ppts, pwts = triangle_quadrature(gd.piece_tri, "gauss7")
     gvals = np.asarray(grad_fn(ppts), dtype=float)
     b = gd.value_load("gauss7", sample)[0] + gd.gradient_load(pieces, pwts, gvals)
     if gd.bc == "neumann":
-        bfaces, bpts, bwts, arc = _face_rule(gd.mesh, gd.boundary_face_ids)
+        ends = gd.mesh.faces[gd.boundary_face_ids].T
+        bfaces, bpts, bwts, arc = segment_quadrature(*gd.mesh.vertices[ends])
         bvals = np.asarray(fn(bpts), dtype=float)
         n, wv = len(gd.boundary_face_ids), bwts * bvals
         b = b + (gd.trace_mid.T @ np.bincount(bfaces, wv, n)
@@ -376,7 +360,7 @@ def compute_sd_upper(gd, fn, grad_fn):
     # when the target is exactly representable.
     coefficients = gd.cell_coefficients(z)
     sq = 0.0
-    for (_, _, cells, pts, wts), f in zip(quadrature_blocks(gd.mesh, "gauss7"), fvals):
+    for (_, cells, pts, wts), f in zip(quadrature_blocks(gd.mesh, "gauss7"), fvals):
         dval = affine_at(coefficients, cells, centroid_offsets(gd.mesh, cells, pts)) - f
         sq += float(wts @ dval ** 2)
     total = math.sqrt(sq)

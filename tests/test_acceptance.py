@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from gdmopt.analysis import ErrorReport, cell_quadrature, function_rule, render_csv
+from gdmopt.analysis import ErrorReport, render_csv
 from gdmopt.assembly import SPDFactor, solve_pde
 from gdmopt.cases import get_case
 from gdmopt.cli import run_table
@@ -163,14 +163,12 @@ def test_criterion_08_property_suite():
         g = gd.gradient_table(affine(gd.dof_points))
         assert np.abs(g - slope).max() <= 1e-12
 
-        # Stability: twenty random cellwise sources per scheme, loaded
-        # exactly by their values at the load rule's points.
+        # Stability: twenty random cellwise sources per scheme, each
+        # loaded exactly through its value_center coupling.
         cd = compute_cd(gdd)
-        cells = cell_quadrature(mesh, function_rule(gdd))[0]
         for _ in range(20):
             f_cells = rng.standard_normal(mesh.n_cells)
-            psi = SPDFactor(gdd.stiffness()).solve(
-                gdd.value_load(function_rule(gdd), lambda span, pts: [f_cells[cells[span]]])[0])
+            psi = SPDFactor(gdd.stiffness()).solve(gdd.value_center.T @ (mesh.cell_area * f_cells))
             fnorm = np.sqrt(float(mesh.cell_area @ f_cells ** 2))
             assert gradient_norm(gdd, psi) <= cd * fnorm * (1.0 + 1e-10)
 

@@ -15,7 +15,7 @@ from gdmopt.analysis import (
     cell_quadrature,
     compute_eoc,
     compute_errors,
-    get_rule,
+    reference_rule,
     render_csv,
     render_diagnostics_csv,
     sample_level,
@@ -24,7 +24,7 @@ from gdmopt.analysis import (
 )
 from gdmopt.cases import Fields, get_case
 from gdmopt.control import postprocess, solve_kkt_pdas
-from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
+from gdmopt.mesh import PolytopalMesh, build_cartesian_mesh, build_unit_square_triangulation
 from gdmopt.schemes import build_scheme
 
 REF_TRI = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
@@ -43,7 +43,7 @@ def test_triangle_weights_sum_to_area():
         ]
     )
     for rule in ("midpoint", "gauss3", "gauss7", "degree10"):
-        pts, wts = triangle_quadrature(tris, rule)
+        _, pts, wts = triangle_quadrature(tris, rule)
         assert pts.shape[0] == wts.shape[0]
         per_tri = wts.reshape(2, -1).sum(axis=1)
         e1 = tris[:, 1] - tris[:, 0]
@@ -57,7 +57,7 @@ def test_triangle_weights_sum_to_area():
     [("midpoint", 1), ("gauss3", 2), ("gauss7", 5), ("degree10", 10)],
 )
 def test_triangle_rule_exactness(rule, degree):
-    pts, wts = triangle_quadrature(REF_TRI, rule)
+    _, pts, wts = triangle_quadrature(REF_TRI, rule)
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
             val = np.sum(wts * pts[:, 0] ** a * pts[:, 1] ** b)
@@ -66,10 +66,10 @@ def test_triangle_rule_exactness(rule, degree):
 
 def test_gauss7_specific_value():
     # int x^2 y^3 = 2! 3! / 7! = 1/420; degree 5, so gauss7 is exact.
-    pts, wts = triangle_quadrature(REF_TRI, "gauss7")
+    _, pts, wts = triangle_quadrature(REF_TRI, "gauss7")
     val = np.sum(wts * pts[:, 0] ** 2 * pts[:, 1] ** 3)
     assert val == pytest.approx(1.0 / 420.0, rel=1e-14)
-    pts, wts = triangle_quadrature(REF_TRI, "degree10")
+    _, pts, wts = triangle_quadrature(REF_TRI, "degree10")
     oracle = np.sum(wts * pts[:, 0] ** 2 * pts[:, 1] ** 3)
     assert val == pytest.approx(oracle, rel=1e-13)
 
@@ -94,6 +94,59 @@ def test_cell_quadrature_squares():
     assert np.all(cells == np.repeat(np.arange(4), 9))
 
 
+def test_reference_rule_table():
+    # One table keyed by cell shape: unknown names and shapes raise, and
+    # every call shares one pair of read-only arrays.
+    for k, name in ((3, "gauss5"), (4, "gauss5"), (5, "gauss7")):
+        with pytest.raises(ValueError):
+            reference_rule(k, name)
+    for k in (3, 4):
+        pts, wts = reference_rule(k, "gauss7")
+        again = reference_rule(k, "gauss7")
+        assert again[0] is pts and again[1] is wts
+        for a in (pts, wts):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+def test_rule_builders_return_owners_first():
+    tris = np.array([REF_TRI[0], REF_TRI[0] + 1.0])
+    for rule in ("midpoint", "gauss3", "gauss7", "degree10"):
+        owners, _, wts = triangle_quadrature(tris, rule)
+        q = len(reference_rule(3, rule)[1])
+        assert np.array_equal(owners, np.repeat(np.arange(2), q)) and len(wts) == 2 * q
+    owners, pts, _, _ = segment_quadrature(np.zeros((3, 2)), np.ones((3, 2)))
+    assert np.array_equal(owners, np.repeat(np.arange(3), 3)) and len(pts) == 9
+
+
+def one_quadrilateral(corners):
+    return PolytopalMesh(np.array(corners, dtype=float), [[0, 1, 2, 3]])
+
+
+def test_cell_quadrature_rejects_non_parallelograms():
+    # The square rules map affinely onto parallelograms only; on this
+    # trapezoid of area 0.7 they would give weights summing to 1.
+    trapezoid = one_quadrilateral([[0.0, 0.0], [1.0, 0.0], [0.4, 1.0], [0.0, 1.0]])
+    assert trapezoid.cell_area[0] == pytest.approx(0.7)
+    for rule in ("midpoint", "gauss3", "gauss7"):
+        with pytest.raises(ValueError, match="parallelogram"):
+            cell_quadrature(trapezoid, rule)
+
+
+def test_cell_quadrature_sheared_parallelogram_moments():
+    # gauss7 on a sheared parallelogram integrates every monomial of
+    # degree 5 or less exactly: the degree10 rule on its two triangles is
+    # the oracle.
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]])
+    _, pts, wts = cell_quadrature(one_quadrilateral(corners), "gauss7")
+    _, tpts, twts = triangle_quadrature(corners[[[0, 1, 2], [0, 2, 3]]], "degree10")
+    for a in range(6):
+        for b in range(6 - a):
+            val = np.sum(wts * pts[:, 0] ** a * pts[:, 1] ** b)
+            oracle = np.sum(twts * tpts[:, 0] ** a * tpts[:, 1] ** b)
+            assert val == pytest.approx(oracle, rel=1e-13)
+
+
 @pytest.mark.parametrize("rule", ["midpoint", "gauss3", "gauss7", "degree10"])
 def test_quadrature_blocks_match_fresh_map(monkeypatch, rule):
     # The whole-mesh points are the reference rule mapped onto the cells,
@@ -104,33 +157,33 @@ def test_quadrature_blocks_match_fresh_map(monkeypatch, rule):
         whole = cell_quadrature(mesh, rule)
         loops = mesh.vertices[mesh.cells]
         if mesh.cells.shape[1] == 3:
-            pts, wts = triangle_quadrature(loops, rule)
+            _, pts, wts = triangle_quadrature(loops, rule)
         else:
-            ref, wref = get_rule(rule).square
+            ref, wref = reference_rule(4, rule)
             e1 = loops[:, 1] - loops[:, 0]
             e2 = loops[:, 3] - loops[:, 0]
             pts = (loops[:, None, 0, :] + ref[None, :, 0, None] * e1[:, None, :]
                    + ref[None, :, 1, None] * e2[:, None, :]).reshape(-1, 2)
             wts = np.outer(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0], wref).ravel()
-        cells = np.repeat(np.arange(mesh.n_cells), len(wts) // mesh.n_cells)
+        q = len(wts) // mesh.n_cells
+        cells = np.repeat(np.arange(mesh.n_cells), q)
         for built, fresh in zip(whole, (cells, pts, wts)):
             assert np.array_equal(built, fresh)
         blocks = list(analysis.quadrature_blocks(mesh, rule))
-        assert len(blocks) > 1
-        assert blocks[0][0].start == blocks[0][1].start == 0
-        assert blocks[-1][0].stop == len(wts) and blocks[-1][1].stop == mesh.n_cells
-        for (span, block, *_), (after, next_block, *_) in zip(blocks, blocks[1:]):
-            assert span.stop == after.start and block.stop == next_block.start
+        assert len(blocks) > 1 and all(len(b) == 4 for b in blocks)
+        assert blocks[0][0].start == 0 and blocks[-1][0].stop == mesh.n_cells
+        for (block, *_), (next_block, *_) in zip(blocks, blocks[1:]):
+            assert block.stop == next_block.start
         for i, fresh in enumerate((cells, pts, wts)):
-            assert np.array_equal(np.concatenate([b[2 + i] for b in blocks]), fresh)
-        for span, block, *arrays in blocks:
-            assert np.array_equal(arrays[0], cells[span])
+            assert np.array_equal(np.concatenate([b[1 + i] for b in blocks]), fresh)
+        for block, block_cells, *_ in blocks:
+            assert np.array_equal(block_cells, cells[q * block.start:q * block.stop])
 
 
 def test_segment_quadrature():
     a = np.array([[0.0, 0.0], [1.0, 1.0]])
     b = np.array([[2.0, 0.0], [1.0, 4.0]])
-    pts, wts, arc = segment_quadrature(a, b)
+    _, pts, wts, arc = segment_quadrature(a, b)
     assert pts.shape == (6, 2) and wts.shape == arc.shape == (6,)
     np.testing.assert_allclose(wts.reshape(2, -1).sum(axis=1), [2.0, 3.0],
                                rtol=1e-14)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdmopt import assembly, gd_core
-from gdmopt.analysis import cell_quadrature, segment_quadrature
+from gdmopt.analysis import cell_quadrature, segment_quadrature, triangle_quadrature
 from gdmopt.assembly import SOLVE_TOL, SolverError, SPDFactor
 from gdmopt.cases import get_case
 from gdmopt.cli import diagnostics_row
@@ -27,6 +27,12 @@ def make_gd(scheme, m, bc="dirichlet", shift=0.0):
         else build_unit_square_triangulation(m)
     )
     return build_scheme(scheme, mesh, bc)
+
+
+def boundary_rule(gd):
+    # The 3-point Gauss rule on the boundary faces, as S_D builds it.
+    ends = gd.mesh.faces[gd.boundary_face_ids].T
+    return segment_quadrature(*gd.mesh.vertices[ends])
 
 
 def smooth(pts):
@@ -100,25 +106,20 @@ def test_value_load_matches_cell_coupling():
     # Loading the constant 1 through quadrature equals the exact
     # per-cell coupling integrals: the basis is affine on each cell, so
     # its mean there is its value_center entry.  Loads built together
-    # are the loads built one at a time, bit for bit, and values read
-    # from a whole-point-set array by span are the values at the points.
+    # are the loads built one at a time, bit for bit.
     for scheme in SCHEMES:
         gd = make_gd(scheme, 3, "neumann")
-        load, ramp = gd.value_load("gauss3", lambda span, p: [np.ones(len(p)), p[:, 0] - 0.3])
+        load, ramp = gd.value_load("gauss3", lambda p: [np.ones(len(p)), p[:, 0] - 0.3])
         exact = gd.value_center.T @ gd.mesh.cell_area
         np.testing.assert_allclose(load, exact, atol=1e-13)
-        (alone,) = gd.value_load("gauss3", lambda span, p: [p[:, 0] - 0.3])
+        (alone,) = gd.value_load("gauss3", lambda p: [p[:, 0] - 0.3])
         assert np.array_equal(ramp, alone)
-        # span places each block in the whole point set.
-        whole = cell_quadrature(gd.mesh, "gauss3")[1][:, 0] - 0.3
-        (sliced,) = gd.value_load("gauss3", lambda span, p: [whole[span]])
-        assert np.array_equal(ramp, sliced)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_piece_rule_weights_sum_to_areas(scheme):
     gd = make_gd(scheme, 3)
-    pieces, pts, wts = gd_core._piece_rule(gd)
+    pieces, pts, wts = triangle_quadrature(gd.piece_tri, "gauss7")
     np.testing.assert_allclose(np.bincount(pieces, wts), gd.piece_area, rtol=1e-13)
     with pytest.raises(ValueError):
         gd.piece_center[0] = 0
@@ -127,7 +128,7 @@ def test_piece_rule_weights_sum_to_areas(scheme):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_boundary_rule_weights_sum_to_lengths(scheme):
     gd = make_gd(scheme, 3, "neumann")
-    bfaces, pts, wts, arc = gd_core._face_rule(gd.mesh, gd.boundary_face_ids)
+    bfaces, pts, wts, arc = boundary_rule(gd)
     ell = gd.mesh.face_length[gd.boundary_face_ids]
     np.testing.assert_allclose(np.bincount(bfaces, wts), ell, rtol=1e-13)
 
@@ -139,10 +140,10 @@ def test_loads_of_reconstructions_match_grams(scheme):
     # own values at the rule's points gives the exact Gram matrix products.
     gd = make_gd(scheme, 3, "neumann")
     vec = np.random.default_rng(4).standard_normal(gd.n_dofs)
-    pieces, _, wts = gd_core._piece_rule(gd)
+    pieces, _, wts = triangle_quadrature(gd.piece_tri, "gauss7")
     grad = gd.gradient_load(pieces, wts, gd.gradient_table(vec)[pieces])
     np.testing.assert_allclose(grad, gd.gradient_gram @ vec, atol=1e-12)
-    bfaces, pts, wts, arc = gd_core._face_rule(gd.mesh, gd.boundary_face_ids)
+    bfaces, pts, wts, arc = boundary_rule(gd)
     wv, n = wts * gd.trace_at(vec, bfaces, pts), len(gd.boundary_face_ids)
     trace = (gd.trace_mid.T @ np.bincount(bfaces, wv, n)
              + gd.trace_slope.T @ np.bincount(bfaces, wv * arc, n))
@@ -167,8 +168,8 @@ def test_diagnostics_row_keeps_no_point_set(case_name, scheme):
         cached.add("trace_gram")
     assert set(held) == {f.name for f in dataclasses.fields(gd)} | derived | cached
     assert set(vars(gd.mesh)) == on_mesh
-    rule_sizes = {len(gd_core._piece_rule(gd)[2]), 3 * len(gd.boundary_face_ids),
-                  len(cell_quadrature(gd.mesh, "gauss7")[2])}
+    rule_sizes = {len(triangle_quadrature(gd.piece_tri, "gauss7")[2]),
+                  3 * len(gd.boundary_face_ids), len(cell_quadrature(gd.mesh, "gauss7")[2])}
     arrays = [a for a in held.values() if isinstance(a, np.ndarray)]
     assert arrays and not any(len(a) in rule_sizes for a in arrays)
 
@@ -274,14 +275,14 @@ def test_wd_matches_dense_oracle(scheme, bc):
         gd = make_gd(scheme, m, bc)
         mesh = gd.mesh
         faces = mesh.cell_faces.ravel()
-        pts, wts, _ = segment_quadrature(mesh.vertices[mesh.faces[faces, 0]],
-                                         mesh.vertices[mesh.faces[faces, 1]])
+        _, pts, wts, _ = segment_quadrature(mesh.vertices[mesh.faces[faces, 0]],
+                                            mesh.vertices[mesh.faces[faces, 1]])
         q = len(wts) // len(faces)
         cells = np.repeat(np.arange(mesh.n_cells), mesh.cells.shape[1] * q)
         normals = np.repeat(mesh.outward_normals().reshape(-1, 2), q, axis=0)
         wflux = wts * (flux_field(pts) * normals).sum(1)
-        pieces, ppts, pwts = gd_core._piece_rule(gd)
-        bfaces, bpts, bwts, _ = gd_core._face_rule(mesh, gd.boundary_face_ids)
+        pieces, ppts, pwts = triangle_quadrature(gd.piece_tri, "gauss7")
+        bfaces, bpts, bwts, _ = boundary_rule(gd)
         bnormals = mesh.face_normal[gd.boundary_face_ids[bfaces]]
         bflux = bwts * (flux_field(bpts) * bnormals).sum(1)
         r = np.empty(gd.n_free)
