@@ -20,9 +20,11 @@ there; ``compute_errors`` samples the other point sets after it.
 ``quadrature_blocks`` yields the cell points as (block, cells, points,
 weights), one block of whole cells at a time built when a pass reaches
 it, so a level keeps no array of a whole quadrature point set.  Neither
-does a discretisation: the diagnostics build their piece and boundary
-rules where they use them (``gd_core.compute_wd`` and
-``compute_sd_upper``).
+does a discretisation, and the diagnostics (``gd_core.compute_wd`` and
+``compute_sd_upper``) stream their piece and face rules in the same
+way: ``triangle_blocks`` yields a rule on the gradient pieces one block
+of whole pieces at a time, and the face rule is built one block of
+whole faces at a time.
 """
 
 import functools
@@ -176,6 +178,21 @@ def quadrature_blocks(mesh, rule):
     q = len(reference_rule(mesh.cells.shape[1], rule)[1])
     for block in cell_blocks(mesh.n_cells, q):
         yield (block,) + cell_quadrature(mesh, rule, block)
+
+
+def triangle_blocks(tris, rule):
+    """The points of a named rule on a batch of triangles, one cell_blocks
+    block of whole triangles at a time, as quadrature_blocks gives them
+    on cells.
+
+    Yields (block, owners, points, weights) per block: block is the slice
+    of its triangles and the rest triangle_quadrature of tris[block],
+    with the owners numbered in the whole batch.
+    """
+    q = len(reference_rule(3, rule)[1])
+    for block in cell_blocks(len(tris), q):
+        owners, pts, wts = triangle_quadrature(tris[block], rule)
+        yield block, owners + block.start, pts, wts
 
 
 def block_sums(block, cells, values):

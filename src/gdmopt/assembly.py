@@ -39,10 +39,21 @@ def _matrix_inf_norm(a):
 
 
 def check_symmetry(a):
-    """Raise if |A - A^T| exceeds 1e-12 max(1, |A|) in some entry."""
-    skew = (a - a.T).tocoo()
-    worst = np.abs(skew.data).max() if skew.nnz else 0.0
-    scale = np.abs(a.data).max() if a.nnz else 1.0
+    """Raise if |A - A^T| exceeds 1e-12 max(1, |A|) in some entry.
+
+    A CSR or CSC matrix in canonical form (sorted indices, no duplicates)
+    whose transpose has its pattern is checked on the transpose's data
+    alone, without forming A - A^T; any other matrix is checked on
+    A - A^T.  A is not modified.
+    """
+    t = a.T.asformat(a.format) if a.format in ("csr", "csc") else None
+    if (t is not None and a.has_canonical_format and np.array_equal(t.indptr, a.indptr)
+            and np.array_equal(t.indices, a.indices)):
+        skew = t.data
+        skew -= a.data
+    else:
+        skew = (a - a.T).tocoo().data
+    worst, scale = _inf_norm(skew), _inf_norm(a.data)
     if worst > 1e-12 * max(scale, 1.0):
         raise SolverError(f"matrix not symmetric: |A - A^T| reaches {worst:.3e}")
 

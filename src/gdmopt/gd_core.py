@@ -22,10 +22,11 @@ import scipy.sparse as sp
 from .analysis import (
     affine_at,
     block_sums,
+    cell_blocks,
     centroid_offsets,
     quadrature_blocks,
     segment_quadrature,
-    triangle_quadrature,
+    triangle_blocks,
 )
 from .assembly import SolverError, SPDFactor
 
@@ -203,13 +204,22 @@ class GradientDiscretisation:
                  + self.value_slope_y.T @ sums[2])
         return loads.T
 
-    def gradient_load(self, pieces, wts, vals):
-        """Load vector sum(w * vals . gradient basis) for (n, 2) values at
-        the points of a rule on the pieces (analysis.triangle_quadrature
-        of piece_tri): their owning pieces and weights."""
-        n = len(self.piece_area)
-        return (self.grad_x.T @ np.bincount(pieces, wts * vals[:, 0], n)
-                + self.grad_y.T @ np.bincount(pieces, wts * vals[:, 1], n))
+    def gradient_load(self, rule, sample):
+        """Load vector sum(w * v . gradient basis) over the points of the
+        named triangle rule on the pieces, for the (n, 2) values v that
+        sample(pts) gives at the points pts of a block.
+
+        The points are built one block of whole pieces at a time
+        (analysis.triangle_blocks).  Each piece's sums add its points in
+        order, as one pass over all points would, and each gradient
+        operator then takes one product.
+        """
+        sums = np.empty((2, len(self.piece_area)))
+        for block, pieces, pts, wts in triangle_blocks(self.piece_tri, rule):
+            vals = sample(pts)
+            for row in (0, 1):
+                sums[row, block] = block_sums(block, pieces, wts * vals[:, row])
+        return self.grad_x.T @ sums[0] + self.grad_y.T @ sums[1]
 
 
 def _max_generalized_eig(a, gd):
@@ -258,12 +268,17 @@ def compute_cd(gd):
 
 
 def _face_flux_integrals(mesh, flux):
-    """Per-face integrals of flux . n0 and of its first arclength moment."""
-    faces, pts, wts, arc = segment_quadrature(*mesh.vertices[mesh.faces.T])
-    vals = np.asarray(flux(pts), dtype=float)
-    fn = (vals * mesh.face_normal[faces]).sum(1)
-    i1 = np.bincount(faces, wts * fn, mesh.n_faces)
-    i2 = np.bincount(faces, wts * fn * arc, mesh.n_faces)
+    """Per-face integrals of flux . n0 and of its first arclength moment,
+    by the 3-point segment rule built one block of whole faces at a
+    time."""
+    i1, i2 = np.empty((2, mesh.n_faces))
+    for block in cell_blocks(mesh.n_faces, 3):
+        faces, pts, wts, arc = segment_quadrature(*mesh.vertices[mesh.faces[block].T])
+        faces += block.start
+        vals = np.asarray(flux(pts), dtype=float)
+        wfn = wts * (vals * mesh.face_normal[faces]).sum(1)
+        i1[block] = block_sums(block, faces, wfn)
+        i2[block] = block_sums(block, faces, wfn * arc)
     return i1, i2
 
 
@@ -280,6 +295,13 @@ def compute_wd(gd, flux):
     the largest residual over DOF vectors of unit gradient norm
     (Dirichlet) or unit discretisation norm (Neumann, quadratic
     surrogate).
+
+    Every pass runs one block at a time: the face rule over blocks of
+    whole faces, the (cell, face) pairs over blocks of whole cells and
+    the gauss7 rule over blocks of whole pieces, so no array of a whole
+    point set is made.  The per-face, per-cell and per-piece sums add
+    their terms in the order one pass would, so W_D does not depend on
+    the block size.
     """
     if gd.n_free == 0:
         raise ValueError("no free DOFs: conformity defect undefined")
@@ -288,17 +310,21 @@ def compute_wd(gd, flux):
     # On face f of cell K, x = x_f + arc t_f and the trace is
     # c_K + S_K . (x_f - x_K) + arc S_K . t_f, so with the outward sign s
     # its flux integral is s i1 (c_K + S_K . (x_f - x_K)) + s i2 S_K . t_f.
-    cells = np.repeat(np.arange(mesh.n_cells), mesh.cells.shape[1])
-    faces, sign = mesh.cell_faces.ravel(), mesh.cell_face_sign.ravel()
-    j1, j2 = sign * i1[faces], sign * i2[faces]
-    d = mesh.face_center[faces] - mesh.cell_centroid[cells]
-    t = mesh.face_tangent[faces]
-    r = (gd.value_center.T @ np.bincount(cells, j1, mesh.n_cells)
-         + gd.value_slope_x.T @ np.bincount(cells, j1 * d[:, 0] + j2 * t[:, 0], mesh.n_cells)
-         + gd.value_slope_y.T @ np.bincount(cells, j1 * d[:, 1] + j2 * t[:, 1], mesh.n_cells))
+    k = mesh.cells.shape[1]
+    sums = np.empty((3, mesh.n_cells))
+    for block in cell_blocks(mesh.n_cells, k):
+        cells = np.repeat(np.arange(block.start, block.stop), k)
+        faces, sign = mesh.cell_faces[block].ravel(), mesh.cell_face_sign[block].ravel()
+        j1, j2 = sign * i1[faces], sign * i2[faces]
+        d = mesh.face_center[faces] - mesh.cell_centroid[cells]
+        t = mesh.face_tangent[faces]
+        sums[0, block] = block_sums(block, cells, j1)
+        sums[1, block] = block_sums(block, cells, j1 * d[:, 0] + j2 * t[:, 0])
+        sums[2, block] = block_sums(block, cells, j1 * d[:, 1] + j2 * t[:, 1])
+    r = (gd.value_center.T @ sums[0] + gd.value_slope_x.T @ sums[1]
+         + gd.value_slope_y.T @ sums[2])
     if gd.cell_centred:
-        pieces, pts, wts = triangle_quadrature(gd.piece_tri, "gauss7")
-        r += gd.gradient_load(pieces, wts, np.asarray(flux(pts), dtype=float))
+        r += gd.gradient_load("gauss7", lambda pts: np.asarray(flux(pts), dtype=float))
     if gd.bc == "neumann":
         ids = gd.boundary_face_ids
         r -= gd.trace_mid.T @ i1[ids] + gd.trace_slope.T @ i2[ids]
@@ -323,25 +349,30 @@ def compute_sd_upper(gd, fn, grad_fn):
     (Neumann), which C_D^2 times the norm Gram bounds, so the
     preconditioned condition number is at most 1 + C_D^2 on every mesh.
 
-    The gauss7 points are built one block at a time, for the load and
-    again for the function misfit; only the target's values there are
-    kept between the two passes.  The gauss7 rule on the pieces
-    (analysis.triangle_quadrature) and the 3-point rule on the boundary
-    faces (analysis.segment_quadrature) are built here, serve the load
-    and the misfit, and are dropped on return: gd keeps no point set.
+    Every point set is sampled once.  The gauss7 points on the cells
+    (analysis.quadrature_blocks) and on the pieces (analysis.
+    triangle_blocks) are built one block at a time, for the load and
+    again for the misfit; only the target's values and gradients there
+    are kept between the two passes.  The 3-point rule on the boundary
+    faces (analysis.segment_quadrature), one point set of O(1/h) points,
+    is built whole and serves the load and the misfit.  All are dropped
+    on return: gd keeps no point set.
     """
     if gd.n_free == 0:
         raise ValueError("no free DOFs: consistency defect undefined")
-    # The target values of each gauss7 block, kept for the misfit pass.
-    fvals = []
+    # The target values and gradients of each gauss7 block, kept for the
+    # misfit passes.
+    fvals, gvals = [], []
 
     def sample(pts):
         fvals.append(np.asarray(fn(pts), dtype=float))
         return fvals[-1:]
 
-    pieces, ppts, pwts = triangle_quadrature(gd.piece_tri, "gauss7")
-    gvals = np.asarray(grad_fn(ppts), dtype=float)
-    b = gd.value_load("gauss7", sample)[0] + gd.gradient_load(pieces, pwts, gvals)
+    def sample_grad(pts):
+        gvals.append(np.asarray(grad_fn(pts), dtype=float))
+        return gvals[-1]
+
+    b = gd.value_load("gauss7", sample)[0] + gd.gradient_load("gauss7", sample_grad)
     if gd.bc == "neumann":
         ends = gd.mesh.faces[gd.boundary_face_ids].T
         bfaces, bpts, bwts, arc = segment_quadrature(*gd.mesh.vertices[ends])
@@ -364,8 +395,11 @@ def compute_sd_upper(gd, fn, grad_fn):
         dval = affine_at(coefficients, cells, centroid_offsets(gd.mesh, cells, pts)) - f
         sq += float(wts @ dval ** 2)
     total = math.sqrt(sq)
-    dgrad = gd.gradient_table(z)[pieces] - gvals
-    total += math.sqrt(float(pwts @ (dgrad ** 2).sum(1)))
+    table = gd.gradient_table(z)
+    sq = 0.0
+    for (_, pieces, _, wts), g in zip(triangle_blocks(gd.piece_tri, "gauss7"), gvals):
+        sq += float(wts @ ((table[pieces] - g) ** 2).sum(1))
+    total += math.sqrt(sq)
     if gd.bc == "neumann":
         dtr = gd.trace_at(z, bfaces, bpts) - bvals
         total += math.sqrt(float(bwts @ dtr ** 2))

@@ -88,6 +88,38 @@ def test_stiffness_symmetric_positive_definite(scheme):
     assert eigs[0] > 0.0
 
 
+def reversed_columns(a):
+    """A copy of a CSC matrix with each column's entries in reverse order,
+    so its indices are unsorted."""
+    out = a.copy()
+    for j in range(a.shape[1]):
+        span = slice(a.indptr[j], a.indptr[j + 1])
+        out.indices[span], out.data[span] = a.indices[span][::-1], a.data[span][::-1]
+    out.has_sorted_indices = False
+    return out
+
+
+def test_check_symmetry_finds_every_asymmetry():
+    # A canonical matrix whose transpose has its pattern is checked on the
+    # transpose's data; a one-sided entry, unsorted indices or duplicate
+    # entries take the A - A^T path.  Neither changes the matrix.
+    a = make_gd("p1", 4).stiffness()
+    data = a.data.copy()
+    skewed = a.copy()
+    skewed[0, 1] += 1e-6
+    one_sided = sp.csc_matrix(a + sp.csc_matrix(([1e-6], ([0], [a.shape[1] - 1])), shape=a.shape))
+    for bad in (skewed, one_sided, skewed.tocsr(), reversed_columns(skewed)):
+        with pytest.raises(SolverError, match="not symmetric"):
+            check_symmetry(bad)
+    # Duplicate entries that sum to a symmetric matrix pass.
+    dup = sp.csc_matrix((np.array([1.0, 0.5, 0.5, 1.0, 1.0]), np.array([0, 1, 1, 0, 1]),
+                         np.array([0, 3, 5])), shape=(2, 2))
+    assert not dup.has_canonical_format
+    for good in (a, reversed_columns(a), dup):
+        check_symmetry(good)
+    assert np.array_equal(a.data, data)
+
+
 def test_constant_load_hmm():
     # F = 1 loads each free cell DOF with the cell area and leaves face
     # DOFs untouched (piecewise-constant reconstruction).

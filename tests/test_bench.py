@@ -50,3 +50,19 @@ def test_traced_pass_meets_goldens(tmp_path, workload):
             failed[table["golden"]] = (bad, output)
     assert not failed, failed
     assert result["layers"] and json.loads(spans.read_text())["spans"]
+
+
+@pytest.mark.parametrize("case,scheme", [("example1", "hmm"), ("example3-neumann", "ncp1")])
+def test_multi_block_diagnostics_meet_goldens(case, scheme):
+    # The traced passes above stop at level 4, where every diagnostics
+    # point set fits one block.  At levels 5 and 6 the piece, face and
+    # cell rules span several blocks, and the rows still meet the golden
+    # rows of those levels.
+    from gdmopt import cli
+    from gdmopt.analysis import render_diagnostics_csv
+
+    levels = (5, 6)
+    rows, failure = cli.run_table(case, scheme, levels, diagnostics=True)
+    assert failure is None
+    golden = (workloads.GOLDEN_DIR / f"diagnostics_{case}_{scheme}_3-7.csv").read_text()
+    assert workloads.check_csv(render_diagnostics_csv(rows), golden, levels) == []

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdmopt import assembly, gd_core
+from gdmopt import analysis, assembly, cli, gd_core
 from gdmopt.analysis import cell_quadrature, segment_quadrature, triangle_quadrature
 from gdmopt.assembly import SOLVE_TOL, SolverError, SPDFactor
 from gdmopt.cases import get_case
@@ -134,14 +134,24 @@ def test_boundary_rule_weights_sum_to_lengths(scheme):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_loads_of_reconstructions_match_grams(scheme):
+def test_loads_of_reconstructions_match_grams(monkeypatch, scheme):
     # The gradient and the trace reconstructions are polynomials of degree
     # at most 1 on their pieces and faces, so loading them against their
     # own values at the rule's points gives the exact Gram matrix products.
+    # The gauss7 points come piece by piece, in blocks of 40 points here.
+    monkeypatch.setattr(analysis, "BLOCK_POINTS", 40)
     gd = make_gd(scheme, 3, "neumann")
     vec = np.random.default_rng(4).standard_normal(gd.n_dofs)
-    pieces, _, wts = triangle_quadrature(gd.piece_tri, "gauss7")
-    grad = gd.gradient_load(pieces, wts, gd.gradient_table(vec)[pieces])
+    own = np.repeat(gd.gradient_table(vec), 7, axis=0)
+    done = []
+
+    def sample(pts):
+        start = sum(done)
+        done.append(len(pts))
+        return own[start:start + len(pts)]
+
+    grad = gd.gradient_load("gauss7", sample)
+    assert len(done) > 1 and sum(done) == len(own)
     np.testing.assert_allclose(grad, gd.gradient_gram @ vec, atol=1e-12)
     bfaces, pts, wts, arc = boundary_rule(gd)
     wv, n = wts * gd.trace_at(vec, bfaces, pts), len(gd.boundary_face_ids)
@@ -188,6 +198,68 @@ def test_sd_samples_the_target_once_per_point_set():
 
     compute_sd_upper(gd, counted, case.grad_y)
     assert sizes == [3584, 192]
+
+
+def test_diagnostics_map_one_block_at_a_time(monkeypatch):
+    # A diagnostics row builds no piece, face or cell point set larger
+    # than a block: every map of a reference rule and every segment rule
+    # returns one block of whole pieces, faces or cells.  At level 5 the
+    # hybrid scheme's 28672 gauss7 piece points span two blocks, the first
+    # of 2340 pieces.
+    sizes = []
+
+    def counted(real):
+        def wrapper(*args):
+            out = real(*args)
+            sizes.append(len(out[1]))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(analysis, "_affine_map", counted(analysis._affine_map))
+    monkeypatch.setattr(gd_core, "segment_quadrature", counted(gd_core.segment_quadrature))
+    for name, scheme in (("example1", "hmm"), ("example1", "p1"), ("example3-neumann", "ncp1")):
+        sizes.clear()
+        rows, failure = cli.run_table(name, scheme, (5, 5), diagnostics=True)
+        assert failure is None and len(rows) == 1
+        assert max(sizes) <= analysis.BLOCK_POINTS
+        assert scheme != "hmm" or 7 * 2340 in sizes
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_diagnostics_do_not_depend_on_block_size(monkeypatch, scheme, bc):
+    # Blocks of 40 points hold a few whole pieces, faces or cells.  W_D's
+    # per-face, per-cell and per-piece sums add their terms in the same
+    # order, so it is the same bit for bit; S_D sums its misfits block
+    # by block, so it agrees to round-off.
+    gd = make_gd(scheme, 8, bc)
+    wd, sd = compute_wd(gd, smooth_grad), compute_sd_upper(gd, smooth, smooth_grad)
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return smooth_grad(pts)
+
+    monkeypatch.setattr(analysis, "BLOCK_POINTS", 40)
+    assert compute_wd(gd, counted) == wd
+    assert len(calls) > 10 and max(calls) <= 40
+    assert compute_sd_upper(gd, smooth, smooth_grad) == pytest.approx(sd, rel=1e-13)
+
+
+def test_diagnostics_row_memory_bound():
+    # Traced peak of a one-level example1 hmm diagnostics table at level
+    # 6, mesh to row.  Streaming the piece and face rules block by block
+    # took it from 17.98 MB (whole point sets) to 11.36 MB.
+    import tracemalloc
+
+    cli.run_table("example1", "hmm", (3, 3), diagnostics=True)
+    tracemalloc.start()
+    try:
+        cli.run_table("example1", "hmm", (6, 6), diagnostics=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13e6, f"{peak / 1e6:.2f} MB"
 
 
 def dense_cd(gd):
