@@ -23,6 +23,7 @@ its natural-residual test.
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -138,15 +139,19 @@ class _Assembly:
 
     def __init__(self, problem):
         gd = problem.gd
+        # The problem holds its assembly: a strong reference back would
+        # make a cycle, with the stiffness factor in it, that only the
+        # cyclic garbage collector frees.
+        self._problem = weakref.ref(problem)
         self.stiffness = gd.stiffness(problem.reaction)
-        self.mass = gd.mass_matrix
-        self.source_load, self.target_load = problem.loads
+        # The mass matrix is built here, after the stiffness: built first
+        # in the active-set solve, it raised the peak RSS of an L-shape p1
+        # table of levels 4..7 by about 3.5 MB.
+        gd.mass_matrix
         if problem.control_target is None:
             self.control_target = np.zeros(gd.mesh.n_cells)
         else:
             self.control_target = project_onto_cells(gd.mesh, problem.control_target)
-        self.alpha = problem.alpha
-        self.value_center = gd.value_center
         self.control_weight = problem.alpha * gd.mesh.cell_area
         self.control_coupling = (gd.value_center.T @ sp.diags(gd.mesh.cell_area)).tocsr()
 
@@ -157,7 +162,8 @@ class _Assembly:
     def candidate(self, p):
         """Unclamped control u_d - (cell mean of p) / alpha, for an adjoint
         vector p; its box projection is the optimal control."""
-        return self.control_target - (self.value_center @ p) / self.alpha
+        problem = self._problem()
+        return self.control_target - (problem.gd.value_center @ p) / problem.alpha
 
 
 @dataclass(eq=False)
@@ -256,6 +262,7 @@ def solve_kkt_pdas(problem):
     """
     asm = problem.assembled()
     lower, upper = problem.lower, problem.upper
+    mass, (source_load, target_load) = problem.gd.mass_matrix, problem.loads
     factor = asm.stiffness_factor
     b_mat, w = asm.control_coupling, asm.control_weight
     b_t = b_mat.T.tocsr()
@@ -292,8 +299,8 @@ def solve_kkt_pdas(problem):
         seen[key(lo, hi)] = it
         free = (~(lo | hi)).astype(float)
         u = np.where(lo, lower, np.where(hi, upper, u))
-        y = factor.solve(asm.source_load + b_mat @ u)
-        p = factor.solve(asm.mass @ y - asm.target_load)
+        y = factor.solve(source_load + b_mat @ u)
+        p = factor.solve(mass @ y - target_load)
         candidate = asm.control_target - (b_t @ p) / w
         # CG vectors are zero on the active controls.
         r = free * w * (candidate - u)
@@ -325,7 +332,7 @@ def solve_kkt_pdas(problem):
                     f"in {PCG_MAX_ITER} steps"
                 )
             s = factor.solve(b_mat @ d)
-            t = factor.solve(asm.mass @ s)
+            t = factor.solve(mass @ s)
             bt = b_t @ t
             np.multiply(w, d, out=q)
             q += bt
@@ -350,8 +357,8 @@ def solve_kkt_pdas(problem):
             d += z
         history.append((int(lo.sum()), int(hi.sum()), len(steps), certified))
         if exact:
-            y = factor.solve(asm.source_load + b_mat @ u, x0=y)
-            p = factor.solve(asm.mass @ y - asm.target_load, x0=p)
+            y = factor.solve(source_load + b_mat @ u, x0=y)
+            p = factor.solve(mass @ y - target_load, x0=p)
             candidate = asm.candidate(p)
         done = exact and unchanged(candidate)
         new_lo = candidate < lower
@@ -424,18 +431,19 @@ def solve_kkt_reference(problem):
     check_symmetry(asm.stiffness)
     lower, upper = problem.lower, problem.upper
     k = asm.stiffness.toarray()
-    m = asm.mass.toarray()
+    m = problem.gd.mass_matrix.toarray()
+    source_load, target_load = problem.loads
     coupling = asm.control_coupling.toarray()
     w = asm.control_weight
     u_target = asm.control_target
 
     cho = la.cho_factor(k)
-    y0 = la.cho_solve(cho, asm.source_load)
+    y0 = la.cho_solve(cho, source_load)
     state_map = la.cho_solve(cho, coupling)
     hess = state_map.T @ (m @ state_map)
     # K is symmetric, so B^T p(u) = B^T K^-1 (M (y0 + S u) - target load)
     # = hess @ u + shift.
-    shift = state_map.T @ (m @ y0 - asm.target_load)
+    shift = state_map.T @ (m @ y0 - target_load)
     step = 1.0 / (1.0 + _largest_weighted_eig(hess, w))
 
     def residual(u, hu):
@@ -494,7 +502,7 @@ def solve_kkt_reference(problem):
         )
 
     y = y0 + state_map @ u
-    p = la.cho_solve(cho, m @ y - asm.target_load)
+    p = la.cho_solve(cho, m @ y - target_load)
     return KKTSolution(y, p, u, it, u <= lower, u >= upper)
 
 

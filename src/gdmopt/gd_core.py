@@ -1,13 +1,14 @@
 """Core gradient-discretisation container and quality diagnostics.
 
 A gradient discretisation bundles a finite-dimensional DOF space with
-three linear reconstruction operators: a function reconstruction that is
-affine on every cell, a gradient reconstruction that is constant on every
-"piece" (a cell, or a sub-triangle of a cell for cell-centred schemes),
-and, for Neumann problems, a boundary trace reconstruction that is affine
-along every boundary face.  The DOF space is that of the unknowns: a
-Dirichlet condition has eliminated the boundary DOFs before any operator
-is built.  All discrete bilinear forms reduce to exact integrals of these
+three linear reconstruction operators: a gradient reconstruction that is
+constant on every "piece" (a cell, or a sub-triangle of a cell for
+cell-centred schemes), a function reconstruction that is affine with the
+gradient as its slope when the pieces are the cells and piecewise
+constant otherwise, and, for Neumann problems, a boundary trace
+reconstruction that is affine along every boundary face.  The DOF space
+is that of the unknowns: a Dirichlet condition has eliminated the
+boundary DOFs before any operator is built.  All discrete bilinear forms reduce to exact integrals of these
 piecewise polynomials.
 """
 
@@ -45,12 +46,11 @@ class GradientDiscretisation:
     n_dofs counts the scheme's DOFs before elimination and free maps each
     unknown to its scheme DOF number; every DOF vector has length
     n_free = len(free).  dof_points has one row per unknown and the
-    sparse matrices below one column per unknown, or construction raises
-    ValueError.
+    sparse matrices below one column per unknown and the rows listed, or
+    construction raises ValueError.
 
-    value_center, value_slope_x, value_slope_y : (n_cells, n_free)
-        Function reconstruction on cell K evaluated as
-        ``center[K] + slope[K] . (x - centroid_K)``.
+    value_center : (n_cells, n_free)
+        Value of the function reconstruction at the centroid of each cell.
     grad_x, grad_y : (n_pieces, n_free)
         Constant gradient reconstruction per piece; the pieces of cell K
         tile K, and piece_tri stores their vertex triangles.
@@ -59,13 +59,13 @@ class GradientDiscretisation:
         (rows follow boundary_face_ids).
 
     Derived on construction: n_free, the boundary_face_ids, piece_area,
-    piece_center and ``cell_centred``, true when the function
-    reconstruction is piecewise constant (its value slopes store no
-    entries).  A reconstruction that is not piecewise constant must be
-    affine with its gradient equal to its slope on every cell, which
-    compute_wd's face-only formula relies on.  The Gram matrices and
-    norm_factor are built on first read and then cached; no quadrature
-    point set is kept.
+    piece_center and ``cell_centred``, true when there are more pieces
+    than cells.  With one piece per cell the function reconstruction on
+    cell K is ``center[K] + (grad_x, grad_y)[K] . (x - centroid_K)``, the
+    affine function whose gradient is its slope, which compute_wd's
+    face-only formula relies on; a cell-centred one is ``center[K]``.
+    The Gram matrices and norm_factor are built on first read and then
+    cached; no quadrature point set is kept.
     """
 
     mesh: Any
@@ -74,8 +74,6 @@ class GradientDiscretisation:
     free: np.ndarray
     dof_points: np.ndarray
     value_center: sp.csr_matrix
-    value_slope_x: sp.csr_matrix
-    value_slope_y: sp.csr_matrix
     piece_tri: np.ndarray
     grad_x: sp.csr_matrix
     grad_y: sp.csr_matrix
@@ -85,17 +83,15 @@ class GradientDiscretisation:
     def __post_init__(self):
         if self.bc not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
-        self.cell_centred = self.value_slope_x.nnz == 0 and self.value_slope_y.nnz == 0
-        if not self.cell_centred and not all(
-            g is s or (g.shape == s.shape and (g - s).count_nonzero() == 0)
-            for g, s in ((self.grad_x, self.value_slope_x), (self.grad_y, self.value_slope_y))
-        ):
-            raise ValueError("the gradient of an affine reconstruction must be its slope")
         self.n_free = len(self.free)
-        if len(self.dof_points) != self.n_free or any(
-                a.shape[1] != self.n_free for a in vars(self).values() if sp.issparse(a)):
-            raise ValueError("operators need one column and dof_points one row per unknown")
         self.boundary_face_ids = np.flatnonzero(self.mesh.boundary_faces)
+        n_pieces, n_bfaces = len(self.piece_tri), len(self.boundary_face_ids)
+        if len(self.dof_points) != self.n_free or any(a.shape != (n, self.n_free) for a, n in (
+                (self.value_center, self.mesh.n_cells), (self.grad_x, n_pieces),
+                (self.grad_y, n_pieces), (self.trace_mid, n_bfaces), (self.trace_slope, n_bfaces))):
+            raise ValueError("operators need one row per cell, piece or boundary face and one "
+                             "column per unknown, and dof_points one row per unknown")
+        self.cell_centred = n_pieces != self.mesh.n_cells
         e1 = self.piece_tri[:, 1] - self.piece_tri[:, 0]
         e2 = self.piece_tri[:, 2] - self.piece_tri[:, 0]
         self.piece_area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
@@ -109,8 +105,21 @@ class GradientDiscretisation:
     def cell_coefficients(self, vec):
         """Per-cell coefficients (c, sx, sy) of the function reconstruction
         of a DOF vector: on cell K it is c[K] + sx[K] dx + sy[K] dy, with
-        (dx, dy) the offset from the centroid of K (analysis.affine_at)."""
-        return self.value_center @ vec, self.value_slope_x @ vec, self.value_slope_y @ vec
+        (dx, dy) the offset from the centroid of K (analysis.affine_at).
+        The slopes are the gradient, or zero for a cell-centred scheme."""
+        if self.cell_centred:
+            zero = np.zeros(self.mesh.n_cells)
+            return self.value_center @ vec, zero, zero
+        return self.value_center @ vec, self.grad_x @ vec, self.grad_y @ vec
+
+    def cell_load(self, sums):
+        """Transpose of cell_coefficients: the load of the per-cell sums
+        (s0, s1, s2) against the coefficients (c, sx, sy)."""
+        load = self.value_center.T @ sums[0]
+        if not self.cell_centred:
+            load += self.grad_x.T @ sums[1]
+            load += self.grad_y.T @ sums[2]
+        return load
 
     def gradient_table(self, vec):
         """Gradient reconstruction per piece, shape (n_pieces, 2)."""
@@ -126,12 +135,22 @@ class GradientDiscretisation:
         arc = np.sum((pts - mesh.face_center[fids]) * mesh.face_tangent[fids], axis=1)
         return (self.trace_mid @ vec)[bfaces] + arc * (self.trace_slope @ vec)[bfaces]
 
+    def trace_load(self, mid, slope):
+        """Transpose of the boundary trace: the load of the per-face sums
+        mid and slope (rows follow boundary_face_ids) against the trace at
+        each face centre and its slope along the face tangent."""
+        return self.trace_mid.T @ mid + self.trace_slope.T @ slope
+
     # -- exact Gram matrices and couplings ----------------------------
 
     @functools.cached_property
     def mass_matrix(self):
         """Exact L2 Gram matrix of the function reconstruction."""
         mesh = self.mesh
+        c = self.value_center
+        m = c.T @ sp.diags(mesh.cell_area) @ c
+        if self.cell_centred:
+            return m.tocsr()
         # Second moments about the centroid per cell, by the gauss3 rule.
         jxx, jxy, jyy = np.empty((3, mesh.n_cells))
         for block, cells, pts, wts in quadrature_blocks(mesh, "gauss3"):
@@ -139,8 +158,7 @@ class GradientDiscretisation:
             jxx[block] = block_sums(block, cells, wts * dx ** 2)
             jxy[block] = block_sums(block, cells, wts * dx * dy)
             jyy[block] = block_sums(block, cells, wts * dy ** 2)
-        c, sx, sy = self.value_center, self.value_slope_x, self.value_slope_y
-        m = c.T @ sp.diags(mesh.cell_area) @ c
+        sx, sy = self.grad_x, self.grad_y
         m += sx.T @ sp.diags(jxx) @ sx + sy.T @ sp.diags(jyy) @ sy
         m += sx.T @ sp.diags(jxy) @ sy + sy.T @ sp.diags(jxy) @ sx
         return m.tocsr()
@@ -200,9 +218,7 @@ class GradientDiscretisation:
                 wv = wts * v
                 for row, part in enumerate((wv, wv * dx, wv * dy)):
                     sums[row, block, j] = block_sums(block, cells, part)
-        loads = (self.value_center.T @ sums[0] + self.value_slope_x.T @ sums[1]
-                 + self.value_slope_y.T @ sums[2])
-        return loads.T
+        return self.cell_load(sums).T
 
     def gradient_load(self, rule, sample):
         """Load vector sum(w * v . gradient basis) over the points of the
@@ -321,13 +337,12 @@ def compute_wd(gd, flux):
         sums[0, block] = block_sums(block, cells, j1)
         sums[1, block] = block_sums(block, cells, j1 * d[:, 0] + j2 * t[:, 0])
         sums[2, block] = block_sums(block, cells, j1 * d[:, 1] + j2 * t[:, 1])
-    r = (gd.value_center.T @ sums[0] + gd.value_slope_x.T @ sums[1]
-         + gd.value_slope_y.T @ sums[2])
+    r = gd.cell_load(sums)
     if gd.cell_centred:
         r += gd.gradient_load("gauss7", lambda pts: np.asarray(flux(pts), dtype=float))
     if gd.bc == "neumann":
         ids = gd.boundary_face_ids
-        r -= gd.trace_mid.T @ i1[ids] + gd.trace_slope.T @ i2[ids]
+        r -= gd.trace_load(i1[ids], i2[ids])
     z = gd.norm_factor.solve(r)
     return math.sqrt(max(float(r @ z), 0.0))
 
@@ -378,8 +393,7 @@ def compute_sd_upper(gd, fn, grad_fn):
         bfaces, bpts, bwts, arc = segment_quadrature(*gd.mesh.vertices[ends])
         bvals = np.asarray(fn(bpts), dtype=float)
         n, wv = len(gd.boundary_face_ids), bwts * bvals
-        b = b + (gd.trace_mid.T @ np.bincount(bfaces, wv, n)
-                 + gd.trace_slope.T @ np.bincount(bfaces, wv * arc, n))
+        b = b + gd.trace_load(np.bincount(bfaces, wv, n), np.bincount(bfaces, wv * arc, n))
 
     a = gd.mass_matrix + gd.gradient_gram
     if gd.bc == "neumann":

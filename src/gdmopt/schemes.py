@@ -96,8 +96,6 @@ def _affine_scheme(mesh, bc, dof_points, boundary_dofs, cell_dofs, basis_grad,
     free, unknown = _unknowns(boundary_dofs, bc)
     cell = _pattern(np.repeat(np.arange(mesh.n_cells), 3), cell_dofs.ravel(),
                     (mesh.n_cells, len(free)), unknown)
-    slope_x = _csr(cell, basis_grad[:, :, 0].ravel())
-    slope_y = _csr(cell, basis_grad[:, :, 1].ravel())
     trace_shape = (np.count_nonzero(mesh.boundary_faces), len(free))
     trace_mid, trace_slope = (_csr(_pattern(rows, cols, trace_shape, unknown), vals)
                               for rows, cols, vals in (trace_mid, trace_slope))
@@ -105,8 +103,9 @@ def _affine_scheme(mesh, bc, dof_points, boundary_dofs, cell_dofs, basis_grad,
         mesh=mesh, bc=bc, n_dofs=len(dof_points), free=free,
         dof_points=dof_points[free],
         value_center=_csr(cell, np.full(3 * mesh.n_cells, 1.0 / 3.0)),
-        value_slope_x=slope_x, value_slope_y=slope_y,
-        piece_tri=mesh.vertices[mesh.cells], grad_x=slope_x, grad_y=slope_y,
+        piece_tri=mesh.vertices[mesh.cells],
+        grad_x=_csr(cell, basis_grad[:, :, 0].ravel()),
+        grad_y=_csr(cell, basis_grad[:, :, 1].ravel()),
         trace_mid=trace_mid, trace_slope=trace_slope,
     )
 
@@ -201,10 +200,8 @@ def make_hmm(mesh, bc):
     piece_tri[:, 1] = mesh.vertices[ends[:, :, 0].ravel()]
     piece_tri[:, 2] = mesh.vertices[ends[:, :, 1].ravel()]
 
-    cshape = (n_cells, n_free)
-    value_center = _csr(_pattern(np.arange(n_cells), np.arange(n_cells), cshape, unknown),
-                        np.ones(n_cells))
-    zero_c = sp.csr_matrix(cshape)
+    value_center = _csr(_pattern(np.arange(n_cells), np.arange(n_cells), (n_cells, n_free),
+                                 unknown), np.ones(n_cells))
 
     bids = np.flatnonzero(mesh.boundary_faces)
     trace_mid = _csr(_pattern(np.arange(len(bids)), n_cells + bids, (len(bids), n_free),
@@ -214,7 +211,7 @@ def make_hmm(mesh, bc):
     return GradientDiscretisation(
         mesh=mesh, bc=bc, n_dofs=n_cells + n_faces, free=free,
         dof_points=np.vstack([mesh.cell_point, mesh.face_center])[free],
-        value_center=value_center, value_slope_x=zero_c, value_slope_y=zero_c,
+        value_center=value_center,
         piece_tri=piece_tri, grad_x=grad_x, grad_y=grad_y,
         trace_mid=trace_mid, trace_slope=trace_slope,
     )

@@ -52,12 +52,14 @@ def test_traced_pass_meets_goldens(tmp_path, workload):
     assert result["layers"] and json.loads(spans.read_text())["spans"]
 
 
-@pytest.mark.parametrize("case,scheme", [("example1", "hmm"), ("example3-neumann", "ncp1")])
+@pytest.mark.parametrize("case,scheme", [("example1", "hmm"), ("example1", "p1"),
+                                         ("example3-neumann", "ncp1")])
 def test_multi_block_diagnostics_meet_goldens(case, scheme):
     # The traced passes above stop at level 4, where every diagnostics
-    # point set fits one block.  At levels 5 and 6 the piece, face and
-    # cell rules span several blocks, and the rows still meet the golden
-    # rows of those levels.
+    # point set fits one block.  At level 6 (and at level 5 on the hybrid
+    # scheme's pieces and the Neumann meshes) the piece, face and cell
+    # rules span several blocks, and the rows still meet the golden rows
+    # of those levels.
     from gdmopt import cli
     from gdmopt.analysis import render_diagnostics_csv
 

@@ -433,13 +433,14 @@ def dense_exact_pdas(problem):
     iteration with dense, exact inner solves."""
     asm = problem.assembled()
     k = asm.stiffness.toarray()
-    m = asm.mass.toarray()
+    m = problem.gd.mass_matrix.toarray()
+    source_load, target_load = problem.loads
     w = asm.control_weight
     state_map = np.linalg.solve(k, asm.control_coupling.toarray())
-    y0 = np.linalg.solve(k, asm.source_load)
+    y0 = np.linalg.solve(k, source_load)
     # B^T p(u) = hess @ u + shift.
     hess = state_map.T @ m @ state_map
-    shift = state_map.T @ (m @ y0 - asm.target_load)
+    shift = state_map.T @ (m @ y0 - target_load)
     lo = np.zeros(len(w), dtype=bool)
     hi = np.zeros(len(w), dtype=bool)
     history = []
@@ -554,7 +555,7 @@ def test_reference_step_eigenvalue_matches_full_eigh():
     problem = case_problem("example1", "p1", 8)
     asm = problem.assembled()
     state_map = np.linalg.solve(asm.stiffness.toarray(), asm.control_coupling.toarray())
-    hess = state_map.T @ (asm.mass.toarray() @ state_map)
+    hess = state_map.T @ (problem.gd.mass_matrix.toarray() @ state_map)
     w = asm.control_weight
     full = la.eigh(hess, np.diag(w), eigvals_only=True)[-1]
     assert _largest_weighted_eig(hess, w) == pytest.approx(full, rel=1e-12)

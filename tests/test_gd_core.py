@@ -155,8 +155,7 @@ def test_loads_of_reconstructions_match_grams(monkeypatch, scheme):
     np.testing.assert_allclose(grad, gd.gradient_gram @ vec, atol=1e-12)
     bfaces, pts, wts, arc = boundary_rule(gd)
     wv, n = wts * gd.trace_at(vec, bfaces, pts), len(gd.boundary_face_ids)
-    trace = (gd.trace_mid.T @ np.bincount(bfaces, wv, n)
-             + gd.trace_slope.T @ np.bincount(bfaces, wv * arc, n))
+    trace = gd.trace_load(np.bincount(bfaces, wv, n), np.bincount(bfaces, wv * arc, n))
     np.testing.assert_allclose(trace, gd.trace_gram @ vec, atol=1e-12)
 
 

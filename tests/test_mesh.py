@@ -249,8 +249,7 @@ def test_face_shared_by_three_cells_rejected():
 
 GRAD = np.array([1.7, -0.4])
 
-OPERATORS = ("value_center", "value_slope_x", "value_slope_y", "grad_x", "grad_y",
-             "trace_mid", "trace_slope")
+OPERATORS = ("value_center", "grad_x", "grad_y", "trace_mid", "trace_slope")
 
 
 def perturbed(mesh, m, seed):
@@ -314,6 +313,27 @@ def test_perturbed_meshes_keep_mesh_and_scheme_identities(domain, m, seed):
         for name in OPERATORS:
             np.testing.assert_array_equal(getattr(gdd, name).toarray(),
                                           getattr(gd, name)[:, gdd.free].toarray())
+
+        # cell_load and trace_load are the transposes of the function
+        # reconstruction's cell coefficients and of the boundary trace's
+        # value at the face centres and slope along the face tangents;
+        # each pairing agrees to 1e-12 of the size of its terms.
+        rng = np.random.default_rng(seed)
+        bids = np.arange(len(gd.boundary_face_ids))
+        centers = mesh.face_center[gd.boundary_face_ids]
+        tangents = mesh.face_tangent[gd.boundary_face_ids]
+        for each in (gd, gdd):
+            vec = rng.standard_normal(each.n_free)
+            sums = rng.standard_normal((3, mesh.n_cells))
+            terms = [s * c for s, c in zip(sums, each.cell_coefficients(vec))]
+            assert (abs(vec @ each.cell_load(sums) - sum(t.sum() for t in terms))
+                    <= 1e-12 * sum(np.abs(t).sum() for t in terms))
+            a, b = rng.standard_normal((2, len(bids)))
+            mid = each.trace_at(vec, bids, centers)
+            slope = each.trace_at(vec, bids, centers + tangents) - mid
+            terms = [a * mid, b * slope]
+            assert (abs(vec @ each.trace_load(a, b) - sum(t.sum() for t in terms))
+                    <= 1e-12 * sum(np.abs(t).sum() for t in terms))
 
     # Non-conforming P1 functions are continuous at interior face midpoints.
     gd = build_scheme("ncp1", mesh, "neumann")

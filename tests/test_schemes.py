@@ -206,10 +206,12 @@ def test_discretisation_checks_its_operators():
     fields = {f.name: getattr(gd, f.name) for f in dataclasses.fields(gd)}
     with pytest.raises(TypeError):
         GradientDiscretisation(*fields.values())
-    # An affine reconstruction whose gradient is not its slope breaks the
-    # face-only conformity formula.
-    with pytest.raises(ValueError, match="slope"):
-        dataclasses.replace(gd, grad_x=2.0 * gd.value_slope_x)
+    # The function reconstruction has one row per cell, the gradient one
+    # per piece and the trace one per boundary face.
+    hmm = build_scheme("hmm", build_cartesian_mesh(4), "neumann")
+    for name in ("value_center", "grad_x", "grad_y", "trace_mid", "trace_slope"):
+        with pytest.raises(ValueError, match="one row per cell, piece or boundary face"):
+            dataclasses.replace(hmm, **{name: getattr(hmm, name)[:-1]})
     with pytest.raises(ValueError, match="boundary condition"):
         dataclasses.replace(gd, bc="robin")
     # Every operator has one column, and dof_points one row, per unknown.
