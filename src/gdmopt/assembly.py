@@ -61,25 +61,31 @@ def check_symmetry(a):
 class SPDFactor:
     """Sparse factorisation of a symmetric positive definite matrix.
 
-    The LU factors use a minimum-degree ordering of A^T + A with diagonal
-    pivots (SuperLU's symmetric mode), which roughly halves the fill of
-    the default column ordering on stiffness matrices.  Every solve is
-    checked: it refines iteratively until the backward error meets
-    SOLVE_TOL and raises SolverError when it cannot, or when the factors
-    produce non-finite values.
+    The matrix is kept in CSR format as ``matrix``; a CSR input is kept
+    without a copy.  Its three arrays, read as a CSC matrix, are A^T, and
+    that is what SuperLU factors, with a minimum-degree ordering of
+    A^T + A and diagonal pivots (its symmetric mode), which roughly
+    halves the fill of the default column ordering on stiffness
+    matrices.  Every factor solve applies the transposed factors
+    (trans="T"), so it solves (A^T)^T x = A x = b; SuperLU's transposed
+    kernel runs faster than its plain one on these factors.  Every solve
+    is checked against A itself: it refines iteratively until the
+    backward error meets SOLVE_TOL and raises SolverError when it
+    cannot, or when the factors produce non-finite values.
     """
 
     def __init__(self, a):
         check_symmetry(a)
-        self.matrix = sp.csc_matrix(a)
+        self.matrix = m = sp.csr_matrix(a)
         try:
             self._lu = spla.splu(
-                self.matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                sp.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape),
+                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SolverError(f"sparse factorisation failed: {exc}") from exc
-        self._norm = _matrix_inf_norm(self.matrix)
+        self._norm = _matrix_inf_norm(m)
 
     def solve(self, b, x0=None):
         """Solution of A x = b, refined to the backward-error tolerance.
@@ -96,7 +102,7 @@ class SPDFactor:
         elif bnorm == 0.0:
             return np.zeros_like(b)
         else:
-            x, solves = self._lu.solve(b), 1
+            x, solves = self._lu.solve(b, trans="T"), 1
         while True:
             xnorm = _inf_norm(x)
             if not np.isfinite(xnorm):
@@ -112,7 +118,7 @@ class SPDFactor:
                     f"backward error {err / scale:.3e} exceeds {SOLVE_TOL:.1e} "
                     f"after {REFINE_STEPS} refinement steps"
                 )
-            x += self._lu.solve(r)
+            x += self._lu.solve(r, trans="T")
             solves += 1
 
     def cg_solve(self, a, b):
@@ -143,7 +149,7 @@ class SPDFactor:
                     f"conjugate gradients reached backward error {err / scale:.3e}, "
                     f"above {SOLVE_TOL:.1e}, in {CG_MAX_STEPS} steps"
                 )
-            z = self._lu.solve(r)
+            z = self._lu.solve(r, trans="T")
             if not np.all(np.isfinite(z)):
                 raise SolverError("preconditioner produced non-finite values")
             rz = float(r @ z)

@@ -114,7 +114,8 @@ class GradientDiscretisation:
 
     def cell_load(self, sums):
         """Transpose of cell_coefficients: the load of the per-cell sums
-        (s0, s1, s2) against the coefficients (c, sx, sy)."""
+        (s0, s1, s2) against the coefficients (c, sx, sy).  A cell-centred
+        scheme reads s0 alone."""
         load = self.value_center.T @ sums[0]
         if not self.cell_centred:
             load += self.grad_x.T @ sums[1]
@@ -188,12 +189,12 @@ class GradientDiscretisation:
 
     def stiffness(self, reaction=0.0):
         """Matrix of -lap + reaction: gradient Gram + reaction * mass, in
-        CSC format, which SPDFactor factors without a copy.  A zero
-        reaction adds no mass term."""
-        a = self.gradient_gram
-        if reaction != 0.0:
-            a = a + reaction * self.mass_matrix
-        return a.tocsc()
+        CSR format, which SPDFactor keeps without a copy.  A zero
+        reaction adds no mass term: the matrix is then the cached
+        gradient_gram itself."""
+        if reaction == 0.0:
+            return self.gradient_gram
+        return self.gradient_gram + reaction * self.mass_matrix
 
     def value_load(self, rule, sample):
         """Load vectors sum(w * v * basis) over the points of the named
@@ -205,18 +206,19 @@ class GradientDiscretisation:
         number of arrays for every block.  Each cell's sums add its
         points in order, as one pass over all points would, and the loads
         share each block's offsets from the cell centroids.  Each
-        operator then takes one product for all loads.
+        operator then takes one product for all loads.  A cell-centred
+        scheme, whose reconstruction has no slope, sums no moments.
         """
         mesh = self.mesh
         sums = None
         for block, cells, pts, wts in quadrature_blocks(mesh, rule):
             vals = sample(pts)
+            offsets = () if self.cell_centred else centroid_offsets(mesh, cells, pts)
             if sums is None:
-                sums = np.empty((3, mesh.n_cells, len(vals)))
-            dx, dy = centroid_offsets(mesh, cells, pts)
+                sums = np.empty((1 + len(offsets), mesh.n_cells, len(vals)))
             for j, v in enumerate(vals):
                 wv = wts * v
-                for row, part in enumerate((wv, wv * dx, wv * dy)):
+                for row, part in enumerate((wv, *(wv * o for o in offsets))):
                     sums[row, block, j] = block_sums(block, cells, part)
         return self.cell_load(sums).T
 
@@ -327,14 +329,18 @@ def compute_wd(gd, flux):
     # c_K + S_K . (x_f - x_K) + arc S_K . t_f, so with the outward sign s
     # its flux integral is s i1 (c_K + S_K . (x_f - x_K)) + s i2 S_K . t_f.
     k = mesh.cells.shape[1]
-    sums = np.empty((3, mesh.n_cells))
+    # A cell-centred scheme has no slope, so only the c_K sums are made.
+    sums = np.empty((1 if gd.cell_centred else 3, mesh.n_cells))
     for block in cell_blocks(mesh.n_cells, k):
         cells = np.repeat(np.arange(block.start, block.stop), k)
         faces, sign = mesh.cell_faces[block].ravel(), mesh.cell_face_sign[block].ravel()
-        j1, j2 = sign * i1[faces], sign * i2[faces]
+        j1 = sign * i1[faces]
+        sums[0, block] = block_sums(block, cells, j1)
+        if gd.cell_centred:
+            continue
+        j2 = sign * i2[faces]
         d = mesh.face_center[faces] - mesh.cell_centroid[cells]
         t = mesh.face_tangent[faces]
-        sums[0, block] = block_sums(block, cells, j1)
         sums[1, block] = block_sums(block, cells, j1 * d[:, 0] + j2 * t[:, 0])
         sums[2, block] = block_sums(block, cells, j1 * d[:, 1] + j2 * t[:, 1])
     r = gd.cell_load(sums)

@@ -83,16 +83,18 @@ def test_p1_matches_dense_oracle():
 def test_stiffness_symmetric_positive_definite(scheme):
     gd = make_gd(scheme, 3)
     a = gd.stiffness()
+    # CSR, the format SPDFactor keeps without a copy.
+    assert a.format == "csr"
     check_symmetry(a)
     eigs = np.linalg.eigvalsh(a.toarray())
     assert eigs[0] > 0.0
 
 
-def reversed_columns(a):
-    """A copy of a CSC matrix with each column's entries in reverse order,
-    so its indices are unsorted."""
+def reversed_indices(a):
+    """A copy of a CSR (CSC) matrix with each row's (column's) entries in
+    reverse order, so its indices are unsorted."""
     out = a.copy()
-    for j in range(a.shape[1]):
+    for j in range(len(a.indptr) - 1):
         span = slice(a.indptr[j], a.indptr[j + 1])
         out.indices[span], out.data[span] = a.indices[span][::-1], a.data[span][::-1]
     out.has_sorted_indices = False
@@ -108,14 +110,14 @@ def test_check_symmetry_finds_every_asymmetry():
     skewed = a.copy()
     skewed[0, 1] += 1e-6
     one_sided = sp.csc_matrix(a + sp.csc_matrix(([1e-6], ([0], [a.shape[1] - 1])), shape=a.shape))
-    for bad in (skewed, one_sided, skewed.tocsr(), reversed_columns(skewed)):
+    for bad in (skewed, one_sided, skewed.tocsc(), reversed_indices(skewed)):
         with pytest.raises(SolverError, match="not symmetric"):
             check_symmetry(bad)
     # Duplicate entries that sum to a symmetric matrix pass.
     dup = sp.csc_matrix((np.array([1.0, 0.5, 0.5, 1.0, 1.0]), np.array([0, 1, 1, 0, 1]),
                          np.array([0, 3, 5])), shape=(2, 2))
     assert not dup.has_canonical_format
-    for good in (a, reversed_columns(a), dup):
+    for good in (a, reversed_indices(a), dup):
         check_symmetry(good)
     assert np.array_equal(a.data, data)
 
@@ -161,6 +163,27 @@ def test_spd_factor_contract():
         SPDFactor(sing)
 
 
+def test_spd_factor_solves_a_not_its_transpose():
+    # A skew part of 5e-13 relative passes the symmetry check, and a
+    # solve of A^T would meet the backward-error contract against A too,
+    # so only the solution tells which of A and A^T was solved.
+    rng = np.random.default_rng(5)
+    n = 40
+    q = rng.standard_normal((n, n))
+    spd = q @ q.T + n * np.eye(n)
+    s = rng.uniform(-1.0, 1.0, (n, n))
+    dense = spd + 1.25e-13 * np.abs(spd).max() * (s - s.T)
+    a = sp.csr_matrix(dense)
+    b = rng.standard_normal(n)
+    factor = SPDFactor(a)
+    # A CSR input is the factor's matrix, not a copy of it.
+    assert np.shares_memory(factor.matrix.data, a.data)
+    x = factor.solve(b)
+    to_a = np.abs(x - np.linalg.solve(dense, b)).max()
+    to_transpose = np.abs(x - np.linalg.solve(dense.T, b)).max()
+    assert 10.0 * to_a <= to_transpose
+
+
 def test_spd_factor_solve_from_approximation():
     rng = np.random.default_rng(2)
     n = 40
@@ -172,9 +195,9 @@ def test_spd_factor_solve_from_approximation():
     lu_solve = factor._lu.solve
 
     class CountingLU:
-        def solve(self, rhs):
+        def solve(self, rhs, trans="N"):
             solves.append(None)
-            return lu_solve(rhs)
+            return lu_solve(rhs, trans=trans)
 
     factor._lu = CountingLU()
     a_norm = abs(a).sum(axis=1).max()

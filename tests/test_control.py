@@ -227,12 +227,14 @@ def test_pdas_cycle_raises_with_history(monkeypatch):
 
 
 @pytest.mark.parametrize("log_alpha,sides,flips", [
-    (-1.5, "both", "0/0, 0/1, 2/0, 2/2"), (-1.25, "upper", "0/0, 0/2"),
+    (-1.75, "both", "0/0, 0/1, 2/0, 0/2"), (-1.25, "upper", "0/0, 0/2"),
 ], ids=["both", "upper"])
 def test_pdas_settles_on_a_degenerate_box(log_alpha, sides, flips):
     # Box edges on the unconstrained control's extremes: pairs of
     # candidates sit on a bound to rounding and flip the active sets back
-    # to earlier ones.  The iteration that returns is already a solution.
+    # to earlier ones.  The iteration that returns is already a solution,
+    # and its sets differ from the last solved pair: the degenerate
+    # return ran, not the exit on unchanged sets.
     case = get_case("example3-neumann")
     gd = build_scheme("p1", case.build_mesh("p1", 4), case.bc)
     loads = case.build_problem(gd).loads
@@ -246,6 +248,7 @@ def test_pdas_settles_on_a_degenerate_box(log_alpha, sides, flips):
     box = problem((lower if sides == "both" else -np.inf, upper))
     sol, _ = compare_solvers(box)
     assert ", ".join(f"{a}/{b}" for a, b, _, _ in sol.history) == flips
+    assert (sol.active_lower.sum(), sol.active_upper.sum()) != sol.history[-1][:2]
 
 
 def test_pdas_factors_stiffness_once(monkeypatch):
@@ -412,9 +415,9 @@ def test_pdas_solve_count_regression(monkeypatch):
         def __init__(self, lu):
             self.lu = lu
 
-        def solve(self, rhs):
+        def solve(self, rhs, trans="N"):
             solves.append(None)
-            return self.lu.solve(rhs)
+            return self.lu.solve(rhs, trans=trans)
 
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: CountingLU(splu(*a, **kw)))
     sol = solve_kkt_pdas(case_problem("example2-lshape", "p1", 16))

@@ -106,7 +106,9 @@ def test_value_load_matches_cell_coupling():
     # Loading the constant 1 through quadrature equals the exact
     # per-cell coupling integrals: the basis is affine on each cell, so
     # its mean there is its value_center entry.  Loads built together
-    # are the loads built one at a time, bit for bit.
+    # are the loads built one at a time, bit for bit.  A cell-centred
+    # load is the cell coupling of the per-cell sums of w v alone, bit
+    # for bit: no slope moment enters it.
     for scheme in SCHEMES:
         gd = make_gd(scheme, 3, "neumann")
         load, ramp = gd.value_load("gauss3", lambda p: [np.ones(len(p)), p[:, 0] - 0.3])
@@ -114,6 +116,10 @@ def test_value_load_matches_cell_coupling():
         np.testing.assert_allclose(load, exact, atol=1e-13)
         (alone,) = gd.value_load("gauss3", lambda p: [p[:, 0] - 0.3])
         assert np.array_equal(ramp, alone)
+        if gd.cell_centred:
+            cells, pts, wts = cell_quadrature(gd.mesh, "gauss3")
+            sums = np.bincount(cells, wts * (pts[:, 0] - 0.3), gd.mesh.n_cells)
+            assert np.array_equal(ramp, gd.value_center.T @ sums)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

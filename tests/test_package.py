@@ -58,3 +58,14 @@ def test_every_src_def_has_a_production_reference():
         for name in _defined_names(tree) if name not in used
     )
     assert not unused, f"defined in src/gdmopt, referenced by no src/ or bench/ module: {unused}"
+
+
+def test_one_direct_solve_layer():
+    # Sparse LU factors and solves live in assembly.SPDFactor alone, so no
+    # solve can bypass its checked path on the transposed kernel.
+    direct = re.compile(r"\b(splu|spsolve|factorized|_lu)\b")
+    offenders = sorted(
+        path.name for path in (ROOT / "src" / "gdmopt").rglob("*.py")
+        if path.name != "assembly.py" and direct.search(path.read_text())
+    )
+    assert not offenders, f"sparse direct solves outside assembly.py: {offenders}"
