@@ -23,7 +23,6 @@ its natural-residual test.
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -78,20 +77,28 @@ def project_onto_cells(mesh, fn):
 
 @dataclass(eq=False)
 class OptimalControlProblem:
-    """Data of one discrete control problem on a gradient discretisation.
+    """Data of one discrete control problem on a gradient discretisation,
+    with its matrices and vectors on the unknowns of the discretisation,
+    each built on first read and cached.
+
+    The control has one value per cell, with weight W = alpha * area
+    (``control_weight``) and the cell average of u_d (``cell_target``);
+    the coupling is B = V^T diag(area) (``control_coupling``), with V the
+    cell mean of the function reconstruction.
 
     Parameters
     ----------
     gd : GradientDiscretisation
     alpha : float
-        Control cost weight, positive.
+        Control cost weight, positive and finite.
     bounds : (float, float)
         Box constraints with lower <= upper, so neither is NaN; infinite
-        entries disable a side.  Also available as ``lower`` and ``upper``.
+        entries disable a side, but lower < inf and upper > -inf.  Also
+        available as ``lower`` and ``upper``.
     loads : (2, n_free) array
-        The loads of the fixed source of the state equation and of the
-        desired state (analysis.sample_level sums them while it samples a
-        level).
+        The finite loads of the fixed source of the state equation and of
+        the desired state (analysis.sample_level sums them while it
+        samples a level).
     control_target : callable or None
         Distributed control shift u_d (defaults to zero).
     reaction : float
@@ -108,62 +115,51 @@ class OptimalControlProblem:
 
     def __post_init__(self):
         self.lower, self.upper = float(self.bounds[0]), float(self.bounds[1])
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-        if not self.lower <= self.upper:
-            raise ValueError("empty box or NaN bound: need lower <= upper")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not (self.lower <= self.upper and self.lower < math.inf and self.upper > -math.inf):
+            raise ValueError("empty box, NaN bound or no finite control: "
+                             "need lower <= upper, lower < inf and upper > -inf")
         if self.gd.bc == "neumann" and not self.reaction > 0.0:
             raise ValueError("Neumann problems need a positive reaction coefficient")
-        if np.shape(self.loads) != (2, self.gd.n_free):
-            raise ValueError(f"loads have shape {np.shape(self.loads)}, "
-                             f"not (2, {self.gd.n_free})")
-        self.alpha = float(self.alpha)
-        self.reaction = float(self.reaction)
-        self._asm = None
+        if np.shape(self.loads) != (2, self.gd.n_free) or not np.isfinite(self.loads).all():
+            raise ValueError(f"loads must be finite, of shape (2, {self.gd.n_free}), "
+                             f"not of shape {np.shape(self.loads)}")
+        self.alpha, self.reaction = float(self.alpha), float(self.reaction)
 
-    def assembled(self):
-        if self._asm is None:
-            self._asm = _Assembly(self)
-        return self._asm
-
-
-class _Assembly:
-    """Matrices and vectors of a control problem, on the unknowns of its
-    discretisation (see GradientDiscretisation).
-
-    The control has one value per cell.  Per cell it holds the weight
-    W = alpha * area and the cell average u_d of the control target; the
-    coupling is B = V^T diag(area), with V the cell mean of the function
-    reconstruction.
-    """
-
-    def __init__(self, problem):
-        gd = problem.gd
-        # The problem holds its assembly: a strong reference back would
-        # make a cycle, with the stiffness factor in it, that only the
-        # cyclic garbage collector frees.
-        self._problem = weakref.ref(problem)
-        self.stiffness = gd.stiffness(problem.reaction)
-        # The mass matrix is built here, after the stiffness: built first
-        # in the active-set solve, it raised the peak RSS of an L-shape p1
-        # table of levels 4..7 by about 3.5 MB.
-        gd.mass_matrix
-        if problem.control_target is None:
-            self.control_target = np.zeros(gd.mesh.n_cells)
-        else:
-            self.control_target = project_onto_cells(gd.mesh, problem.control_target)
-        self.control_weight = problem.alpha * gd.mesh.cell_area
-        self.control_coupling = (gd.value_center.T @ sp.diags(gd.mesh.cell_area)).tocsr()
+    @functools.cached_property
+    def stiffness(self):
+        return self.gd.stiffness(self.reaction)
 
     @functools.cached_property
     def stiffness_factor(self):
         return SPDFactor(self.stiffness)
 
+    @functools.cached_property
+    def cell_target(self):
+        if self.control_target is None:
+            return np.zeros(self.gd.mesh.n_cells)
+        return project_onto_cells(self.gd.mesh, self.control_target)
+
+    @functools.cached_property
+    def control_weight(self):
+        return self.alpha * self.gd.mesh.cell_area
+
+    @functools.cached_property
+    def control_coupling(self):
+        return (self.gd.value_center.T @ sp.diags(self.gd.mesh.cell_area)).tocsr()
+
+    def assembled(self):
+        """The problem, with its stiffness, the mass matrix, its cell target
+        and its coupling built in that order (the mass matrix built first
+        raised the peak RSS of an L-shape p1 table 4..7 by about 3.5 MB)."""
+        self.stiffness, self.gd.mass_matrix, self.cell_target, self.control_coupling
+        return self
+
     def candidate(self, p):
         """Unclamped control u_d - (cell mean of p) / alpha, for an adjoint
         vector p; its box projection is the optimal control."""
-        problem = self._problem()
-        return self.control_target - (problem.gd.value_center @ p) / problem.alpha
+        return self.cell_target - (self.gd.value_center @ p) / self.alpha
 
 
 @dataclass(eq=False)
@@ -205,7 +201,7 @@ def solve_kkt_pdas(problem):
     """Primal-dual active-set solve of the discrete optimality system.
 
     The stiffness matrix K is factored once per problem (and cached on
-    its assembly).  The cellwise control u has weights W (alpha * cell
+    the problem).  The cellwise control u has weights W (alpha * cell
     areas), coupling B and candidate c(u) = u_d - W^-1 B^T p(u).  Each
     iteration pins u at its bounds on the current active sets, keeps the
     previous control on the inactive controls I, and solves the reduced
@@ -260,11 +256,11 @@ def solve_kkt_pdas(problem):
     returned control is the box projection of their candidate, so it
     satisfies the discrete projection identity by construction.
     """
-    asm = problem.assembled()
+    problem.assembled()
     lower, upper = problem.lower, problem.upper
     mass, (source_load, target_load) = problem.gd.mass_matrix, problem.loads
-    factor = asm.stiffness_factor
-    b_mat, w = asm.control_coupling, asm.control_weight
+    factor = problem.stiffness_factor
+    b_mat, w = problem.control_coupling, problem.control_weight
     b_t = b_mat.T.tocsr()
     root_w = np.sqrt(w)
     lam = None
@@ -301,7 +297,7 @@ def solve_kkt_pdas(problem):
         u = np.where(lo, lower, np.where(hi, upper, u))
         y = factor.solve(source_load + b_mat @ u)
         p = factor.solve(mass @ y - target_load)
-        candidate = asm.control_target - (b_t @ p) / w
+        candidate = problem.cell_target - (b_t @ p) / w
         # CG vectors are zero on the active controls.
         r = free * w * (candidate - u)
         np.divide(r, w, out=z)
@@ -359,7 +355,7 @@ def solve_kkt_pdas(problem):
         if exact:
             y = factor.solve(source_load + b_mat @ u, x0=y)
             p = factor.solve(mass @ y - target_load, x0=p)
-            candidate = asm.candidate(p)
+            candidate = problem.candidate(p)
         done = exact and unchanged(candidate)
         new_lo = candidate < lower
         new_hi = candidate > upper
@@ -426,20 +422,18 @@ def solve_kkt_reference(problem):
     """
     if problem.gd.n_dofs > 500:
         raise ValueError("reference solver is restricted to at most 500 DOFs")
-    asm = problem.assembled()
+    problem.assembled()
     # cho_factor reads one triangle of K only, so asymmetry would go unseen.
-    check_symmetry(asm.stiffness)
+    check_symmetry(problem.stiffness)
     lower, upper = problem.lower, problem.upper
-    k = asm.stiffness.toarray()
+    k = problem.stiffness.toarray()
     m = problem.gd.mass_matrix.toarray()
     source_load, target_load = problem.loads
-    coupling = asm.control_coupling.toarray()
-    w = asm.control_weight
-    u_target = asm.control_target
+    w, u_target = problem.control_weight, problem.cell_target
 
     cho = la.cho_factor(k)
     y0 = la.cho_solve(cho, source_load)
-    state_map = la.cho_solve(cho, coupling)
+    state_map = la.cho_solve(cho, problem.control_coupling.toarray())
     hess = state_map.T @ (m @ state_map)
     # K is symmetric, so B^T p(u) = B^T K^-1 (M (y0 + S u) - target load)
     # = hess @ u + shift.
@@ -516,6 +510,6 @@ def postprocess(problem, cells, p, exact_p):
     adjoint there.  For cell-centred schemes the discrete one at the
     centroids coincides with the optimal control itself.
     """
-    ud = problem.assembled().control_target[cells]
+    ud = problem.cell_target[cells]
     return tuple(project_box(ud - v / problem.alpha, problem.lower, problem.upper)
                  for v in (p, exact_p))

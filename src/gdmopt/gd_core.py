@@ -188,10 +188,12 @@ class GradientDiscretisation:
         return SPDFactor(self.stiffness(1.0 if self.bc == "neumann" else 0.0))
 
     def stiffness(self, reaction=0.0):
-        """Matrix of -lap + reaction: gradient Gram + reaction * mass, in
-        CSR format, which SPDFactor keeps without a copy.  A zero
-        reaction adds no mass term: the matrix is then the cached
-        gradient_gram itself."""
+        """Matrix of -lap + reaction for a finite reaction >= 0 (ValueError
+        otherwise): gradient Gram + reaction * mass, in CSR format, which
+        SPDFactor keeps without a copy.  A zero reaction adds no mass
+        term: the matrix is then the cached gradient_gram itself."""
+        if not 0.0 <= reaction < math.inf:
+            raise ValueError(f"reaction must be finite and nonnegative, not {reaction}")
         if reaction == 0.0:
             return self.gradient_gram
         return self.gradient_gram + reaction * self.mass_matrix

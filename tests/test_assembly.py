@@ -120,6 +120,16 @@ def test_check_symmetry_finds_every_asymmetry():
     for good in (a, reversed_indices(a), dup):
         check_symmetry(good)
     assert np.array_equal(a.data, data)
+    # Non-finite entries are named before any subtraction: a NaN fails no
+    # comparison, and inf - inf is NaN with a warning.
+    nan_pair, inf_diagonal = a.copy(), a.copy()
+    nan_pair[0, 1] = nan_pair[1, 0] = np.nan
+    inf_diagonal[0, 0] = np.inf
+    one_sided_nan = sp.csc_matrix(
+        a + sp.csc_matrix(([np.nan], ([0], [a.shape[1] - 1])), shape=a.shape))
+    for bad in (nan_pair, one_sided_nan, inf_diagonal):
+        with pytest.raises(SolverError, match="non-finite"):
+            check_symmetry(bad)
 
 
 def test_constant_load_hmm():

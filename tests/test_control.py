@@ -1,6 +1,10 @@
 """Active-set solver against the projected-gradient reference, plus the
 projection/variational-inequality identities of the optimality system."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 
 from gdmopt import assembly, control
 from gdmopt.analysis import cell_quadrature, function_rule
-from gdmopt.assembly import SolverError, assemble_load
+from gdmopt.assembly import SolverError, assemble_load, solve_pde
 from gdmopt.cases import get_case
 from gdmopt.control import (
     OptimalControlProblem,
@@ -175,7 +179,7 @@ def test_postprocess_clamp_is_projection_formula(scheme):
     p = case.p(pts)
     sol = solve_kkt_pdas(problem)
     _, exact = postprocess(problem, cells, value_at(gd, sol.p, cells, pts), p)
-    ud = problem.assembled().control_target[cells]
+    ud = problem.cell_target[cells]
     want = project_box(ud - p / problem.alpha, problem.lower, problem.upper)
     assert np.array_equal(exact, want)
     assert (want == problem.lower).any() and (want > problem.lower).any()
@@ -209,12 +213,12 @@ def test_pdas_cycle_raises_with_history(monkeypatch):
     # for ever.
     calls = []
 
-    def alternating(asm, p):
+    def alternating(problem, p):
         calls.append(None)
         sign = -1.0 if len(calls) % 2 else 1.0
-        return np.full(len(asm.control_weight), sign * 1e6)
+        return np.full(len(problem.control_weight), sign * 1e6)
 
-    monkeypatch.setattr(control._Assembly, "candidate", alternating)
+    monkeypatch.setattr(OptimalControlProblem, "candidate", alternating)
     gd = build_scheme("p1", build_unit_square_triangulation(4), "dirichlet")
     problem = synthetic_problem(gd, bounds=(0.0, 1.0))
     n = gd.mesh.n_cells
@@ -264,9 +268,49 @@ def test_pdas_factors_stiffness_once(monkeypatch):
     sol = solve_kkt_pdas(problem)
     assert sol.iterations >= 3
     assert len(calls) == 1
-    # The factor is cached with the problem's assembly.
+    # The factor is cached on the problem.
     solve_kkt_pdas(problem)
     assert len(calls) == 1
+
+
+def test_solved_problem_is_freed_without_the_cycle_collector():
+    # The problem holds its factor and matrices itself, and nothing it
+    # holds refers back to it: reference counting alone frees it.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        problem = case_problem("example1", "p1", 8)
+        solve_kkt_pdas(problem)
+        assert "stiffness_factor" in vars(problem)
+        ref = weakref.ref(problem)
+        del problem
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_postprocess_builds_only_the_cell_target():
+    # The post-processing reads the cell averages of u_d, so it builds
+    # neither the stiffness nor the mass matrix.
+    case = get_case("example1")
+    gd = build_scheme("p1", case.build_mesh("p1", 4), case.bc)
+    problem = case.build_problem(gd, loads=np.zeros((2, gd.n_free)))
+    cells, pts, _ = cell_quadrature(gd.mesh, function_rule(gd))
+    zero = np.zeros(len(pts))
+    postprocess(problem, cells, zero, zero)
+    assert "cell_target" in vars(problem)
+    assert "stiffness" not in vars(problem) and "mass_matrix" not in vars(gd)
+
+
+def test_negative_or_nan_reaction_is_rejected():
+    # With c0 = -30 the example1 p1 level-3 stiffness has a negative
+    # eigenvalue; its factor would exist and PDAS return a "solution".
+    problem = dataclasses.replace(case_problem("example1", "p1", 8), reaction=-30.0)
+    with pytest.raises(ValueError, match="reaction"):
+        solve_kkt_pdas(problem)
+    with pytest.raises(ValueError, match="reaction"):
+        solve_pde(problem.gd, lambda pts: np.ones(len(pts)), reaction=np.nan)
 
 
 def test_both_solvers_reject_asymmetric_stiffness(monkeypatch):
@@ -351,7 +395,7 @@ def test_pdas_without_free_dofs():
     problem = synthetic_problem(gd, bounds=(0.2, 0.5))
     sol = solve_kkt_pdas(problem)
     assert gd.n_free == 0 and not sol.y.any()
-    np.testing.assert_allclose(sol.u, np.clip(problem.assembled().control_target, 0.2, 0.5))
+    np.testing.assert_allclose(sol.u, np.clip(problem.cell_target, 0.2, 0.5))
 
 
 def test_pdas_cg_cap_raises_with_reached_residual(monkeypatch):
@@ -434,12 +478,11 @@ def test_pdas_solve_count_regression(monkeypatch):
 def dense_exact_pdas(problem):
     """(|A-|, |A+|) by iteration and the final active sets of the active-set
     iteration with dense, exact inner solves."""
-    asm = problem.assembled()
-    k = asm.stiffness.toarray()
+    k = problem.stiffness.toarray()
     m = problem.gd.mass_matrix.toarray()
     source_load, target_load = problem.loads
-    w = asm.control_weight
-    state_map = np.linalg.solve(k, asm.control_coupling.toarray())
+    w = problem.control_weight
+    state_map = np.linalg.solve(k, problem.control_coupling.toarray())
     y0 = np.linalg.solve(k, source_load)
     # B^T p(u) = hess @ u + shift.
     hess = state_map.T @ m @ state_map
@@ -452,8 +495,8 @@ def dense_exact_pdas(problem):
         free = ~(lo | hi)
         u = np.where(lo, problem.lower, np.where(hi, problem.upper, 0.0))
         u[free] = np.linalg.solve(np.diag(w[free]) + hess[np.ix_(free, free)],
-                                  (w * asm.control_target - shift - hess @ u)[free])
-        candidate = asm.control_target - (hess @ u + shift) / w
+                                  (w * problem.cell_target - shift - hess @ u)[free])
+        candidate = problem.cell_target - (hess @ u + shift) / w
         new_lo, new_hi = candidate < problem.lower, candidate > problem.upper
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             return history, lo, hi
@@ -556,10 +599,10 @@ def test_reference_step_eigenvalue_matches_full_eigh():
     import scipy.linalg as la
 
     problem = case_problem("example1", "p1", 8)
-    asm = problem.assembled()
-    state_map = np.linalg.solve(asm.stiffness.toarray(), asm.control_coupling.toarray())
+    state_map = np.linalg.solve(problem.stiffness.toarray(),
+                                problem.control_coupling.toarray())
     hess = state_map.T @ (problem.gd.mass_matrix.toarray() @ state_map)
-    w = asm.control_weight
+    w = problem.control_weight
     full = la.eigh(hess, np.diag(w), eigvals_only=True)[-1]
     assert _largest_weighted_eig(hess, w) == pytest.approx(full, rel=1e-12)
 
@@ -576,9 +619,19 @@ def test_problem_validations():
     for bounds in ((np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)):
         with pytest.raises(ValueError, match="NaN"):
             OptimalControlProblem(gd, alpha=1.0, bounds=bounds, loads=loads)
-    # Infinite bounds open a side.
+    # Infinite bounds open a side, but a box needs a finite control, and
+    # an infinite weight or a NaN load leaves no finite solution.
     for bounds in ((-np.inf, 1.0), (0.0, np.inf), (-np.inf, np.inf)):
         OptimalControlProblem(gd, alpha=1.0, bounds=bounds, loads=loads)
+    for bounds in ((np.inf, np.inf), (-np.inf, -np.inf)):
+        with pytest.raises(ValueError, match="finite control"):
+            OptimalControlProblem(gd, alpha=1.0, bounds=bounds, loads=loads)
+    with pytest.raises(ValueError, match="finite"):
+        OptimalControlProblem(gd, alpha=np.inf, bounds=(0, 1), loads=loads)
+    nan_loads = loads.copy()
+    nan_loads[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), loads=nan_loads)
     gdn = build_scheme("p1", build_unit_square_triangulation(2), "neumann")
     with pytest.raises(ValueError):
         OptimalControlProblem(gdn, alpha=1.0, bounds=(0, 1), loads=np.zeros((2, gdn.n_free)))
