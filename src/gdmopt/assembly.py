@@ -38,6 +38,20 @@ def _matrix_inf_norm(a):
     return (absolute @ np.ones(a.shape[1])).max(initial=0.0)
 
 
+def scaled_transpose(r, d):
+    """R^T diag(d) for a CSR matrix R, in CSC format: R's data times d row
+    by row, on R's own indices and indptr.
+
+    Every Gram matrix R^T diag(d) S is built as scaled_transpose(R, d) @ S
+    with S in CSC format.  That product sums s_kj (d_k r_ki) over k in
+    increasing order, the order and the rounding of R.T @ diags(d) @ S,
+    so it keeps that product's bits without its diagonal matrix and its
+    two intermediate products.
+    """
+    data = r.data * np.repeat(d, np.diff(r.indptr))
+    return sp.csc_matrix((data, r.indices, r.indptr), shape=r.shape[::-1])
+
+
 def check_symmetry(a):
     """Raise if A holds a non-finite entry or |A - A^T| exceeds 1e-12
     max(1, |A|) in some entry.
@@ -97,10 +111,13 @@ class SPDFactor:
         The refinement starts from the approximation x0 when it is given
         and finite: an x0 that already meets the tolerance costs one
         product and no factor solve.  Otherwise it starts from the factor
-        solve of b, or returns zero when b is zero.
+        solve of b, or returns zero when b is zero.  A right-hand side
+        with a non-finite entry raises SolverError before any factor solve.
         """
         b = np.asarray(b, dtype=float)
         bnorm = _inf_norm(b)
+        if not np.isfinite(bnorm):
+            raise SolverError("right-hand side has non-finite entries")
         if x0 is not None and np.all(np.isfinite(x0)):
             x, solves = np.array(x0, dtype=float), 0
         elif bnorm == 0.0:
@@ -135,10 +152,13 @@ class SPDFactor:
         raises SolverError with the backward error it reached, as does a
         preconditioner that produces non-finite values.  The factor's
         matrix B bounds how fast it converges: when B <= A <= (1 + c) B,
-        the preconditioned condition number is at most 1 + c.
+        the preconditioned condition number is at most 1 + c.  A right-hand
+        side with a non-finite entry raises SolverError before any step.
         """
         b = np.asarray(b, dtype=float)
         bnorm = _inf_norm(b)
+        if not np.isfinite(bnorm):
+            raise SolverError("right-hand side has non-finite entries")
         anorm = _matrix_inf_norm(a)
         x, r, d = np.zeros_like(b), b, np.zeros_like(b)
         rz_old = np.inf  # no previous direction: the first one is z

@@ -28,10 +28,9 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 
 from .analysis import block_sums, quadrature_blocks
-from .assembly import SolverError, SPDFactor, check_symmetry
+from .assembly import SolverError, SPDFactor, check_symmetry, scaled_transpose
 
 # Active-set iterations solve_kkt_pdas may take; PDAS ends in finitely
 # many steps, so this is only a safety net.
@@ -84,7 +83,8 @@ class OptimalControlProblem:
     The control has one value per cell, with weight W = alpha * area
     (``control_weight``) and the cell average of u_d (``cell_target``);
     the coupling is B = V^T diag(area) (``control_coupling``), with V the
-    cell mean of the function reconstruction.
+    cell mean of the function reconstruction.  Its transpose
+    (``coupling_transpose``) is the row-scaled V, built on each read.
 
     Parameters
     ----------
@@ -145,9 +145,14 @@ class OptimalControlProblem:
     def control_weight(self):
         return self.alpha * self.gd.mesh.cell_area
 
+    @property
+    def coupling_transpose(self):
+        """B^T = diag(area) V in CSR format, on the index arrays of V."""
+        return scaled_transpose(self.gd.value_center, self.gd.mesh.cell_area).T
+
     @functools.cached_property
     def control_coupling(self):
-        return (self.gd.value_center.T @ sp.diags(self.gd.mesh.cell_area)).tocsr()
+        return scaled_transpose(self.gd.value_center, self.gd.mesh.cell_area).tocsr()
 
     def assembled(self):
         """The problem, with its stiffness, the mass matrix, its cell target
@@ -261,7 +266,7 @@ def solve_kkt_pdas(problem):
     mass, (source_load, target_load) = problem.gd.mass_matrix, problem.loads
     factor = problem.stiffness_factor
     b_mat, w = problem.control_coupling, problem.control_weight
-    b_t = b_mat.T.tocsr()
+    b_t = problem.coupling_transpose
     root_w = np.sqrt(w)
     lam = None
     # The vectors of the CG steps, one entry per control, updated in
@@ -472,7 +477,7 @@ def solve_kkt_reference(problem):
         if res <= REFERENCE_TOL:
             break
         lo, hi = raw < lower, raw > upper
-        last, pair = pair, np.packbits(np.r_[lo, hi]).tobytes()
+        last, pair = pair, np.packbits(np.concatenate((lo, hi))).tobytes()
         if pair == last and pair not in tried:
             tried.add(pair)
             trial = finish(lo, hi)

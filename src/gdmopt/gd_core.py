@@ -29,7 +29,7 @@ from .analysis import (
     segment_quadrature,
     triangle_blocks,
 )
-from .assembly import SolverError, SPDFactor
+from .assembly import SolverError, SPDFactor, scaled_transpose
 
 # compute_cd solves its pencils by power iteration, which stops once the
 # eigenvalue changes by at most POWER_TOL relatively and raises after
@@ -149,7 +149,7 @@ class GradientDiscretisation:
         """Exact L2 Gram matrix of the function reconstruction."""
         mesh = self.mesh
         c = self.value_center
-        m = c.T @ sp.diags(mesh.cell_area) @ c
+        m = scaled_transpose(c, mesh.cell_area) @ c.tocsc()
         if self.cell_centred:
             return m.tocsr()
         # Second moments about the centroid per cell, by the gauss3 rule.
@@ -160,22 +160,25 @@ class GradientDiscretisation:
             jxy[block] = block_sums(block, cells, wts * dx * dy)
             jyy[block] = block_sums(block, cells, wts * dy ** 2)
         sx, sy = self.grad_x, self.grad_y
-        m += sx.T @ sp.diags(jxx) @ sx + sy.T @ sp.diags(jyy) @ sy
-        m += sx.T @ sp.diags(jxy) @ sy + sy.T @ sp.diags(jxy) @ sx
+        sx_csc, sy_csc = sx.tocsc(), sy.tocsc()
+        m += scaled_transpose(sx, jxx) @ sx_csc + scaled_transpose(sy, jyy) @ sy_csc
+        m += scaled_transpose(sx, jxy) @ sy_csc + scaled_transpose(sy, jxy) @ sx_csc
         return m.tocsr()
 
     @functools.cached_property
     def gradient_gram(self):
         """Exact L2 Gram matrix of the gradient reconstruction."""
-        w = sp.diags(self.piece_area)
-        return (self.grad_x.T @ w @ self.grad_x + self.grad_y.T @ w @ self.grad_y).tocsr()
+        sx, sy = self.grad_x, self.grad_y
+        return (scaled_transpose(sx, self.piece_area) @ sx.tocsc()
+                + scaled_transpose(sy, self.piece_area) @ sy.tocsc()).tocsr()
 
     @functools.cached_property
     def trace_gram(self):
         """Exact L2 Gram matrix of the boundary trace reconstruction."""
         ell = self.mesh.face_length[self.boundary_face_ids]
-        t = self.trace_mid.T @ sp.diags(ell) @ self.trace_mid
-        t += self.trace_slope.T @ sp.diags(ell ** 3 / 12.0) @ self.trace_slope
+        mid, slope = self.trace_mid, self.trace_slope
+        t = scaled_transpose(mid, ell) @ mid.tocsc()
+        t += scaled_transpose(slope, ell ** 3 / 12.0) @ slope.tocsc()
         return t.tocsr()
 
     @functools.cached_property

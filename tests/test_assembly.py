@@ -231,6 +231,32 @@ def test_spd_factor_solve_from_approximation():
     assert backward(fresh) <= SOLVE_TOL
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spd_factor_rejects_a_non_finite_right_hand_side(bad):
+    # The load is blamed, not the factor, and before any factor solve:
+    # with and without an approximation, and in the CG solve.
+    rng = np.random.default_rng(3)
+    n = 20
+    q = rng.standard_normal((n, n))
+    a = sp.csr_matrix(q @ q.T + n * np.eye(n))
+    factor = SPDFactor(a)
+
+    class NoLU:
+        def solve(self, rhs, trans="N"):
+            raise AssertionError("factor solve of a non-finite right-hand side")
+
+    factor._lu = NoLU()
+    b = rng.standard_normal(n)
+    b[7] = bad
+    for solve in (lambda: factor.solve(b), lambda: factor.solve(b, x0=np.ones(n)),
+                  lambda: factor.cg_solve(a, b)):
+        with pytest.raises(SolverError, match="right-hand side has non-finite entries"):
+            solve()
+    # A NaN source is one way to reach it.
+    with pytest.raises(SolverError, match="right-hand side has non-finite entries"):
+        solve_pde(make_gd("p1", 3), volume_source=lambda pts: np.full(len(pts), np.nan))
+
+
 def test_solve_pde_meets_backward_error_on_neumann_level6():
     # The relative residual of this system stalls near 4e-12 however it
     # is refined; the solve is accepted on its backward error instead.

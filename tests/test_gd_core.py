@@ -6,17 +6,18 @@ import functools
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdmopt import analysis, assembly, cli, gd_core
+from gdmopt import analysis, assembly, cli, control, gd_core
 from gdmopt.analysis import cell_quadrature, segment_quadrature, triangle_quadrature
 from gdmopt.assembly import SOLVE_TOL, SolverError, SPDFactor
 from gdmopt.cases import get_case
 from gdmopt.cli import diagnostics_row
 from gdmopt.gd_core import compute_cd, compute_sd_upper, compute_wd
-from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
+from gdmopt.mesh import PolytopalMesh, build_cartesian_mesh, build_unit_square_triangulation
 from gdmopt.schemes import SCHEMES, build_scheme
 from oracles import gradient_norm, value_at
 
@@ -92,6 +93,69 @@ def test_grams_spd_on_free_dofs(scheme):
         assert low >= -1e-13
     else:
         assert low > 0.0
+
+
+def _diagonal_product(r, d, s):
+    return r.T @ sp.diags(d) @ s
+
+
+def _oracle_mass(gd):
+    mesh, c = gd.mesh, gd.value_center
+    m = _diagonal_product(c, mesh.cell_area, c)
+    if gd.cell_centred:
+        return m.tocsr()
+    jxx, jxy, jyy = np.empty((3, mesh.n_cells))
+    for block, cells, pts, wts in analysis.quadrature_blocks(mesh, "gauss3"):
+        dx, dy = analysis.centroid_offsets(mesh, cells, pts)
+        jxx[block] = analysis.block_sums(block, cells, wts * dx ** 2)
+        jxy[block] = analysis.block_sums(block, cells, wts * dx * dy)
+        jyy[block] = analysis.block_sums(block, cells, wts * dy ** 2)
+    sx, sy = gd.grad_x, gd.grad_y
+    m = m + (_diagonal_product(sx, jxx, sx) + _diagonal_product(sy, jyy, sy))
+    m = m + (_diagonal_product(sx, jxy, sy) + _diagonal_product(sy, jxy, sx))
+    return m.tocsr()
+
+
+def _assert_same_bits(got, want):
+    assert got.format == want.format and got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_grams_and_coupling_keep_the_diagonal_product_bits(scheme, bc):
+    # Each Gram matrix and the control coupling equal, in format, index
+    # arrays and data bytes, the products R^T diag(d) S they replace,
+    # summed as m + (P2 + P3) + (P4 + P5).  On the perturbed meshes a
+    # term added or rounded another way moves the last bit of some entry.
+    rng = np.random.default_rng(7)
+    gds = []
+    for level in (2, 3, 4):
+        gds.append(make_gd(scheme, 2 ** level, bc))
+        mesh = gds[-1].mesh
+        move = rng.uniform(-0.2, 0.2, mesh.vertices.shape) / 2 ** level
+        move[mesh.boundary_vertices] = 0.0
+        gds.append(build_scheme(scheme, PolytopalMesh(mesh.vertices + move, mesh.cells), bc))
+    for gd in gds:
+        ell = gd.mesh.face_length[gd.boundary_face_ids]
+        tm, ts = gd.trace_mid, gd.trace_slope
+        w = gd.piece_area
+        expected = {
+            "mass_matrix": _oracle_mass(gd),
+            "gradient_gram": (_diagonal_product(gd.grad_x, w, gd.grad_x)
+                              + _diagonal_product(gd.grad_y, w, gd.grad_y)).tocsr(),
+            "trace_gram": (_diagonal_product(tm, ell, tm)
+                           + _diagonal_product(ts, ell ** 3 / 12.0, ts)).tocsr(),
+        }
+        for name, want in expected.items():
+            _assert_same_bits(getattr(gd, name), want)
+        problem = control.OptimalControlProblem(
+            gd, 1.0, (-1.0, 1.0), np.zeros((2, gd.n_free)), reaction=1.0)
+        coupling = (gd.value_center.T @ sp.diags(gd.mesh.cell_area)).tocsr()
+        _assert_same_bits(problem.control_coupling, coupling)
+        _assert_same_bits(problem.coupling_transpose, coupling.T.tocsr())
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
