@@ -318,14 +318,14 @@ def _gradient_errors(gd, fields, vecs):
     """Relative errors of the gradients of the DOF vectors vecs (state,
     adjoint) at the piece centres: one centroid point per region of
     constant discrete gradient, sampled block by block."""
-    centers = gd.piece_center
-    per_cell = len(centers) // gd.mesh.n_cells
+    n_pieces = len(gd.piece_tri)
+    per_cell = n_pieces // gd.mesh.n_cells
     tables = [gd.gradient_table(v) for v in vecs]
     # Per piece: squared errors and squared targets of grad y and grad p.
-    sq = np.empty((4, len(centers)))
+    sq = np.empty((4, n_pieces))
     for block in cell_blocks(gd.mesh.n_cells, per_cell):
         span = slice(per_cell * block.start, per_cell * block.stop)
-        part = fields(centers[span], ("grad_y", "grad_p"))
+        part = fields(gd.piece_tri[span].mean(axis=1), ("grad_y", "grad_p"))
         gy, gp = part.grad_y, part.grad_p
         for row, v in enumerate((tables[0][span] - gy, gy, tables[1][span] - gp,
                                  None if gp is gy else gp)):

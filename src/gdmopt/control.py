@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .analysis import block_sums, quadrature_blocks
-from .assembly import SolverError, SPDFactor, check_symmetry, scaled_transpose
+from .assembly import SolverError, SPDFactor, check_symmetry
 
 # Active-set iterations solve_kkt_pdas may take; PDAS ends in finitely
 # many steps, so this is only a safety net.
@@ -81,10 +81,10 @@ class OptimalControlProblem:
     each built on first read and cached.
 
     The control has one value per cell, with weight W = alpha * area
-    (``control_weight``) and the cell average of u_d (``cell_target``);
-    the coupling is B = V^T diag(area) (``control_coupling``), with V the
-    cell mean of the function reconstruction.  Its transpose
-    (``coupling_transpose``) is the row-scaled V, built on each read.
+    (``control_weight``) and the cell average of u_d (``cell_target``).
+    It enters the state equation through B = V^T diag(area), with V =
+    ``gd.value_center`` the cell mean of the function reconstruction;
+    the solvers apply B through V, so no matrix of B is stored.
 
     Parameters
     ----------
@@ -92,9 +92,9 @@ class OptimalControlProblem:
     alpha : float
         Control cost weight, positive and finite.
     bounds : (float, float)
-        Box constraints with lower <= upper, so neither is NaN; infinite
-        entries disable a side, but lower < inf and upper > -inf.  Also
-        available as ``lower`` and ``upper``.
+        The two box constraints, with lower <= upper, so neither is NaN;
+        infinite entries disable a side, but lower < inf and upper > -inf.
+        Also available as ``lower`` and ``upper``.
     loads : (2, n_free) array
         The finite loads of the fixed source of the state equation and of
         the desired state (analysis.sample_level sums them while it
@@ -103,7 +103,7 @@ class OptimalControlProblem:
         Distributed control shift u_d (defaults to zero).
     reaction : float
         Zero-order coefficient c0 of the state equation -lap y + c0 y =
-        f + u; must be positive for Neumann problems.
+        f + u: finite and nonnegative, and positive for Neumann problems.
     """
 
     gd: Any
@@ -114,9 +114,13 @@ class OptimalControlProblem:
     reaction: float = 0.0
 
     def __post_init__(self):
+        if len(self.bounds) != 2:
+            raise ValueError(f"bounds must be one (lower, upper) pair, not {self.bounds!r}")
         self.lower, self.upper = float(self.bounds[0]), float(self.bounds[1])
         if not 0.0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
+        if not 0.0 <= self.reaction < math.inf:
+            raise ValueError(f"reaction must be finite and nonnegative, not {self.reaction}")
         if not (self.lower <= self.upper and self.lower < math.inf and self.upper > -math.inf):
             raise ValueError("empty box, NaN bound or no finite control: "
                              "need lower <= upper, lower < inf and upper > -inf")
@@ -145,20 +149,11 @@ class OptimalControlProblem:
     def control_weight(self):
         return self.alpha * self.gd.mesh.cell_area
 
-    @property
-    def coupling_transpose(self):
-        """B^T = diag(area) V in CSR format, on the index arrays of V."""
-        return scaled_transpose(self.gd.value_center, self.gd.mesh.cell_area).T
-
-    @functools.cached_property
-    def control_coupling(self):
-        return scaled_transpose(self.gd.value_center, self.gd.mesh.cell_area).tocsr()
-
     def assembled(self):
-        """The problem, with its stiffness, the mass matrix, its cell target
-        and its coupling built in that order (the mass matrix built first
-        raised the peak RSS of an L-shape p1 table 4..7 by about 3.5 MB)."""
-        self.stiffness, self.gd.mass_matrix, self.cell_target, self.control_coupling
+        """The problem, with its stiffness, the mass matrix and its cell
+        target built in that order (the mass matrix built first raised the
+        peak RSS of an L-shape p1 table 4..7 by about 3.5 MB)."""
+        self.stiffness, self.gd.mass_matrix, self.cell_target
         return self
 
     def candidate(self, p):
@@ -207,7 +202,8 @@ def solve_kkt_pdas(problem):
 
     The stiffness matrix K is factored once per problem (and cached on
     the problem).  The cellwise control u has weights W (alpha * cell
-    areas), coupling B and candidate c(u) = u_d - W^-1 B^T p(u).  Each
+    areas), coupling B (B d = V^T (area d), V = gd.value_center) and
+    candidate c(u) = u_d - W^-1 B^T p(u), problem.candidate(p(u)).  Each
     iteration pins u at its bounds on the current active sets, keeps the
     previous control on the inactive controls I, and solves the reduced
     Hessian system
@@ -262,11 +258,12 @@ def solve_kkt_pdas(problem):
     satisfies the discrete projection identity by construction.
     """
     problem.assembled()
-    lower, upper = problem.lower, problem.upper
+    lower, upper, alpha = problem.lower, problem.upper, problem.alpha
     mass, (source_load, target_load) = problem.gd.mass_matrix, problem.loads
-    factor = problem.stiffness_factor
-    b_mat, w = problem.control_coupling, problem.control_weight
-    b_t = problem.coupling_transpose
+    factor, w = problem.stiffness_factor, problem.control_weight
+    v, area = problem.gd.value_center, problem.gd.mesh.cell_area
+    # V^T on V's own arrays, made once: each .T builds a matrix object.
+    v_trans = v.T
     root_w = np.sqrt(w)
     lam = None
     # The vectors of the CG steps, one entry per control, updated in
@@ -285,6 +282,12 @@ def solve_kkt_pdas(problem):
         np.multiply(margin, root_w, out=margin)
         return bool(margin.min() > math.sqrt(lam * rz))
 
+    def state_adjoint(u, y=None, p=None):
+        """State, adjoint and candidate of u; the solves refine y, p if given."""
+        y = factor.solve(source_load + v_trans @ (area * u), x0=y)
+        p = factor.solve(mass @ y - target_load, x0=p)
+        return y, p, problem.candidate(p)
+
     def unchanged(candidate):
         return bool(np.array_equal(candidate < lower, lo)
                     and np.array_equal(candidate > upper, hi))
@@ -300,9 +303,7 @@ def solve_kkt_pdas(problem):
         seen[key(lo, hi)] = it
         free = (~(lo | hi)).astype(float)
         u = np.where(lo, lower, np.where(hi, upper, u))
-        y = factor.solve(source_load + b_mat @ u)
-        p = factor.solve(mass @ y - target_load)
-        candidate = problem.cell_target - (b_t @ p) / w
+        y, p, candidate = state_adjoint(u)
         # CG vectors are zero on the active controls.
         r = free * w * (candidate - u)
         np.divide(r, w, out=z)
@@ -332,11 +333,12 @@ def solve_kkt_pdas(problem):
                     f"{res / norm if norm else math.inf:.3e}, above {PCG_TOL:.1e}, "
                     f"in {PCG_MAX_ITER} steps"
                 )
-            s = factor.solve(b_mat @ d)
+            s = factor.solve(v_trans @ (area * d))
             t = factor.solve(mass @ s)
-            bt = b_t @ t
-            np.multiply(w, d, out=q)
-            q += bt
+            vt = v @ t
+            np.multiply(alpha, d, out=q)
+            q += vt
+            q *= area
             q *= free
             step = rz / float(d @ q)
             # Each update scales its step vector, then adds it.
@@ -345,9 +347,9 @@ def solve_kkt_pdas(problem):
             y += s
             t *= step
             p += t
-            bt *= step
-            bt /= w
-            candidate -= bt
+            vt *= step
+            vt /= alpha
+            candidate -= vt
             q *= step
             r -= q
             np.divide(r, w, out=z)
@@ -358,9 +360,7 @@ def solve_kkt_pdas(problem):
             d += z
         history.append((int(lo.sum()), int(hi.sum()), len(steps), certified))
         if exact:
-            y = factor.solve(source_load + b_mat @ u, x0=y)
-            p = factor.solve(mass @ y - target_load, x0=p)
-            candidate = problem.candidate(p)
+            y, p, candidate = state_adjoint(u, y, p)
         done = exact and unchanged(candidate)
         new_lo = candidate < lower
         new_hi = candidate > upper
@@ -438,7 +438,7 @@ def solve_kkt_reference(problem):
 
     cho = la.cho_factor(k)
     y0 = la.cho_solve(cho, source_load)
-    state_map = la.cho_solve(cho, problem.control_coupling.toarray())
+    state_map = la.cho_solve(cho, problem.gd.value_center.T.toarray() * problem.gd.mesh.cell_area)
     hess = state_map.T @ (m @ state_map)
     # K is symmetric, so B^T p(u) = B^T K^-1 (M (y0 + S u) - target load)
     # = hess @ u + shift.

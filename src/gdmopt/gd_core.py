@@ -58,12 +58,12 @@ class GradientDiscretisation:
         Boundary trace reconstruction, affine along each boundary face
         (rows follow boundary_face_ids).
 
-    Derived on construction: n_free, the boundary_face_ids, piece_area,
-    piece_center and ``cell_centred``, true when there are more pieces
-    than cells.  With one piece per cell the function reconstruction on
-    cell K is ``center[K] + (grad_x, grad_y)[K] . (x - centroid_K)``, the
-    affine function whose gradient is its slope, which compute_wd's
-    face-only formula relies on; a cell-centred one is ``center[K]``.
+    Derived on construction: n_free, the boundary_face_ids, piece_area
+    and ``cell_centred``, true when there are more pieces than cells.
+    With one piece per cell the function reconstruction on cell K is
+    ``center[K] + (grad_x, grad_y)[K] . (x - centroid_K)``, the affine
+    function whose gradient is its slope, which compute_wd's face-only
+    formula relies on; a cell-centred one is ``center[K]``.
     The Gram matrices and norm_factor are built on first read and then
     cached; no quadrature point set is kept.
     """
@@ -97,8 +97,6 @@ class GradientDiscretisation:
         self.piece_area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         if np.any(self.piece_area <= 0.0):
             raise ValueError("degenerate gradient piece")
-        self.piece_center = self.piece_tri.mean(axis=1)
-        self.piece_center.setflags(write=False)
 
     # -- reconstruction operators ------------------------------------
 

@@ -1,10 +1,10 @@
 """Quantities the tests check that the method itself never computes.
 
 The function reconstruction of a DOF vector at given points, its
-gradient seminorm, and the two optimality-system
-residuals of a computed KKT solution: ``solve_kkt_pdas`` meets the
-projection formula by construction, and these measure how well a
-returned solution does.
+gradient seminorm, the dense control coupling, and the two
+optimality-system residuals of a computed KKT solution:
+``solve_kkt_pdas`` meets the projection formula by construction, and
+these measure how well a returned solution does.
 """
 
 import math
@@ -25,6 +25,12 @@ def gradient_norm(gd, vec):
     (no cancellation, unlike the quadratic form of gd.gradient_gram)."""
     g = gd.gradient_table(vec)
     return math.sqrt(float(gd.piece_area @ (g ** 2).sum(1)))
+
+
+def dense_coupling(problem):
+    """The coupling B = V^T diag(area) of a control problem as a dense
+    array, with V the cell means of the function reconstruction."""
+    return problem.gd.value_center.T.toarray() * problem.gd.mesh.cell_area
 
 
 def variational_inequality_gap(problem, solution, trial):

@@ -29,7 +29,12 @@ from gdmopt.control import (
 from gdmopt.gd_core import GradientDiscretisation
 from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
 from gdmopt.schemes import build_scheme
-from oracles import projection_identity_gap, value_at, variational_inequality_gap
+from oracles import (
+    dense_coupling,
+    projection_identity_gap,
+    value_at,
+    variational_inequality_gap,
+)
 
 
 def target_loads(gd, target):
@@ -209,22 +214,25 @@ def test_pdas_iteration_cap_raises(monkeypatch):
 
 def test_pdas_cycle_raises_with_history(monkeypatch):
     # Candidate controls that alternate between "far below" and "far
-    # above" make the active sets flip between all-lower and all-upper
-    # for ever.
+    # above" from one iteration to the next make the active sets flip
+    # between all-lower and all-upper for ever.  An infinite eigenvalue
+    # bound certifies nothing, so every iteration is exact and reads the
+    # candidate twice: at its start and at its finish.
     calls = []
 
     def alternating(problem, p):
         calls.append(None)
-        sign = -1.0 if len(calls) % 2 else 1.0
+        sign = -1.0 if (len(calls) + 1) // 2 % 2 else 1.0
         return np.full(len(problem.control_weight), sign * 1e6)
 
+    monkeypatch.setattr(control, "LAMBDA_INFLATION", np.inf)
     monkeypatch.setattr(OptimalControlProblem, "candidate", alternating)
     gd = build_scheme("p1", build_unit_square_triangulation(4), "dirichlet")
     problem = synthetic_problem(gd, bounds=(0.0, 1.0))
     n = gd.mesh.n_cells
     with pytest.raises(SolverError) as err:
         solve_kkt_pdas(problem)
-    assert len(calls) == 3
+    assert len(calls) == 6
     message = str(err.value)
     assert "iteration 4 would repeat those of iteration 2" in message
     assert f"0/0, {n}/0, 0/{n}, {n}/0" in message
@@ -290,6 +298,18 @@ def test_solved_problem_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
+def test_solved_problem_caches_no_coupling():
+    # The coupling B = V^T diag(area) is applied through the value
+    # reconstruction V, so a solved problem holds its fields, its bounds
+    # and four cached items, and no matrix of B or B^T.
+    problem = case_problem("example3-neumann", "ncp1", 8)
+    solve_kkt_pdas(problem)
+    fields = {f.name for f in dataclasses.fields(problem)}
+    assert len(fields) == 6
+    assert set(vars(problem)) == fields | {
+        "lower", "upper", "stiffness", "stiffness_factor", "control_weight", "cell_target"}
+
+
 def test_postprocess_builds_only_the_cell_target():
     # The post-processing reads the cell averages of u_d, so it builds
     # neither the stiffness nor the mass matrix.
@@ -306,9 +326,9 @@ def test_postprocess_builds_only_the_cell_target():
 def test_negative_or_nan_reaction_is_rejected():
     # With c0 = -30 the example1 p1 level-3 stiffness has a negative
     # eigenvalue; its factor would exist and PDAS return a "solution".
-    problem = dataclasses.replace(case_problem("example1", "p1", 8), reaction=-30.0)
+    problem = case_problem("example1", "p1", 8)
     with pytest.raises(ValueError, match="reaction"):
-        solve_kkt_pdas(problem)
+        dataclasses.replace(problem, reaction=-30.0)
     with pytest.raises(ValueError, match="reaction"):
         solve_pde(problem.gd, lambda pts: np.ones(len(pts)), reaction=np.nan)
 
@@ -482,7 +502,7 @@ def dense_exact_pdas(problem):
     m = problem.gd.mass_matrix.toarray()
     source_load, target_load = problem.loads
     w = problem.control_weight
-    state_map = np.linalg.solve(k, problem.control_coupling.toarray())
+    state_map = np.linalg.solve(k, dense_coupling(problem))
     y0 = np.linalg.solve(k, source_load)
     # B^T p(u) = hess @ u + shift.
     hess = state_map.T @ m @ state_map
@@ -599,8 +619,7 @@ def test_reference_step_eigenvalue_matches_full_eigh():
     import scipy.linalg as la
 
     problem = case_problem("example1", "p1", 8)
-    state_map = np.linalg.solve(problem.stiffness.toarray(),
-                                problem.control_coupling.toarray())
+    state_map = np.linalg.solve(problem.stiffness.toarray(), dense_coupling(problem))
     hess = state_map.T @ (problem.gd.mass_matrix.toarray() @ state_map)
     w = problem.control_weight
     full = la.eigh(hess, np.diag(w), eigvals_only=True)[-1]
@@ -638,5 +657,17 @@ def test_problem_validations():
     # One row per load, one column per unknown.
     with pytest.raises(ValueError):
         OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), loads=loads[:1])
+    # A box is one (lower, upper) pair: a third entry is not dropped.
+    for bounds in ((0.0,), (0.0, 1.0, 2.0), ()):
+        with pytest.raises(ValueError, match="bounds"):
+            OptimalControlProblem(gd, alpha=1.0, bounds=bounds, loads=loads)
+    # The reaction is finite and nonnegative under either condition.
+    for reaction in (-30.0, -1e-300, np.nan, np.inf):
+        with pytest.raises(ValueError, match="reaction"):
+            OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), loads=loads, reaction=reaction)
+    for reaction in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="reaction"):
+            OptimalControlProblem(gdn, alpha=1.0, bounds=(0, 1), loads=np.zeros((2, gdn.n_free)),
+                                  reaction=reaction)
     OptimalControlProblem(gd, alpha=1.0, bounds=(0, 1), loads=loads)
 

@@ -126,9 +126,9 @@ def _assert_same_bits(got, want):
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_grams_and_coupling_keep_the_diagonal_product_bits(scheme, bc):
-    # Each Gram matrix and the control coupling equal, in format, index
-    # arrays and data bytes, the products R^T diag(d) S they replace,
-    # summed as m + (P2 + P3) + (P4 + P5).  On the perturbed meshes a
+    # Each Gram matrix equals, in format, index arrays and data bytes,
+    # the products R^T diag(d) S it replaces, summed as m + (P2 + P3) +
+    # (P4 + P5).  On the perturbed meshes a
     # term added or rounded another way moves the last bit of some entry.
     rng = np.random.default_rng(7)
     gds = []
@@ -151,11 +151,20 @@ def test_grams_and_coupling_keep_the_diagonal_product_bits(scheme, bc):
         }
         for name, want in expected.items():
             _assert_same_bits(getattr(gd, name), want)
+    # The control coupling B = V^T diag(area) is applied through V alone.
+    # On the unperturbed meshes, whose cell areas are powers of two, the
+    # candidate u_d - V p / alpha keeps the bits of u_d - W^-1 B^T p with
+    # B the diagonal product V^T diag(area).
+    for gd in gds[::2]:
+        area = gd.mesh.cell_area
+        assert np.all(np.frexp(area)[0] == 0.5)
         problem = control.OptimalControlProblem(
-            gd, 1.0, (-1.0, 1.0), np.zeros((2, gd.n_free)), reaction=1.0)
-        coupling = (gd.value_center.T @ sp.diags(gd.mesh.cell_area)).tocsr()
-        _assert_same_bits(problem.control_coupling, coupling)
-        _assert_same_bits(problem.coupling_transpose, coupling.T.tocsr())
+            gd, 0.3, (-1.0, 1.0), np.zeros((2, gd.n_free)),
+            control_target=lambda pts: pts[:, 0], reaction=1.0)
+        p = rng.standard_normal(gd.n_free)
+        coupling = (gd.value_center.T @ sp.diags(area)).tocsr()
+        want = problem.cell_target - (coupling.T.tocsr() @ p) / problem.control_weight
+        assert problem.candidate(p).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -191,8 +200,6 @@ def test_piece_rule_weights_sum_to_areas(scheme):
     gd = make_gd(scheme, 3)
     pieces, pts, wts = triangle_quadrature(gd.piece_tri, "gauss7")
     np.testing.assert_allclose(np.bincount(pieces, wts), gd.piece_area, rtol=1e-13)
-    with pytest.raises(ValueError):
-        gd.piece_center[0] = 0
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -241,7 +248,7 @@ def test_diagnostics_row_keeps_no_point_set(case_name, scheme):
     on_mesh = set(vars(gd.mesh))
     diagnostics_row(case, gd, 3)
     held = vars(gd)
-    derived = {"cell_centred", "n_free", "boundary_face_ids", "piece_area", "piece_center"}
+    derived = {"cell_centred", "n_free", "boundary_face_ids", "piece_area"}
     cached = {"mass_matrix", "gradient_gram", "norm_factor"}
     if case.bc == "neumann":
         cached.add("trace_gram")

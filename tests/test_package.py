@@ -60,6 +60,32 @@ def test_every_src_def_has_a_production_reference():
     assert not unused, f"defined in src/gdmopt, referenced by no src/ or bench/ module: {unused}"
 
 
+def _unused_imports(tree):
+    """(line, name) of each name a module binds by import and neither
+    reads as an identifier nor lists in its __all__."""
+    bound = [(node.lineno, alias.asname or alias.name.split(".")[0])
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_no_src_module_imports_an_unused_name():
+    unused = [
+        f"{path.name}:{line} {name}"
+        for path in sorted((ROOT / "src" / "gdmopt").glob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not unused, f"imported in src/gdmopt and never used: {unused}"
+    # A leftover import is found; a name read or exported is not.
+    code = "import math, sys\nfrom x import a, b as c\n__all__ = ['a']\nsys.exit(c)\n"
+    assert _unused_imports(ast.parse(code)) == [(1, "math")]
+
+
 def test_one_direct_solve_layer():
     # Sparse LU factors and solves live in assembly.SPDFactor alone, so no
     # solve can bypass its checked path on the transposed kernel.
