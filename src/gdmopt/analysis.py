@@ -180,18 +180,18 @@ def quadrature_blocks(mesh, rule):
         yield (block,) + cell_quadrature(mesh, rule, block)
 
 
-def triangle_blocks(tris, rule):
-    """The points of a named rule on a batch of triangles, one cell_blocks
-    block of whole triangles at a time, as quadrature_blocks gives them
-    on cells.
+def triangle_blocks(gd, rule):
+    """The points of a named rule on the gradient pieces of a
+    discretisation gd, one cell_blocks block of whole pieces at a time,
+    as quadrature_blocks gives them on cells.
 
     Yields (block, owners, points, weights) per block: block is the slice
-    of its triangles and the rest triangle_quadrature of tris[block],
-    with the owners numbered in the whole batch.
+    of its pieces and the rest triangle_quadrature of
+    gd.piece_triangles(block), with the owners numbered over all pieces.
     """
     q = len(reference_rule(3, rule)[1])
-    for block in cell_blocks(len(tris), q):
-        owners, pts, wts = triangle_quadrature(tris[block], rule)
+    for block in cell_blocks(gd.n_pieces, q):
+        owners, pts, wts = triangle_quadrature(gd.piece_triangles(block), rule)
         yield block, owners + block.start, pts, wts
 
 
@@ -318,14 +318,14 @@ def _gradient_errors(gd, fields, vecs):
     """Relative errors of the gradients of the DOF vectors vecs (state,
     adjoint) at the piece centres: one centroid point per region of
     constant discrete gradient, sampled block by block."""
-    n_pieces = len(gd.piece_tri)
+    n_pieces = gd.n_pieces
     per_cell = n_pieces // gd.mesh.n_cells
     tables = [gd.gradient_table(v) for v in vecs]
     # Per piece: squared errors and squared targets of grad y and grad p.
     sq = np.empty((4, n_pieces))
     for block in cell_blocks(gd.mesh.n_cells, per_cell):
         span = slice(per_cell * block.start, per_cell * block.stop)
-        part = fields(gd.piece_tri[span].mean(axis=1), ("grad_y", "grad_p"))
+        part = fields(gd.piece_triangles(span).mean(axis=1), ("grad_y", "grad_p"))
         gy, gp = part.grad_y, part.grad_p
         for row, v in enumerate((tables[0][span] - gy, gy, tables[1][span] - gp,
                                  None if gp is gy else gp)):

@@ -53,19 +53,25 @@ class GradientDiscretisation:
         Value of the function reconstruction at the centroid of each cell.
     grad_x, grad_y : (n_pieces, n_free)
         Constant gradient reconstruction per piece; the pieces of cell K
-        tile K, and piece_tri stores their vertex triangles.
+        tile K.
+    piece_tri : (n_pieces, 3, 2), optional
+        Vertex triangles of the pieces of a cell-centred scheme, k per
+        cell of k faces.  Without it the pieces are the mesh cells,
+        which must be triangles, and no copy of them is stored.
     trace_mid, trace_slope : (n_boundary_faces, n_free)
         Boundary trace reconstruction, affine along each boundary face
         (rows follow boundary_face_ids).
 
     Derived on construction: n_free, the boundary_face_ids, piece_area
-    and ``cell_centred``, true when there are more pieces than cells.
-    With one piece per cell the function reconstruction on cell K is
+    and ``cell_centred``, true when piece_tri is given.  With one piece
+    per cell the function reconstruction on cell K is
     ``center[K] + (grad_x, grad_y)[K] . (x - centroid_K)``, the affine
     function whose gradient is its slope, which compute_wd's face-only
-    formula relies on; a cell-centred one is ``center[K]``.
-    The Gram matrices and norm_factor are built on first read and then
-    cached; no quadrature point set is kept.
+    formula relies on; a cell-centred one is ``center[K]``.  Every
+    reader of the piece triangles goes through piece_triangles, one
+    span of pieces at a time.  The Gram matrices and norm_factor are
+    built on first read and then cached; no quadrature point set is
+    kept.
     """
 
     mesh: Any
@@ -74,29 +80,46 @@ class GradientDiscretisation:
     free: np.ndarray
     dof_points: np.ndarray
     value_center: sp.csr_matrix
-    piece_tri: np.ndarray
     grad_x: sp.csr_matrix
     grad_y: sp.csr_matrix
     trace_mid: sp.csr_matrix
     trace_slope: sp.csr_matrix
+    piece_tri: np.ndarray | None = None
 
     def __post_init__(self):
         if self.bc not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
         self.n_free = len(self.free)
         self.boundary_face_ids = np.flatnonzero(self.mesh.boundary_faces)
-        n_pieces, n_bfaces = len(self.piece_tri), len(self.boundary_face_ids)
+        self.cell_centred = self.piece_tri is not None
+        n_pieces = len(self.piece_tri) if self.cell_centred else self.mesh.n_cells
+        n_bfaces = len(self.boundary_face_ids)
         if len(self.dof_points) != self.n_free or any(a.shape != (n, self.n_free) for a, n in (
                 (self.value_center, self.mesh.n_cells), (self.grad_x, n_pieces),
                 (self.grad_y, n_pieces), (self.trace_mid, n_bfaces), (self.trace_slope, n_bfaces))):
             raise ValueError("operators need one row per cell, piece or boundary face and one "
                              "column per unknown, and dof_points one row per unknown")
-        self.cell_centred = n_pieces != self.mesh.n_cells
-        e1 = self.piece_tri[:, 1] - self.piece_tri[:, 0]
-        e2 = self.piece_tri[:, 2] - self.piece_tri[:, 0]
+        if not self.cell_centred and self.mesh.cells.shape[1] != 3:
+            raise ValueError("pieces that are the mesh cells must be triangles")
+        tri = self.piece_triangles()
+        e1 = tri[:, 1] - tri[:, 0]
+        e2 = tri[:, 2] - tri[:, 0]
         self.piece_area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         if np.any(self.piece_area <= 0.0):
             raise ValueError("degenerate gradient piece")
+
+    @property
+    def n_pieces(self):
+        """Number of gradient pieces: rows of grad_x and grad_y."""
+        return len(self.piece_area)
+
+    def piece_triangles(self, span=slice(None)):
+        """Vertex triangles of the pieces in span (a slice), shape
+        (n, 3, 2): the stored sub-triangles of a cell-centred scheme, or
+        the mesh cells gathered afresh."""
+        if self.cell_centred:
+            return self.piece_tri[span]
+        return self.mesh.vertices[self.mesh.cells[span]]
 
     # -- reconstruction operators ------------------------------------
 
@@ -235,8 +258,8 @@ class GradientDiscretisation:
         order, as one pass over all points would, and each gradient
         operator then takes one product.
         """
-        sums = np.empty((2, len(self.piece_area)))
-        for block, pieces, pts, wts in triangle_blocks(self.piece_tri, rule):
+        sums = np.empty((2, self.n_pieces))
+        for block, pieces, pts, wts in triangle_blocks(self, rule):
             vals = sample(pts)
             for row in (0, 1):
                 sums[row, block] = block_sums(block, pieces, wts * vals[:, row])
@@ -420,7 +443,7 @@ def compute_sd_upper(gd, fn, grad_fn):
     total = math.sqrt(sq)
     table = gd.gradient_table(z)
     sq = 0.0
-    for (_, pieces, _, wts), g in zip(triangle_blocks(gd.piece_tri, "gauss7"), gvals):
+    for (_, pieces, _, wts), g in zip(triangle_blocks(gd, "gauss7"), gvals):
         sq += float(wts @ ((table[pieces] - g) ** 2).sum(1))
     total += math.sqrt(sq)
     if gd.bc == "neumann":

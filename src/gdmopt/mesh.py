@@ -6,6 +6,7 @@ cell-centred discretisations.  The module provides structured generators
 for the unit square, an L-shaped domain and a shifted Cartesian grid.
 """
 
+import functools
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +23,9 @@ class PolytopalMesh:
         Vertex indices of each cell, listed counter-clockwise.  All cells
         share the same vertex count k (3 for triangles, 4 for rectangles).
     cell_points : (n_cells, 2) float array, optional
-        One point strictly inside each cell.  Defaults to the centroid.
+        One point strictly inside each cell, copied into ``cell_point``.
+        Without them ``cell_point`` is the read-only ``cell_centroid``
+        array itself.
 
     Notes
     -----
@@ -32,8 +35,13 @@ class PolytopalMesh:
     ``faces[f]`` follows its counter-clockwise loop, and the unit normal
     ``face_normal[f]`` points out of ``face_cells[f, 0]``.  The outward
     normal seen from any incident cell is recovered through
-    ``cell_face_sign``.  The DOF order of face-based schemes follows
-    this numbering.
+    ``cell_face_sign`` (int8, +1 or -1).  The DOF order of face-based
+    schemes follows this numbering.
+
+    The face geometry (``face_length``, ``face_center``, ``face_tangent``
+    and ``face_normal``) is built when it is first read and then kept, so
+    a level holds only what its scheme and its rows read: a conforming
+    P1 study reads the lengths alone.
     """
 
     def __init__(self, vertices, cells, cell_points=None):
@@ -62,8 +70,9 @@ class PolytopalMesh:
         cy = np.sum((y + yn) * cross, axis=1) / (6.0 * signed)
         self.cell_centroid = np.column_stack([cx, cy])
 
+        self.cell_centroid.setflags(write=False)
         if cell_points is None:
-            self.cell_point = self.cell_centroid.copy()
+            self.cell_point = self.cell_centroid
         else:
             self.cell_point = np.asarray(cell_points, dtype=float).copy()
             if self.cell_point.shape != (self.n_cells, 2):
@@ -115,23 +124,42 @@ class PolytopalMesh:
         self.face_cells = np.column_stack([first // k, np.full(len(first), -1)])
         self.face_cells[edge_face[second], 1] = second // k
         self.cell_faces = edge_face.reshape(self.n_cells, k)
-        self.cell_face_sign = np.where(is_first, 1, -1).reshape(self.n_cells, k)
+        self.cell_face_sign = np.where(is_first, np.int8(1), np.int8(-1)).reshape(self.n_cells, k)
         self.n_faces = self.faces.shape[0]
-
-        fa = self.vertices[self.faces[:, 0]]
-        fb = self.vertices[self.faces[:, 1]]
-        self.face_length = np.sqrt(((fb - fa) ** 2).sum(1))
-        self.face_center = 0.5 * (fa + fb)
-        self.face_tangent = (fb - fa) / self.face_length[:, None]
-        # Rotate the tangent by -90 degrees: outward for the first cell,
-        # which traverses the face from a to b along its ccw loop.
-        self.face_normal = np.column_stack(
-            [self.face_tangent[:, 1], -self.face_tangent[:, 0]]
-        )
 
         self.boundary_faces = self.face_cells[:, 1] == -1
         self.boundary_vertices = np.zeros(self.n_vertices, dtype=bool)
         self.boundary_vertices[self.faces[self.boundary_faces].ravel()] = True
+
+    def _face_ends(self):
+        """Coordinates of the first and the second end of every face."""
+        return self.vertices[self.faces[:, 0]], self.vertices[self.faces[:, 1]]
+
+    @functools.cached_property
+    def face_length(self):
+        """Length of every face."""
+        fa, fb = self._face_ends()
+        return np.sqrt(((fb - fa) ** 2).sum(1))
+
+    @functools.cached_property
+    def face_center(self):
+        """Midpoint of every face."""
+        fa, fb = self._face_ends()
+        return 0.5 * (fa + fb)
+
+    @functools.cached_property
+    def face_tangent(self):
+        """Unit tangent from the first end of each face to its second."""
+        fa, fb = self._face_ends()
+        return (fb - fa) / self.face_length[:, None]
+
+    @functools.cached_property
+    def face_normal(self):
+        """Unit normal of each face, outward for face_cells[f, 0]: the
+        tangent rotated by -90 degrees, as that cell traverses the face
+        from its first end to its second along its ccw loop."""
+        t = self.face_tangent
+        return np.column_stack([t[:, 1], -t[:, 0]])
 
     @property
     def h(self):

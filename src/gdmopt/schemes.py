@@ -103,7 +103,6 @@ def _affine_scheme(mesh, bc, dof_points, boundary_dofs, cell_dofs, basis_grad,
         mesh=mesh, bc=bc, n_dofs=len(dof_points), free=free,
         dof_points=dof_points[free],
         value_center=_csr(cell, np.full(3 * mesh.n_cells, 1.0 / 3.0)),
-        piece_tri=mesh.vertices[mesh.cells],
         grad_x=_csr(cell, basis_grad[:, :, 0].ravel()),
         grad_y=_csr(cell, basis_grad[:, :, 1].ravel()),
         trace_mid=trace_mid, trace_slope=trace_slope,

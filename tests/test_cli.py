@@ -45,6 +45,18 @@ def test_study_csv_shape(tmp_path):
     assert float(second[3]) < float(first[3])
 
 
+def test_p1_study_level_builds_face_lengths_alone():
+    # The face geometry is built when first read: a conforming P1 study
+    # level on the L-shape reads the face lengths (its boundary trace)
+    # and no face centre, tangent or normal.
+    case = cases.get_case("example2-lshape")
+    mesh = case.build_mesh("p1", 3)
+    built = set(vars(mesh))
+    cli.run_level(case, cli.build_scheme("p1", mesh, case.bc), 3)
+    assert set(vars(mesh)) - built == {"face_length"}
+    assert not {"face_center", "face_tangent", "face_normal"} & set(vars(mesh))
+
+
 def test_stdout_default(capsys):
     code = main(["--case", "example1", "--scheme", "ncp1", "--levels", "2..2"])
     assert code == 0

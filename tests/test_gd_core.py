@@ -198,7 +198,7 @@ def test_value_load_matches_cell_coupling():
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_piece_rule_weights_sum_to_areas(scheme):
     gd = make_gd(scheme, 3)
-    pieces, pts, wts = triangle_quadrature(gd.piece_tri, "gauss7")
+    pieces, pts, wts = triangle_quadrature(gd.piece_triangles(), "gauss7")
     np.testing.assert_allclose(np.bincount(pieces, wts), gd.piece_area, rtol=1e-13)
 
 
@@ -241,8 +241,9 @@ def test_loads_of_reconstructions_match_grams(monkeypatch, scheme):
 def test_diagnostics_row_keeps_no_point_set(case_name, scheme):
     # A diagnostics row builds its piece, boundary and cell rules where it
     # uses them: afterwards the discretisation holds its operators, what
-    # it derives on construction and its cached matrices, and neither it
-    # nor its mesh holds a quadrature point or weight array.
+    # it derives on construction and its cached matrices, its mesh gains
+    # at most the face geometry that W_D and S_D read, and neither holds
+    # a quadrature point or weight array.
     case = get_case(case_name)
     gd = build_scheme(scheme, case.build_mesh(scheme, 8), case.bc)
     on_mesh = set(vars(gd.mesh))
@@ -253,11 +254,30 @@ def test_diagnostics_row_keeps_no_point_set(case_name, scheme):
     if case.bc == "neumann":
         cached.add("trace_gram")
     assert set(held) == {f.name for f in dataclasses.fields(gd)} | derived | cached
-    assert set(vars(gd.mesh)) == on_mesh
-    rule_sizes = {len(triangle_quadrature(gd.piece_tri, "gauss7")[2]),
+    face_geometry = {"face_length", "face_center", "face_tangent", "face_normal"}
+    assert on_mesh <= set(vars(gd.mesh)) <= on_mesh | face_geometry
+    rule_sizes = {len(triangle_quadrature(gd.piece_triangles(), "gauss7")[2]),
                   3 * len(gd.boundary_face_ids), len(cell_quadrature(gd.mesh, "gauss7")[2])}
-    arrays = [a for a in held.values() if isinstance(a, np.ndarray)]
+    arrays = [a for a in (*held.values(), *vars(gd.mesh).values())
+              if isinstance(a, np.ndarray)]
     assert arrays and not any(len(a) in rule_sizes for a in arrays)
+
+
+@pytest.mark.parametrize("scheme", ["p1", "ncp1"])
+def test_affine_scheme_stores_no_piece_triangles(scheme):
+    # The pieces of an affine scheme are the mesh cells: it reads their
+    # triangles from the mesh one span at a time, and neither on
+    # construction nor after a diagnostics row does it hold an
+    # (n, 3, 2) array.
+    case = get_case("example1")
+    gd = build_scheme(scheme, case.build_mesh(scheme, 4), case.bc)
+    diagnostics_row(case, gd, 2)
+    assert gd.piece_tri is None and not gd.cell_centred
+    assert gd.n_pieces == gd.mesh.n_cells
+    assert not any(isinstance(a, np.ndarray) and a.shape[1:] == (3, 2)
+                   for a in vars(gd).values())
+    np.testing.assert_array_equal(gd.piece_triangles(slice(3, 7)),
+                                  gd.mesh.vertices[gd.mesh.cells[3:7]])
 
 
 def test_sd_samples_the_target_once_per_point_set():
@@ -429,7 +449,7 @@ def test_wd_matches_dense_oracle(scheme, bc):
         cells = np.repeat(np.arange(mesh.n_cells), mesh.cells.shape[1] * q)
         normals = np.repeat(mesh.outward_normals().reshape(-1, 2), q, axis=0)
         wflux = wts * (flux_field(pts) * normals).sum(1)
-        pieces, ppts, pwts = triangle_quadrature(gd.piece_tri, "gauss7")
+        pieces, ppts, pwts = triangle_quadrature(gd.piece_triangles(), "gauss7")
         bfaces, bpts, bwts, _ = boundary_rule(gd)
         bnormals = mesh.face_normal[gd.boundary_face_ids[bfaces]]
         bflux = bwts * (flux_field(bpts) * bnormals).sum(1)

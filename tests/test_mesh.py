@@ -107,6 +107,20 @@ def test_face_normals_unit_and_consistent():
     assert np.all(np.sum(d * mesh.face_normal, axis=1) > 0.0)
 
 
+def test_cell_points_share_the_centroids():
+    # A mesh built without cell points holds one array of them: the
+    # centroids, read-only so that no reader writes through the alias.
+    # Given cell points are an array of their own.  The face signs take
+    # one byte each.
+    for mesh in (build_unit_square_triangulation(4), build_lshape_triangulation(2)):
+        assert mesh.cell_point is mesh.cell_centroid
+        assert not mesh.cell_point.flags.writeable
+        assert mesh.cell_face_sign.dtype == np.int8
+    shifted = build_cartesian_mesh(4, shift=0.1)
+    assert shifted.cell_point is not shifted.cell_centroid
+    assert shifted.cell_point.flags.writeable
+
+
 def test_interior_faces_have_two_cells():
     mesh = build_unit_square_triangulation(3)
     interior = ~mesh.boundary_faces

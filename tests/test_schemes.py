@@ -212,6 +212,11 @@ def test_discretisation_checks_its_operators():
     for name in ("value_center", "grad_x", "grad_y", "trace_mid", "trace_slope"):
         with pytest.raises(ValueError, match="one row per cell, piece or boundary face"):
             dataclasses.replace(hmm, **{name: getattr(hmm, name)[:-1]})
+    # Without piece triangles the pieces are the cells, which must be
+    # triangles.
+    with pytest.raises(ValueError, match="must be triangles"):
+        dataclasses.replace(hmm, piece_tri=None, grad_x=hmm.value_center,
+                            grad_y=hmm.value_center)
     with pytest.raises(ValueError, match="boundary condition"):
         dataclasses.replace(gd, bc="robin")
     # Every operator has one column, and dof_points one row, per unknown.
