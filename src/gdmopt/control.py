@@ -13,12 +13,11 @@ and adjoint along; each such run stops as soon as a bound on the error
 of the candidate control (from the CG residual and a Lanczos estimate
 of the Hessian's spectrum) proves the next active sets, except for a
 final run to full accuracy once they repeat, so the iteration visits the
-same active sets as one with exact inner solves.  The second solver is a
-dense reference used to cross-check it on small meshes: accelerated
-projected gradient (FISTA with adaptive restart) identifies the active
-sets, and once they repeat a dense Cholesky solve on their inactive set
-is tried as a finish.  Either way it returns only a control that passed
-its natural-residual test.
+same active sets as one with exact inner solves.  The second solver is
+that iteration itself, a dense reference used to cross-check the first
+on small meshes: it assembles the reduced Hessian densely and solves
+each inactive set by a dense Cholesky factorisation, and it returns
+only a control that passed its natural-residual test.
 """
 
 import functools
@@ -50,10 +49,9 @@ LAMBDA_INFLATION = 4.0
 # benchmark cases need 15 steps or fewer.
 PCG_MAX_ITER = 500
 
-# Stationarity tolerance of solve_kkt_reference, relative to max(1,
-# max|u|), and the iterations it may take to reach it.
+# Natural-residual tolerance of solve_kkt_reference, relative to max(1,
+# max|u|).
 REFERENCE_TOL = 1e-12
-REFERENCE_MAX_ITER = 200000
 
 
 def project_box(values, lower, upper):
@@ -170,7 +168,8 @@ class KKTSolution:
     history holds one (|A-|, |A+|, cg_steps, certified) record per
     active-set iteration: the sizes of the active sets it solved with,
     its conjugate-gradient steps, and whether the certificate proved its
-    outcome (see solve_kkt_pdas).  The reference solver leaves it empty.
+    outcome (see solve_kkt_pdas).  The reference solver takes no CG steps
+    and certifies nothing, so its records are (|A-|, |A+|, 0, False).
     """
 
     y: np.ndarray
@@ -384,46 +383,28 @@ def solve_kkt_pdas(problem):
     raise SolverError(f"active-set iteration did not settle in {PDAS_MAX_ITER} steps")
 
 
-def _largest_weighted_eig(hess, weight):
-    """Largest eigenvalue of hess x = lambda diag(weight) x, for a dense
-    symmetric hess and positive weights; only that one is computed, as
-    the largest of the standard problem for S hess S, S = diag(weight)^-1/2."""
-    n = len(weight)
-    s = 1.0 / np.sqrt(weight)
-    return la.eigh(hess * np.outer(s, s), eigvals_only=True,
-                   subset_by_index=[n - 1, n - 1])[0]
-
-
 def solve_kkt_reference(problem):
-    """Accelerated projected-gradient reference solve of the same
-    optimality system.
+    """Dense active-set reference solve of the same optimality system.
 
     Assembles the control-to-state map S = K^-1 B densely (only sensible
     on meshes with a few hundred DOFs), and with it the reduced Hessian
-    S^T M S and the shift S^T (M y0 - target load), so that B^T p(u) is
-    one dense matrix-vector product.  FISTA with gradient-based adaptive
-    restart (momentum reset whenever it points against the projected
-    gradient step) runs in the control-cost metric with the step
-    1 / (1 + largest eigenvalue), until the natural residual
-    max|u - P(u_d - W^-1 B^T p)| is at most REFERENCE_TOL * max(1,
-    max|u|).
-
-    Verified dense finish.  When the active sets of the raw candidate
-    u_d - W^-1 B^T p (entries below lower, entries above upper) equal
-    those of the previous iteration, and that pair has not been tried,
-    the controls on them are pinned to their bounds and the stationarity
-    equations on the inactive set I,
+    H = S^T M S and the shift S^T (M y0 - target load), so that B^T p(u)
+    = H u + shift is one dense matrix-vector product.  Starting from
+    empty active sets, each iteration pins u to its bounds on the current
+    sets A and solves the stationarity equations on the inactive set I,
 
         (W_I + H_II) u_I = W_I u_d,I - shift_I - H_IA u_A,
 
-    are solved by a dense Cholesky factorisation; the box projection of
-    that control is returned if it passes the same residual test, and
-    otherwise FISTA goes on from its own unchanged state.  So the
-    returned u is always one whose natural residual was checked, a FISTA
-    iterate or a finish, and the iteration count is that of the FISTA
-    loop when it stopped.  SolverError, with the residual reached, is
-    raised after REFERENCE_MAX_ITER iterations.  Shares no code path with
-    the active-set solver beyond problem assembly.
+    by a dense Cholesky factorisation; the next sets are the entries of
+    the candidate u_d - W^-1 (H u + shift) below lower and above upper.
+    This is the primal-dual active-set iteration with exact inner solves
+    (Bergounioux, Ito & Kunisch 1999), whose sets solve_kkt_pdas follows.
+    When the next sets equal the current ones or those of an earlier
+    iteration, u is returned if its natural residual max|u -
+    P(candidate)| is at most REFERENCE_TOL * max(1, max|u|), and
+    SolverError with that residual is raised otherwise; SolverError is
+    also raised if the sets still change after PDAS_MAX_ITER iterations.
+    Shares no code path with solve_kkt_pdas beyond problem assembly.
     """
     if problem.gd.n_dofs > 500:
         raise ValueError("reference solver is restricted to at most 500 DOFs")
@@ -443,66 +424,37 @@ def solve_kkt_reference(problem):
     # K is symmetric, so B^T p(u) = B^T K^-1 (M (y0 + S u) - target load)
     # = hess @ u + shift.
     shift = state_map.T @ (m @ y0 - target_load)
-    step = 1.0 / (1.0 + _largest_weighted_eig(hess, w))
 
-    def residual(u, hu):
-        """Raw candidate u_d - W^-1 B^T p(u) and the natural residual
-        max|u - P(candidate)| relative to max(1, max|u|)."""
-        raw = u_target - (hu + shift) / w
-        gap = np.max(np.abs(u - project_box(raw, lower, upper)))
-        return raw, gap / max(1.0, np.max(np.abs(u)))
-
-    def finish(lo, hi):
-        """Exact minimiser with the controls of lo and hi pinned to their
-        bounds, solved densely on the inactive set I, then box-projected."""
+    lo = np.zeros(len(w), dtype=bool)
+    hi = np.zeros(len(w), dtype=bool)
+    # The active-set pairs solved with, by their packed bits.
+    key = lambda lo, hi: np.packbits(np.concatenate((lo, hi))).tobytes()
+    seen, history = set(), []
+    for it in range(1, PDAS_MAX_ITER + 1):
+        seen.add(key(lo, hi))
+        history.append((int(lo.sum()), int(hi.sum()), 0, False))
         pinned = lo | hi
         free = ~pinned
         u = np.where(lo, lower, np.where(hi, upper, 0.0))
         rhs = w[free] * u_target[free] - shift[free] - hess[np.ix_(free, pinned)] @ u[pinned]
-        cho_i = la.cho_factor(np.diag(w[free]) + hess[np.ix_(free, free)])
-        u[free] = la.cho_solve(cho_i, rhs)
-        return project_box(u, lower, upper)
-
-    # u is the projected iterate, z the extrapolated point the gradient
-    # step starts from; their Hessian products are carried along, so
-    # an iteration costs the single product hess @ u.  pair is the packed
-    # active-set pair of the raw candidate, tried the pairs finished once.
-    u = project_box(u_target, lower, upper)
-    hu = hess @ u
-    z, hz = u, hu
-    t = 1.0
-    pair, tried = None, set()
-    for it in range(1, REFERENCE_MAX_ITER + 1):
-        raw, res = residual(u, hu)
-        if res <= REFERENCE_TOL:
+        u[free] = la.cho_solve(la.cho_factor(np.diag(w[free]) + hess[np.ix_(free, free)]), rhs)
+        candidate = u_target - (hess @ u + shift) / w
+        lo, hi = candidate < lower, candidate > upper
+        if key(lo, hi) in seen:
             break
-        lo, hi = raw < lower, raw > upper
-        last, pair = pair, np.packbits(np.concatenate((lo, hi))).tobytes()
-        if pair == last and pair not in tried:
-            tried.add(pair)
-            trial = finish(lo, hi)
-            if residual(trial, hess @ trial)[1] <= REFERENCE_TOL:
-                u = trial
-                break
-        u_new = project_box(z - step * ((hz + shift) / w + (z - u_target)), lower, upper)
-        hu_new = hess @ u_new
-        if (z - u_new) @ (w * (u_new - u)) > 0.0:
-            t = 1.0
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        momentum = (t - 1.0) / t_new
-        z = u_new + momentum * (u_new - u)
-        hz = hu_new + momentum * (hu_new - hu)
-        u, hu, t = u_new, hu_new, t_new
     else:
+        raise SolverError(f"active-set reference did not settle in {PDAS_MAX_ITER} iterations")
+    gap = np.max(np.abs(u - project_box(candidate, lower, upper)))
+    res = gap / max(1.0, np.max(np.abs(u)))
+    if not res <= REFERENCE_TOL:
         raise SolverError(
-            f"projected gradient reached natural residual {res:.3e} "
-            f"relative to max(1, max|u|), above {REFERENCE_TOL:.1e}, "
-            f"in {REFERENCE_MAX_ITER} iterations"
+            f"active-set reference reached natural residual {res:.3e} "
+            f"relative to max(1, max|u|), above {REFERENCE_TOL:.1e}, in {it} iterations"
         )
 
     y = y0 + state_map @ u
     p = la.cho_solve(cho, m @ y - target_load)
-    return KKTSolution(y, p, u, it, u <= lower, u >= upper)
+    return KKTSolution(y, p, u, it, lo, hi, history)
 
 
 def postprocess(problem, cells, p, exact_p):

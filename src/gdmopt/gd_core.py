@@ -45,9 +45,8 @@ class GradientDiscretisation:
 
     n_dofs counts the scheme's DOFs before elimination and free maps each
     unknown to its scheme DOF number; every DOF vector has length
-    n_free = len(free).  dof_points has one row per unknown and the
-    sparse matrices below one column per unknown and the rows listed, or
-    construction raises ValueError.
+    n_free = len(free).  The sparse matrices below have one column per
+    unknown and the rows listed, or construction raises ValueError.
 
     value_center : (n_cells, n_free)
         Value of the function reconstruction at the centroid of each cell.
@@ -78,7 +77,6 @@ class GradientDiscretisation:
     bc: str
     n_dofs: int
     free: np.ndarray
-    dof_points: np.ndarray
     value_center: sp.csr_matrix
     grad_x: sp.csr_matrix
     grad_y: sp.csr_matrix
@@ -94,11 +92,11 @@ class GradientDiscretisation:
         self.cell_centred = self.piece_tri is not None
         n_pieces = len(self.piece_tri) if self.cell_centred else self.mesh.n_cells
         n_bfaces = len(self.boundary_face_ids)
-        if len(self.dof_points) != self.n_free or any(a.shape != (n, self.n_free) for a, n in (
+        if any(a.shape != (n, self.n_free) for a, n in (
                 (self.value_center, self.mesh.n_cells), (self.grad_x, n_pieces),
                 (self.grad_y, n_pieces), (self.trace_mid, n_bfaces), (self.trace_slope, n_bfaces))):
             raise ValueError("operators need one row per cell, piece or boundary face and one "
-                             "column per unknown, and dof_points one row per unknown")
+                             "column per unknown")
         if not self.cell_centred and self.mesh.cells.shape[1] != 3:
             raise ValueError("pieces that are the mesh cells must be triangles")
         tri = self.piece_triangles()

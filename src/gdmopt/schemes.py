@@ -85,8 +85,7 @@ def _csr(pattern, vals):
                          shape=pattern.shape)
 
 
-def _affine_scheme(mesh, bc, dof_points, boundary_dofs, cell_dofs, basis_grad,
-                   trace_mid, trace_slope):
+def _affine_scheme(mesh, bc, boundary_dofs, cell_dofs, basis_grad, trace_mid, trace_slope):
     """Scheme whose function reconstruction on each triangle is the affine
     combination of its three local basis functions (DOFs cell_dofs, mean
     1/3 each, gradients basis_grad); the gradient is its slope.  trace_mid
@@ -100,8 +99,7 @@ def _affine_scheme(mesh, bc, dof_points, boundary_dofs, cell_dofs, basis_grad,
     trace_mid, trace_slope = (_csr(_pattern(rows, cols, trace_shape, unknown), vals)
                               for rows, cols, vals in (trace_mid, trace_slope))
     return GradientDiscretisation(
-        mesh=mesh, bc=bc, n_dofs=len(dof_points), free=free,
-        dof_points=dof_points[free],
+        mesh=mesh, bc=bc, n_dofs=len(boundary_dofs), free=free,
         value_center=_csr(cell, np.full(3 * mesh.n_cells, 1.0 / 3.0)),
         grad_x=_csr(cell, basis_grad[:, :, 0].ravel()),
         grad_y=_csr(cell, basis_grad[:, :, 1].ravel()),
@@ -120,8 +118,8 @@ def make_conforming_p1(mesh, bc):
     inv_len = 1.0 / mesh.face_length[bids]
     trace_mid = rows, cols, np.full(2 * len(bids), 0.5)
     trace_slope = rows, cols, np.column_stack([-inv_len, inv_len]).ravel()
-    return _affine_scheme(mesh, bc, mesh.vertices, mesh.boundary_vertices,
-                          mesh.cells, _barycentric_gradients(mesh), trace_mid, trace_slope)
+    return _affine_scheme(mesh, bc, mesh.boundary_vertices, mesh.cells,
+                          _barycentric_gradients(mesh), trace_mid, trace_slope)
 
 
 def make_ncp1(mesh, bc):
@@ -139,8 +137,8 @@ def make_ncp1(mesh, bc):
     svals = np.einsum("bjd,bd->bj", basis_grad[owner], mesh.face_tangent[bids])
     trace_slope = (np.repeat(np.arange(len(bids)), 3), mesh.cell_faces[owner].ravel(),
                    svals.ravel())
-    return _affine_scheme(mesh, bc, mesh.face_center, mesh.boundary_faces,
-                          mesh.cell_faces, basis_grad, trace_mid, trace_slope)
+    return _affine_scheme(mesh, bc, mesh.boundary_faces, mesh.cell_faces, basis_grad,
+                          trace_mid, trace_slope)
 
 
 def make_hmm(mesh, bc):
@@ -209,7 +207,6 @@ def make_hmm(mesh, bc):
 
     return GradientDiscretisation(
         mesh=mesh, bc=bc, n_dofs=n_cells + n_faces, free=free,
-        dof_points=np.vstack([mesh.cell_point, mesh.face_center])[free],
         value_center=value_center,
         piece_tri=piece_tri, grad_x=grad_x, grad_y=grad_y,
         trace_mid=trace_mid, trace_slope=trace_slope,

@@ -1,8 +1,8 @@
 """Quantities the tests check that the method itself never computes.
 
-The function reconstruction of a DOF vector at given points, its
-gradient seminorm, the dense control coupling, and the two
-optimality-system residuals of a computed KKT solution:
+The point of each unknown, the function reconstruction of a DOF vector
+at given points, its gradient seminorm, and the two optimality-system
+residuals of a computed KKT solution:
 ``solve_kkt_pdas`` meets the projection formula by construction, and
 these measure how well a returned solution does.
 """
@@ -15,6 +15,18 @@ from gdmopt.analysis import affine_at, centroid_offsets
 from gdmopt.control import project_box
 
 
+def dof_points(gd):
+    """Point of each unknown: its vertex for conforming p1, its face
+    centre for non-conforming p1, and its cell point or face centre for
+    the hybrid scheme (cells first)."""
+    mesh = gd.mesh
+    if gd.cell_centred:
+        points = np.vstack([mesh.cell_point, mesh.face_center])
+    else:
+        points = mesh.vertices if gd.n_dofs == len(mesh.vertices) else mesh.face_center
+    return points[gd.free]
+
+
 def value_at(gd, vec, cells, pts):
     """Function reconstruction of a DOF vector at points inside cells."""
     return affine_at(gd.cell_coefficients(vec), cells, centroid_offsets(gd.mesh, cells, pts))
@@ -25,12 +37,6 @@ def gradient_norm(gd, vec):
     (no cancellation, unlike the quadratic form of gd.gradient_gram)."""
     g = gd.gradient_table(vec)
     return math.sqrt(float(gd.piece_area @ (g ** 2).sum(1)))
-
-
-def dense_coupling(problem):
-    """The coupling B = V^T diag(area) of a control problem as a dense
-    array, with V the cell means of the function reconstruction."""
-    return problem.gd.value_center.T.toarray() * problem.gd.mesh.cell_area
 
 
 def variational_inequality_gap(problem, solution, trial):

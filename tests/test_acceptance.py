@@ -25,7 +25,7 @@ from gdmopt.mesh import (
     build_unit_square_triangulation,
 )
 from gdmopt.schemes import SCHEMES, build_scheme
-from oracles import gradient_norm, projection_identity_gap, value_at
+from oracles import dof_points, gradient_norm, projection_identity_gap, value_at
 
 _CACHE = {}
 
@@ -96,7 +96,7 @@ def test_criterion_06_neumann_rates():
 def test_criterion_07_active_set_solver_matches_reference():
     start = time.perf_counter()
     checked = 0
-    for case_name in ("example1", "example3-neumann"):
+    for case_name in ("example1", "example3-neumann", "example2-lshape"):
         case = get_case(case_name)
         for scheme in SCHEMES:
             for level in range(2, 6):
@@ -111,6 +111,10 @@ def test_criterion_07_active_set_solver_matches_reference():
                 assert np.max(np.abs(a.u - b.u)) <= 1e-8
                 assert np.max(np.abs(a.y - b.y)) <= 1e-8
                 assert np.max(np.abs(a.p - b.p)) <= 1e-8
+                # PDAS follows the exact-solve active sets of the reference.
+                assert [h[:2] for h in a.history] == [h[:2] for h in b.history]
+                assert np.array_equal(a.active_lower, b.active_lower)
+                assert np.array_equal(a.active_upper, b.active_upper)
                 checked += 1
     assert checked >= 12
     assert time.perf_counter() - start < 30.0
@@ -160,7 +164,7 @@ def test_criterion_08_property_suite():
         # Affine exactness: interpolating an affine function reproduces
         # its gradient on every piece; for the stabilised scheme this is
         # exactly the statement that the stabilisation term vanishes.
-        g = gd.gradient_table(affine(gd.dof_points))
+        g = gd.gradient_table(affine(dof_points(gd)))
         assert np.abs(g - slope).max() <= 1e-12
 
         # Stability: twenty random cellwise sources per scheme, each

@@ -22,7 +22,7 @@ from gdmopt.mesh import (
     build_unit_square_triangulation,
 )
 from gdmopt.schemes import SCHEMES, build_scheme
-from oracles import gradient_norm, value_at
+from oracles import dof_points, gradient_norm, value_at
 
 
 def make_gd(scheme, m, bc="dirichlet"):
@@ -295,7 +295,7 @@ def test_poisson_manufactured_convergence():
     for m in (4, 8, 16):
         gd = make_gd("p1", m)
         psi = solve_pde(gd, volume_source=source)
-        diff = psi - exact(gd.dof_points)
+        diff = psi - exact(dof_points(gd))
         errs.append(np.max(np.abs(diff)))
     # Nodal max error decays at second order.
     assert errs[1] / errs[0] == pytest.approx(0.25, abs=0.08)

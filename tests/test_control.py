@@ -1,5 +1,6 @@
-"""Active-set solver against the projected-gradient reference, plus the
-projection/variational-inequality identities of the optimality system."""
+"""Active-set solver against the dense reference (the same active-set
+iteration with exact dense solves), plus the projection/variational-
+inequality identities of the optimality system."""
 
 import dataclasses
 import gc
@@ -19,7 +20,6 @@ from gdmopt.cases import get_case
 from gdmopt.control import (
     OptimalControlProblem,
     _largest_ritz_value,
-    _largest_weighted_eig,
     postprocess,
     project_box,
     project_onto_cells,
@@ -30,7 +30,7 @@ from gdmopt.gd_core import GradientDiscretisation
 from gdmopt.mesh import build_cartesian_mesh, build_unit_square_triangulation
 from gdmopt.schemes import build_scheme
 from oracles import (
-    dense_coupling,
+    dof_points,
     projection_identity_gap,
     value_at,
     variational_inequality_gap,
@@ -115,9 +115,9 @@ def test_degenerate_box_pins_control():
 def test_pdas_matches_reference_distributed(scheme):
     sol, ref = compare_solvers(case_problem("example1", scheme, 4))
     assert sol.active_lower.any()  # the one-sided box actually binds
-    # FISTA's active sets repeat at once, and the dense finish on them
-    # passes the residual test.
-    assert ref.iterations <= 3
+    # The reference solves the same active sets: the second iteration's
+    # sets repeat those it solved with.
+    assert ref.iterations == sol.iterations == 2
 
 
 @pytest.mark.parametrize("scheme", ["p1", "ncp1"])
@@ -341,7 +341,7 @@ def test_both_solvers_reject_asymmetric_stiffness(monkeypatch):
 
     def skewed(self, reaction=0.0):
         a = stiffness(self, reaction)
-        upper = sp.diags(self.dof_points[:, 0]) @ sp.triu(a, k=1)
+        upper = sp.diags(dof_points(self)[:, 0]) @ sp.triu(a, k=1)
         return (a + upper - upper.T).tocsc()
 
     with monkeypatch.context() as patch:
@@ -495,35 +495,6 @@ def test_pdas_solve_count_regression(monkeypatch):
     assert [h[3] for h in sol.history] == [True] * 5
 
 
-def dense_exact_pdas(problem):
-    """(|A-|, |A+|) by iteration and the final active sets of the active-set
-    iteration with dense, exact inner solves."""
-    k = problem.stiffness.toarray()
-    m = problem.gd.mass_matrix.toarray()
-    source_load, target_load = problem.loads
-    w = problem.control_weight
-    state_map = np.linalg.solve(k, dense_coupling(problem))
-    y0 = np.linalg.solve(k, source_load)
-    # B^T p(u) = hess @ u + shift.
-    hess = state_map.T @ m @ state_map
-    shift = state_map.T @ (m @ y0 - target_load)
-    lo = np.zeros(len(w), dtype=bool)
-    hi = np.zeros(len(w), dtype=bool)
-    history = []
-    while len(history) < 50:
-        history.append((int(lo.sum()), int(hi.sum())))
-        free = ~(lo | hi)
-        u = np.where(lo, problem.lower, np.where(hi, problem.upper, 0.0))
-        u[free] = np.linalg.solve(np.diag(w[free]) + hess[np.ix_(free, free)],
-                                  (w * problem.cell_target - shift - hess @ u)[free])
-        candidate = problem.cell_target - (hess @ u + shift) / w
-        new_lo, new_hi = candidate < problem.lower, candidate > problem.upper
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            return history, lo, hi
-        lo, hi = new_lo, new_hi
-    raise AssertionError("dense active-set oracle did not settle")
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     case_name=st.sampled_from(["example1", "example3-neumann"]),
@@ -550,41 +521,53 @@ def test_certified_pdas_follows_exact_active_sets(case_name, scheme, log_alpha, 
     lower, upper = free.min() + np.sort(cuts) * np.ptp(free)
     constrained = problem((lower if sides != "upper" else -np.inf,
                            upper if sides != "lower" else np.inf))
-    history, lo, hi = dense_exact_pdas(constrained)
+    ref = solve_kkt_reference(constrained)
     sol = solve_kkt_pdas(constrained)
-    assert [h[:2] for h in sol.history] == history
-    np.testing.assert_array_equal(sol.active_lower, lo)
-    np.testing.assert_array_equal(sol.active_upper, hi)
+    assert [h[:2] for h in sol.history] == [h[:2] for h in ref.history]
+    np.testing.assert_array_equal(sol.active_lower, ref.active_lower)
+    np.testing.assert_array_equal(sol.active_upper, ref.active_upper)
 
 
 def test_reference_iteration_cap_raises(monkeypatch):
-    monkeypatch.setattr(control, "REFERENCE_MAX_ITER", 10)
+    # This problem's active sets settle in the third iteration.
+    monkeypatch.setattr(control, "PDAS_MAX_ITER", 2)
+    problem = case_problem("example3-neumann", "p1", 4)
+    with pytest.raises(SolverError, match="did not settle in 2 iterations"):
+        solve_kkt_reference(problem)
+
+
+def test_reference_residual_test_raises(monkeypatch):
+    # Settled sets do not suffice: the control must pass the natural-
+    # residual test, which no rounded control meets at tolerance 0.
+    monkeypatch.setattr(control, "REFERENCE_TOL", 0.0)
     problem = case_problem("example3-neumann", "p1", 4)
     with pytest.raises(SolverError,
-                       match=r"natural residual \d\.\d{3}e\S+ relative .* in 10 iterations"):
+                       match=r"natural residual \d\.\d{3}e-\d+ relative .* in 3 iterations"):
         solve_kkt_reference(problem)
 
 
 def test_reference_converges_fast_on_small_alpha():
     # alpha = 1e-3 makes the problem ill-conditioned in the control-cost
-    # metric (largest eigenvalue ~1e3), where a fixed-step projected
-    # gradient needs over 20000 iterations and FISTA alone about 1000;
-    # the dense finish on FISTA's active sets ends it at 54.
+    # metric (largest eigenvalue ~1e3); the active-set reference still
+    # takes as many iterations as PDAS, each one an exact solve.
     problem = case_problem("example3-neumann", "p1", 4)
     assert problem.alpha == 1e-3
     sol = solve_kkt_reference(problem)
-    assert sol.iterations <= 200
+    assert sol.iterations == solve_kkt_pdas(problem).iterations == 3
 
 
 @pytest.mark.parametrize("scheme", ["p1", "ncp1", "hmm"])
 def test_reference_never_reaches_pdas_path(monkeypatch, scheme):
     # The reference is an independent check of PDAS: it must solve
-    # without the sparse factor, its CG or the certificate's Ritz value.
+    # without PDAS itself, the sparse factor, its CG or the certificate's
+    # Ritz value.
     problem = case_problem("example3-neumann", scheme, 4)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the reference reached the active-set solver's code")
 
+    monkeypatch.setattr(control, "solve_kkt_pdas", forbidden)
+    monkeypatch.setattr(spla, "splu", forbidden)
     monkeypatch.setattr(assembly.SPDFactor, "solve", forbidden)
     monkeypatch.setattr(assembly.SPDFactor, "cg_solve", forbidden)
     monkeypatch.setattr(control, "_largest_ritz_value", forbidden)
@@ -612,20 +595,6 @@ def test_reference_rejects_large_meshes():
         solve_kkt_reference(problem)
 
 
-def test_reference_step_eigenvalue_matches_full_eigh():
-    # A criterion-07 pair: example1 p1 at level 3 (128 controls).  Only
-    # the largest eigenvalue of the reduced Hessian is computed; it must
-    # be the last one of the full generalized eigensolve.
-    import scipy.linalg as la
-
-    problem = case_problem("example1", "p1", 8)
-    state_map = np.linalg.solve(problem.stiffness.toarray(), dense_coupling(problem))
-    hess = state_map.T @ (problem.gd.mass_matrix.toarray() @ state_map)
-    w = problem.control_weight
-    full = la.eigh(hess, np.diag(w), eigvals_only=True)[-1]
-    assert _largest_weighted_eig(hess, w) == pytest.approx(full, rel=1e-12)
-
-
 def test_problem_validations():
     gd = build_scheme("p1", build_unit_square_triangulation(2), "dirichlet")
     loads = np.zeros((2, gd.n_free))
@@ -633,8 +602,7 @@ def test_problem_validations():
         OptimalControlProblem(gd, alpha=0.0, bounds=(0, 1), loads=loads)
     with pytest.raises(ValueError):
         OptimalControlProblem(gd, alpha=1.0, bounds=(1, 0), loads=loads)
-    # A NaN bound makes no box: PDAS would return an all-NaN control and
-    # the reference would run to its iteration cap.
+    # A NaN bound makes no box: PDAS would return an all-NaN control.
     for bounds in ((np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)):
         with pytest.raises(ValueError, match="NaN"):
             OptimalControlProblem(gd, alpha=1.0, bounds=bounds, loads=loads)

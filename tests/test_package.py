@@ -46,11 +46,16 @@ def _referenced_names(tree):
             yield node.value
 
 
+def _production_trees():
+    """Parsed modules under src/ and bench/, by path."""
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    return {path: ast.parse(path.read_text(), str(path)) for path in paths}
+
+
 def test_every_src_def_has_a_production_reference():
     # Tests do not count as callers: a helper only tests use belongs in
     # the tests.
-    production = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in production}
+    trees = _production_trees()
     used = {name for tree in trees.values() for name in _referenced_names(tree)}
     unused = sorted(
         name
@@ -58,6 +63,41 @@ def test_every_src_def_has_a_production_reference():
         for name in _defined_names(tree) if name not in used
     )
     assert not unused, f"defined in src/gdmopt, referenced by no src/ or bench/ module: {unused}"
+
+
+def _module_constants(tree):
+    """Names a module assigns at its top level in UPPER_CASE."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.isupper():
+                yield target.id
+
+
+def _read_names(tree):
+    """Names read as identifiers or as attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_src_constant_is_read_in_production():
+    # A constant that only a test patches is a knob nothing else turns.
+    trees = _production_trees()
+    read = {name for tree in trees.values() for name in _read_names(tree)}
+    unread = sorted(
+        f"{path.name} {name}"
+        for path, tree in trees.items() if path.parent == ROOT / "src" / "gdmopt"
+        for name in _module_constants(tree) if name not in read
+    )
+    assert not unread, f"module constants in src/gdmopt read by no src/ or bench/ module: {unread}"
+    # A constant only assigned, patched or named in a string is found.
+    code = "LIMIT = 3\nTOL: float = 1e-9\nx.TOL = 0\nnames = ['LIMIT']\n"
+    assert sorted(set(_module_constants(ast.parse(code))) - set(_read_names(ast.parse(code)))) \
+        == ["LIMIT", "TOL"]
 
 
 def _unused_imports(tree):
