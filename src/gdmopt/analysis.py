@@ -16,7 +16,8 @@ Relative errors are reported; numerator and denominator share a rule.
 Each point set this protocol reads on a level is sampled once, and only
 for the fields read there: ``sample_level`` samples the load rule's
 points before the solve and keeps, block by block, what the errors read
-there; ``compute_errors`` samples the other point sets after it.
+there; ``compute_errors`` samples the other point sets after it.  The
+exact adjoint is the state in every case, so y and grad_y serve p too.
 ``quadrature_blocks`` yields the cell points as (block, cells, points,
 weights), one block of whole cells at a time built when a pass reaches
 it, so a level keeps no array of a whole quadrature point set.  Neither
@@ -280,10 +281,9 @@ class LevelSamples:
 
     loads holds the source and target loads, assembled while f and y_d
     were sampled.  blocks holds one Fields per block of the points of
-    ``function_rule(gd)``, in quadrature_blocks' order, with p and u, and
-    y for nodal schemes; fields that the case gives as one array stay
-    one array.  fields is the case's ``fields``, which the error pass
-    samples at the other points it reads.
+    ``function_rule(gd)``, in quadrature_blocks' order, with y and u.
+    fields is the case's ``fields``, which the error pass samples at the
+    other points it reads.
     """
 
     loads: np.ndarray
@@ -300,14 +300,13 @@ def cell_blocks(n_cells, per_cell):
 
 def sample_level(gd, fields):
     """The LevelSamples of a level: one pass over the blocks of the load
-    rule's points samples the values there (not y for cell-centred
-    schemes), sums f and y_d into the loads (GradientDiscretisation.
-    value_load) and keeps the other values of each block."""
-    kept = ("p", "u") if gd.cell_centred else ("y", "p", "u")
+    rule's points samples the values there, sums f and y_d into the loads
+    (GradientDiscretisation.value_load) and keeps y and u of each
+    block."""
     blocks = []
 
     def sample(pts):
-        part = fields(pts, kept + ("f", "y_d"))
+        part = fields(pts, ("y", "u", "f", "y_d"))
         blocks.append(part._replace(f=None, y_d=None))
         return [part.f, part.y_d]
 
@@ -316,46 +315,44 @@ def sample_level(gd, fields):
 
 def _gradient_errors(gd, fields, vecs):
     """Relative errors of the gradients of the DOF vectors vecs (state,
-    adjoint) at the piece centres: one centroid point per region of
-    constant discrete gradient, sampled block by block."""
+    adjoint) against grad y at the piece centres: one centroid point per
+    region of constant discrete gradient, sampled block by block."""
     n_pieces = gd.n_pieces
     per_cell = n_pieces // gd.mesh.n_cells
     tables = [gd.gradient_table(v) for v in vecs]
-    # Per piece: squared errors and squared targets of grad y and grad p.
-    sq = np.empty((4, n_pieces))
+    # Per piece: squared errors of grad y and grad p, squared target.
+    sq = np.empty((3, n_pieces))
     for block in cell_blocks(gd.mesh.n_cells, per_cell):
         span = slice(per_cell * block.start, per_cell * block.stop)
-        part = fields(gd.piece_triangles(span).mean(axis=1), ("grad_y", "grad_p"))
-        gy, gp = part.grad_y, part.grad_p
-        for row, v in enumerate((tables[0][span] - gy, gy, tables[1][span] - gp,
-                                 None if gp is gy else gp)):
-            sq[row, span] = sq[1, span] if v is None else (v ** 2).sum(1)
-    return [_relative(float(gd.piece_area @ sq[i]), float(gd.piece_area @ sq[i + 1]))
-            for i in (0, 2)]
+        gy = fields(gd.piece_triangles(span).mean(axis=1), ("grad_y",)).grad_y
+        for row, v in enumerate((tables[0][span] - gy, tables[1][span] - gy, gy)):
+            sq[row, span] = (v ** 2).sum(1)
+    return [_relative(float(gd.piece_area @ sq[i]), float(gd.piece_area @ sq[2]))
+            for i in (0, 1)]
 
 
 def _function_errors(gd, exact, vecs, post):
     """Relative errors of y, p and the post-processed control over the
-    load rule's blocks, beside the samples kept there (cell-centred
-    schemes sample y and p at the cell points); y and p are
-    reconstructed from one gather of centroid offsets per block."""
+    load rule's blocks, beside the samples kept there; the exact y (at
+    the cell points for cell-centred schemes) is the target of y and p.
+    y and p are reconstructed from one gather of centroid offsets per
+    block."""
     mesh = gd.mesh
     coefficients = [gd.cell_coefficients(v) for v in vecs]
-    # Per cell: squared errors and squared targets of y, p and u_tilde.
-    sums = np.empty((6, mesh.n_cells))
+    # Per cell: squared errors of y and p, squared y, and squared error
+    # and target of u_tilde.
+    sums = np.empty((5, mesh.n_cells))
     blocks = zip(quadrature_blocks(mesh, function_rule(gd)), exact.blocks, strict=True)
     for (block, cells, pts, wts), kept in blocks:
         offsets = centroid_offsets(mesh, cells, pts)
         y_h, p_h = (affine_at(c, cells, offsets) for c in coefficients)
-        value = exact.fields(mesh.cell_point[block], ("y", "p")) if gd.cell_centred else kept
-        y, p = value.y, value.p
-        discrete, exact_post = post(cells, p_h, kept.p)
-        for row, part in enumerate(((y_h - y) ** 2, y ** 2, (p_h - p) ** 2,
-                                    None if p is y else p ** 2,
+        y = exact.fields(mesh.cell_point[block], ("y",)).y if gd.cell_centred else kept.y
+        discrete, exact_post = post(cells, p_h, kept.y)
+        for row, part in enumerate(((y_h - y) ** 2, (p_h - y) ** 2, y ** 2,
                                     (discrete - exact_post) ** 2, kept.u ** 2)):
-            sums[row, block] = (sums[1, block] if part is None
-                                else block_sums(block, cells, wts * part))
-    return [_relative(float(sums[i].sum()), float(sums[i + 1].sum())) for i in (0, 2, 4)]
+            sums[row, block] = block_sums(block, cells, wts * part)
+    totals = [float(s.sum()) for s in sums]
+    return [_relative(totals[i], totals[j]) for i, j in ((0, 2), (1, 2), (3, 4))]
 
 
 def _control_error(mesh, fields, u_cells):
@@ -384,9 +381,7 @@ def compute_errors(gd, exact, y_vec, p_vec, u_cells, post, *, level, pdas_iters)
 
     Three passes, each over blocks and each freeing its tables before
     the next, sum every error per piece or per cell and then over them
-    all, so the report does not depend on the block size.  The exact
-    adjoint is the state in every case: where a block's p is its y, the
-    sums of y serve p.
+    all, so the report does not depend on the block size.
     """
     vecs = (y_vec, p_vec)
     err_grad_y, err_grad_p = _gradient_errors(gd, exact.fields, vecs)

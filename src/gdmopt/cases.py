@@ -1,8 +1,9 @@
 """Benchmark problems with known optimal triples (state, adjoint, control).
 
-Each case fixes exact state and adjoint, picks the control through the
+Each case fixes its exact state, picks the control through the
 box-projection formula, and then manufactures the sources so that the
-optimality system holds exactly.  The singular case lives on the
+optimality system holds exactly; each chooses y_d so that the adjoint
+is the state.  The singular case lives on the
 L-shaped domain and its solution has the corner regularity r^(2/3), so
 its data are unbounded near the re-entrant corner; quadrature nodes
 never coincide with the corner, which is always a mesh vertex.
@@ -31,14 +32,9 @@ class Fields(NamedTuple):
 
     y: np.ndarray
     grad_y: np.ndarray
-    p: np.ndarray
-    grad_p: np.ndarray
     u: np.ndarray
     f: np.ndarray
     y_d: np.ndarray
-
-
-GRADIENTS = frozenset({"grad_y", "grad_p"})
 
 
 def _only(names, *values):
@@ -58,11 +54,12 @@ class TestCase:
     ``fields(pts, names)`` returns the exact fields named in names (all
     of them by default) as a ``Fields``, and computes only what those
     need; each entry is the same whichever names are asked for with it.
-    Each single-field closure (y, grad_y, p, grad_p, u, f, y_d) reads
-    its entry of ``fields``.
+    Each single-field closure (y, grad_y, u, f, y_d) reads its entry of
+    ``fields``.
 
-    f_b is None on every case and nothing in the package reads it; it
-    stays while the benchmark tracer wraps the case closures by name.
+    The adjoint is the state, so p and grad_p are the closures y and
+    grad_y.  They and f_b (None on every case) are read nowhere in the
+    package; they stay while the benchmark tracer wraps closures by name.
     """
 
     name: str
@@ -85,6 +82,7 @@ class TestCase:
     def __post_init__(self):
         for name in Fields._fields:
             setattr(self, name, functools.partial(_entry, self.fields, name))
+        self.p, self.grad_p = self.y, self.grad_y
 
     def build_mesh(self, scheme, m, shift=0.0):
         """Mesh family used by a scheme on this case's domain."""
@@ -132,16 +130,15 @@ def smooth_dirichlet_case():
     def fields(pts, names=Fields._fields):
         need = set(names)
         px, py = np.pi * pts[:, 0], np.pi * pts[:, 1]
-        yv = np.sin(px) * np.sin(py) if need - GRADIENTS else None
+        yv = np.sin(px) * np.sin(py) if need - {"grad_y"} else None
         gv = None
-        if need & GRADIENTS:
+        if "grad_y" in need:
             gv = np.pi * np.column_stack([np.cos(px) * np.sin(py), np.sin(px) * np.cos(py)])
         u = project_box(u_d(pts) - yv / alpha, lower, upper) if need & {"u", "f"} else None
         f = 2.0 * np.pi ** 2 * yv - u if "f" in need else None
         y_d = (1.0 - 2.0 * np.pi ** 2) * yv if "y_d" in need else None
-        return _only(need, yv, gv, yv, gv, u, f, y_d)
+        return _only(need, yv, gv, u, f, y_d)
 
-    # The adjoint is the state.
     return TestCase("example1", "dirichlet", "unit-square", alpha, (lower, upper), 0.0,
                     fields, u_d=u_d)
 
@@ -186,15 +183,15 @@ def lshape_singular_case():
     """Distributed control on the L-shape with a corner-singular state.
 
     Every closure reads ``fields``, which takes the corner parts only to
-    the derivative its names need: the values y, p and u need none, the
-    gradients the first and the sources f and y_d the Laplacian.
+    the derivative its names need: the values y and u need none, the
+    gradient the first and the sources f and y_d the Laplacian.
     """
     alpha = 1e-3
     lower, upper = -600.0, -50.0
 
     def fields(pts, names=Fields._fields):
         need = set(names)
-        order = 2 if need & {"f", "y_d"} else 1 if need & GRADIENTS else 0
+        order = 2 if need & {"f", "y_d"} else 1 if "grad_y" in need else 0
         x, yy = pts[:, 0], pts[:, 1]
         s, sx, sy, lap_s = _corner_singular_parts(pts, order)
         b = (x ** 2 - 1.0) * (yy ** 2 - 1.0)
@@ -213,7 +210,7 @@ def lshape_singular_case():
             f = -lap - u
         if "y_d" in need:
             y_d = val + lap
-        return _only(need, val, grad, val, grad, u, f, y_d)
+        return _only(need, val, grad, u, f, y_d)
 
     return TestCase(
         "example2-lshape", "dirichlet", "lshape", alpha, (lower, upper), 0.0, fields
@@ -232,15 +229,14 @@ def smooth_neumann_case():
     def fields(pts, names=Fields._fields):
         need = set(names)
         px, py = np.pi * pts[:, 0], np.pi * pts[:, 1]
-        yv = -(np.cos(px) + np.cos(py)) / np.pi if need - GRADIENTS else None
-        gv = np.column_stack([np.sin(px), np.sin(py)]) if need & GRADIENTS else None
+        yv = -(np.cos(px) + np.cos(py)) / np.pi if need - {"grad_y"} else None
+        gv = np.column_stack([np.sin(px), np.sin(py)]) if "grad_y" in need else None
         u = project_box(-yv / alpha, lower, upper) if need & {"u", "f"} else None
         # f = -lap(y) + y - u with lap(y) = -pi^2 y
         f = (np.pi ** 2 + 1.0) * yv - u if "f" in need else None
         y_d = -np.pi ** 2 * yv if "y_d" in need else None
-        return _only(need, yv, gv, yv, gv, u, f, y_d)
+        return _only(need, yv, gv, u, f, y_d)
 
-    # As in example1, the adjoint is the state.
     return TestCase("example3-neumann", "neumann", "unit-square", alpha, (lower, upper),
                     1.0, fields)
 

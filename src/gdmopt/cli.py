@@ -19,6 +19,7 @@ from .assembly import SolverError
 from .cases import CASE_NAMES, get_case
 from .control import postprocess, solve_kkt_pdas
 from .gd_core import compute_cd, compute_sd_upper, compute_wd
+from .mesh import cartesian_points_inside
 from .schemes import SCHEMES, build_scheme
 
 DEFAULT_LEVELS = (2, 6)
@@ -142,6 +143,9 @@ def main(argv=None):
         parser.error("--shift applies only to --scheme hmm")
     if args.shift != 0.0 and args.case == "example2-lshape":
         parser.error("--shift requires a Cartesian-capable case")
+    for level in range(args.levels[0], args.levels[1] + 1):
+        if not cartesian_points_inside(2 ** level, args.shift):
+            parser.error(f"--shift {args.shift!r} puts a cell point on a face at level {level}")
     if args.out is not None:
         # Appending creates a missing file but leaves an existing one intact.
         try:

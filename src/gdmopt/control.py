@@ -175,10 +175,14 @@ class KKTSolution:
     y: np.ndarray
     p: np.ndarray
     u: np.ndarray
-    iterations: int
     active_lower: np.ndarray
     active_upper: np.ndarray
     history: list = field(default_factory=list)
+
+    @property
+    def iterations(self):
+        """Active-set iterations taken: one history record each."""
+        return len(self.history)
 
 
 def _largest_ritz_value(steps, betas):
@@ -378,8 +382,7 @@ def solve_kkt_pdas(problem):
                 )
         lo, hi = new_lo, new_hi
         if done:
-            return KKTSolution(y, p, project_box(candidate, lower, upper), it,
-                               lo, hi, history)
+            return KKTSolution(y, p, project_box(candidate, lower, upper), lo, hi, history)
     raise SolverError(f"active-set iteration did not settle in {PDAS_MAX_ITER} steps")
 
 
@@ -454,7 +457,7 @@ def solve_kkt_reference(problem):
 
     y = y0 + state_map @ u
     p = la.cho_solve(cho, m @ y - target_load)
-    return KKTSolution(y, p, u, it, lo, hi, history)
+    return KKTSolution(y, p, u, lo, hi, history)
 
 
 def postprocess(problem, cells, p, exact_p):

@@ -178,17 +178,13 @@ class PolytopalMesh:
         shape (n_cells, k, 2)."""
         return self.face_center[self.cell_faces] - self.cell_point[:, None, :]
 
-    def face_point_distances(self, offsets=None, normals=None):
-        """Orthogonal distance from each cell point to each of its face lines.
+    def face_point_distances(self, offsets, normals):
+        """Orthogonal distance from each cell point to each of its face
+        lines, from the face_offsets() and outward_normals() of the mesh.
 
         Returns an (n_cells, k) array; entries are positive whenever every
-        cell point lies strictly inside its cell.  A caller that holds
-        face_offsets() and outward_normals() already passes them in.
+        cell point lies strictly inside its cell.
         """
-        if offsets is None:
-            offsets = self.face_offsets()
-        if normals is None:
-            normals = self.outward_normals()
         return np.sum(offsets * normals, axis=2)
 
 
@@ -267,6 +263,16 @@ def build_lshape_triangulation(m):
     return _grid_triangulation(nodes, keep=keep)
 
 
+def cartesian_points_inside(m, shift):
+    """Whether every cell point of build_cartesian_mesh(m, shift) lies,
+    on each axis, strictly between its cell's two grid nodes (rounding
+    puts it on one for some shifts just below 0.5): on axis-aligned faces,
+    the exact form of face_point_distances() > 0."""
+    nodes = np.linspace(0.0, 1.0, m + 1)
+    points = 0.5 * (nodes[:-1] + nodes[1:]) + shift * (1.0 / m)
+    return bool(np.all(nodes[:-1] < points) and np.all(points < nodes[1:]))
+
+
 def build_cartesian_mesh(m, shift=0.0):
     """m x m Cartesian mesh of the unit square with shifted cell points.
 
@@ -276,17 +282,12 @@ def build_cartesian_mesh(m, shift=0.0):
         Subdivisions per edge.
     shift : float
         Cell points are placed at centroid + shift*(hx, hy).  Must lie in
-        [0, 0.5); larger shifts would move cell points onto or past the
-        cell boundary.
+        [0, 0.5) and pass cartesian_points_inside; other shifts would move
+        cell points onto or past the cell boundary.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if not 0.0 <= shift < 0.5:
-        raise ValueError("shift must lie in [0, 0.5)")
+    if not (0.0 <= shift < 0.5 and cartesian_points_inside(m, shift)):
+        raise ValueError("shift must lie in [0, 0.5) and keep every cell point off the faces")
     vertices, cells, centers = _grid_squares(np.linspace(0.0, 1.0, m + 1))
-    h = 1.0 / m
-    points = centers + shift * h
-    mesh = PolytopalMesh(vertices, cells, cell_points=points)
-    if np.any(mesh.face_point_distances() <= 0.0):
-        raise ValueError("shift places a cell point outside its cell")
-    return mesh
+    return PolytopalMesh(vertices, cells, cell_points=centers + shift * (1.0 / m))

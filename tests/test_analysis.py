@@ -291,8 +291,7 @@ def test_blocks_match_one_block(monkeypatch, name, scheme):
     # At level 3 each point set is one block.  Blocks of 40 points hold
     # a few whole cells and divide none of the point sets, and still
     # give the same loads, kept samples, mass matrix and error report
-    # bit for bit; a block keeps y and p as one array where the case
-    # gives them as one.
+    # bit for bit.
     case = get_case(name)
 
     def level(fields):
@@ -317,14 +316,13 @@ def test_blocks_match_one_block(monkeypatch, name, scheme):
     assert len(calls) > 4 and max(calls) <= 40
     assert len(whole[0].blocks) == 1 and len(blocked[0].blocks) > 1
     assert np.array_equal(blocked[0].loads, whole[0].loads)
-    kept = ("p", "u") if scheme == "hmm" else ("y", "p", "u")
+    kept = ("y", "u")
     for part in blocked[0].blocks:
         assert all(len(getattr(part, n)) <= analysis.BLOCK_POINTS for n in kept)
         assert all(getattr(part, n) is None for n in Fields._fields if n not in kept)
     for n in kept:
         assert np.array_equal(np.concatenate([getattr(b, n) for b in blocked[0].blocks]),
                               getattr(whole[0].blocks[0], n))
-    assert {b.y is b.p for b in blocked[0].blocks} == {whole[0].blocks[0].y is whole[0].blocks[0].p}
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(blocked[1], attr), getattr(whole[1], attr))
     assert dataclasses.astuple(blocked[2]) == dataclasses.astuple(whole[2])

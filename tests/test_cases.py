@@ -1,6 +1,8 @@
 """Consistency of the manufactured benchmarks: finite-difference residuals
 of the optimality systems, boundary behaviour, projection structure."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -46,10 +48,16 @@ def interior_points(case, rng, n=20):
 def test_gradient_closures_match_finite_differences(name):
     case = get_case(name)
     pts = interior_points(case, np.random.default_rng(5))
-    for fn, grad in ((case.y, case.grad_y), (case.p, case.grad_p)):
-        approx = fd_gradient(fn, pts)
-        scale = 1.0 + np.abs(grad(pts)).max()
-        assert np.abs(grad(pts) - approx).max() <= 1e-6 * scale
+    approx = fd_gradient(case.y, pts)
+    scale = 1.0 + np.abs(case.grad_y(pts)).max()
+    assert np.abs(case.grad_y(pts) - approx).max() <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_adjoint_closures_are_the_state_closures(name):
+    case = get_case(name)
+    assert case.p is case.y
+    assert case.grad_p is case.grad_y
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -65,10 +73,11 @@ def test_state_equation_residual(name):
 
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_adjoint_equation_residual(name):
-    # -lap(p) + c0*p = y - y_d pointwise in the interior.
+    # The adjoint is the state, so the adjoint equation -lap(p) + c0*p =
+    # y - y_d reads -lap(y) + c0*y = y - y_d pointwise in the interior.
     case = get_case(name)
     pts = interior_points(case, np.random.default_rng(7))
-    lhs = -fd_laplacian(case.p, pts) + case.reaction * case.p(pts)
+    lhs = -fd_laplacian(case.y, pts) + case.reaction * case.y(pts)
     rhs = case.y(pts) - case.y_d(pts)
     scale = 1.0 + np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() <= 1e-5 * scale
@@ -258,34 +267,29 @@ def test_lshape_closures_reevaluate_writeable_points():
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
-def test_single_closures_match_fields(monkeypatch, name):
+def test_single_closures_match_fields(name):
     case = get_case(name)
     pts = interior_points(case, np.random.default_rng(12), n=200)
     sample = case.fields(pts)
     for field in Fields._fields:
         assert np.array_equal(getattr(case, field)(pts), getattr(sample, field))
 
-    # Every subset of names a study level asks for (sample_level before
-    # the solve, compute_errors after it), on nodal and on cell-centred
-    # schemes, gives the same arrays and None for the rest.
-    requested = set()
 
-    def record(p, names):
-        requested.add(tuple(names))
-        return real(p, names)
-
-    real = case.fields
-    monkeypatch.setattr(case, "fields", record)
-    for scheme in SCHEMES:
-        run_level(case, scheme, 3)
-    assert len(requested) == 5
-    for names in requested:
-        part = case.fields(pts, names)
-        for field in Fields._fields:
-            if field in names:
-                assert np.array_equal(getattr(part, field), getattr(sample, field))
-            else:
-                assert getattr(part, field) is None
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_every_subset_of_names_matches_fields(name):
+    # Every non-empty subset of the names gives the full sample's arrays
+    # for its names and None for the rest.
+    case = get_case(name)
+    pts = interior_points(case, np.random.default_rng(12), n=200)
+    sample = case.fields(pts)
+    for k in range(1, len(Fields._fields) + 1):
+        for names in itertools.combinations(Fields._fields, k):
+            part = case.fields(pts, names)
+            for field in Fields._fields:
+                if field in names:
+                    assert np.array_equal(getattr(part, field), getattr(sample, field))
+                else:
+                    assert getattr(part, field) is None
 
 
 @pytest.mark.parametrize("name,scheme,calls", [

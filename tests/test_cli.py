@@ -96,6 +96,9 @@ USAGE_ERRORS = {
     "args16": ["--case", "example1", "--scheme", "hmm", "--levels", "1"],
     "args17": ["--case", "example1", "--scheme", "p1", "--levels", "2..5",
                "--out", "/nonexistent/dir/x.csv"],
+    # Rounding puts the level-8 cell points on cell faces.
+    "args18": ["--case", "example1", "--scheme", "hmm", "--levels", "2..8",
+               "--shift", "0.49999999999999"],
 }
 
 

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from gdmopt.mesh import (
     PolytopalMesh,
+    _grid_squares,
     build_cartesian_mesh,
     build_lshape_triangulation,
     build_unit_square_triangulation,
+    cartesian_points_inside,
 )
 from gdmopt.schemes import build_scheme
 from oracles import dof_points, value_at
@@ -154,11 +156,14 @@ def test_cartesian_mesh_shift_validation():
         build_cartesian_mesh(3, shift=0.5)
     with pytest.raises(ValueError):
         build_cartesian_mesh(3, shift=-0.1)
+    # Rounding puts these cell points on cell faces.
+    with pytest.raises(ValueError):
+        build_cartesian_mesh(32, shift=0.499999999999999)
 
 
 def test_cartesian_cell_points_inside():
     mesh = build_cartesian_mesh(4, shift=0.3)
-    assert np.all(mesh.face_point_distances() > 0.0)
+    assert np.all(mesh.face_point_distances(mesh.face_offsets(), mesh.outward_normals()) > 0.0)
     np.testing.assert_allclose(
         mesh.cell_point - mesh.cell_centroid, 0.3 / 4.0, atol=1e-15
     )
@@ -209,7 +214,26 @@ def test_orientation_validation():
 def test_face_point_distance_cartesian():
     mesh = build_cartesian_mesh(2)
     # Centroid points: distance h/2 to each face line.
-    np.testing.assert_allclose(mesh.face_point_distances(), 0.25, atol=1e-14)
+    np.testing.assert_allclose(mesh.face_point_distances(mesh.face_offsets(),
+                                                         mesh.outward_normals()),
+                               0.25, atol=1e-14)
+
+
+@pytest.mark.parametrize("shift", [0.3, 0.49999999999999, 0.499999999999999])
+def test_cartesian_points_inside_matches_face_distances(shift):
+    # The closed-form check agrees with the distances of the cell points
+    # to the face lines of the mesh built without it; rounding puts some
+    # of these points on faces from level 5 or 8 on.
+    verdicts = set()
+    for level in range(2, 9):
+        m = 2 ** level
+        vertices, cells, centers = _grid_squares(np.linspace(0.0, 1.0, m + 1))
+        mesh = PolytopalMesh(vertices, cells, cell_points=centers + shift * (1.0 / m))
+        inside = np.all(mesh.face_point_distances(mesh.face_offsets(),
+                                                  mesh.outward_normals()) > 0.0)
+        assert cartesian_points_inside(m, shift) == inside
+        verdicts.add(bool(inside))
+    assert verdicts == ({True} if shift == 0.3 else {True, False})
 
 
 def loop_face_table(cells):
